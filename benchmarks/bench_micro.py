@@ -77,8 +77,8 @@ def test_micro_gorder_telemetry_disabled_overhead(pokec):
     """Guard: disabled telemetry must cost < 5% of the greedy loop.
 
     With telemetry off, one Gorder call pays a fixed number of no-op
-    hooks (one ``enabled()`` check, one no-op span, the plain-heap
-    branch) — per *call*, never per loop iteration.  Measure the
+    hooks (one ``enabled()`` check around the counter tail, no-op
+    profiled phases) — per *call*, never per loop iteration.  Measure the
     kernel and the hooks separately and assert that even a hundred
     hook sites would stay inside the 5% budget of the seed timing.
     """

@@ -35,9 +35,9 @@ Every subcommand accepts the telemetry flags ``--log-level LEVEL``
 and ``--log-json PATH`` (machine-readable JSONL trace; see
 ``docs/telemetry.md``).
 
-Commands that compute orderings accept ``--ordering-backend
-batched|loop`` (the Gorder kernel) and ``--workers N`` (process pool
-for partitioned orderings); commands that simulate accept
+Commands that compute orderings accept ``--workers N`` (process pool
+for the partitioned Gorder) and ``--query-volume Q`` (amortisation for
+``--ordering auto``); commands that simulate accept
 ``--cache-backend step|replay`` (scalar stepping vs vectorised trace
 replay); see ``docs/performance.md``.
 
@@ -81,13 +81,10 @@ def _ordering_params(args: argparse.Namespace) -> dict:
 
     Forwarded through the signature-filtered
     :func:`repro.ordering.compute_ordering`, so each knob only reaches
-    the orderings that declare it (``backend`` → the Gorder kernels,
-    ``workers`` → the partitioned Gorder).
+    the orderings that declare it (``workers`` → the partitioned
+    Gorder, ``query_volume`` → the ``auto`` selector).
     """
     params: dict = {}
-    backend = getattr(args, "ordering_backend", None)
-    if backend is not None:
-        params["backend"] = backend
     workers = getattr(args, "workers", None)
     if workers is not None:
         params["workers"] = workers
@@ -876,16 +873,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="alias for --log-level info",
     )
-    # Ordering-kernel flags (forwarded signature-filtered, so they
-    # only reach the orderings that declare them).
+    # Ordering flags (forwarded signature-filtered, so they only
+    # reach the orderings that declare them).
     ordering_flags = argparse.ArgumentParser(add_help=False)
-    group = ordering_flags.add_argument_group("ordering kernel")
-    group.add_argument(
-        "--ordering-backend",
-        choices=("batched", "loop"),
-        default=None,
-        help="Gorder priority-queue kernel (default: batched)",
-    )
+    group = ordering_flags.add_argument_group("ordering")
     group.add_argument(
         "--workers",
         type=int,

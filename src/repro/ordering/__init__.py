@@ -5,6 +5,7 @@ from repro.ordering.base import (
     ORDERING_NAMES,
     REGISTRY,
     OrderingSpec,
+    accepted_params,
     compute_ordering,
     spec,
 )
@@ -23,10 +24,10 @@ from repro.ordering.evaluation import (
 )
 from repro.ordering.gorder import (
     DEFAULT_WINDOW,
-    GORDER_BACKENDS,
     gorder_naive,
     gorder_order,
     gorder_sequence,
+    gorder_sequence_reference,
     window_scores,
     window_scores_reference,
 )
@@ -92,14 +93,15 @@ __all__ = [
     "OrderingSpec",
     "spec",
     "compute_ordering",
+    "accepted_params",
     "UnitHeap",
     "DEFAULT_WINDOW",
     "gorder_order",
     "gorder_sequence",
     "gorder_naive",
+    "gorder_sequence_reference",
     "window_scores",
     "window_scores_reference",
-    "GORDER_BACKENDS",
     "original_order",
     "random_order",
     "indegsort_order",

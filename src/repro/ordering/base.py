@@ -9,6 +9,7 @@ replication's figures use.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass
 from typing import Callable
@@ -41,17 +42,42 @@ from repro.ordering.slashburn import slashburn_order
 OrderingFunction = Callable[..., np.ndarray]
 
 
-def _auto_order(graph: CSRGraph, seed: int = 0, **params) -> np.ndarray:
+def _auto_order(
+    graph: CSRGraph,
+    seed: int = 0,
+    query_volume: float | None = None,
+    clock_hz: float | None = None,
+    cache_backend: str | None = None,
+    algo_backend: str | None = None,
+    window: int | None = None,
+    candidates: tuple | None = None,
+    dataset: str | None = None,
+) -> np.ndarray:
     """Registry entry for the adaptive selector.
 
     Imported lazily: :mod:`repro.ordering.select` needs this registry
     to probe its candidates, so importing it at module scope would be
-    circular.  ``**params`` disables the signature filter; the
-    selector applies its own knob filtering instead.
+    circular.  The keyword signature mirrors
+    :func:`~repro.ordering.select.auto_order` so the registry's
+    signature filter applies to ``auto`` like any other ordering;
+    ``None`` leaves a knob at the selector's default.
     """
     from repro.ordering.select import auto_order
 
-    return auto_order(graph, seed=seed, **params)
+    knobs = {
+        "query_volume": query_volume,
+        "clock_hz": clock_hz,
+        "cache_backend": cache_backend,
+        "algo_backend": algo_backend,
+        "window": window,
+        "candidates": candidates,
+        "dataset": dataset,
+    }
+    return auto_order(
+        graph,
+        seed=seed,
+        **{key: value for key, value in knobs.items() if value is not None},
+    )
 
 
 @dataclass(frozen=True)
@@ -131,7 +157,7 @@ REGISTRY: dict[str, OrderingSpec] = {
             "boba", "BOBA", boba_order,
             deterministic=True, headline=False,
         ),
-        # Alternative Gorder backends — extensions for ablations.
+        # Alternative Gorder variants — extensions for ablations.
         OrderingSpec(
             "gorder-lazy", "Gorder(lazy-pq)", gorder_order_lazy,
             deterministic=True, headline=False,
@@ -171,25 +197,12 @@ def spec(name: str) -> OrderingSpec:
         ) from None
 
 
-_ACCEPTED_PARAMS: dict[str, frozenset[str] | None] = {}
-
-
-def _accepted_params(ordering: OrderingSpec) -> frozenset[str] | None:
-    """Keyword names ``ordering.compute`` accepts (None = any)."""
-    cached = _ACCEPTED_PARAMS.get(ordering.name, False)
-    if cached is not False:
-        return cached
-    accepted: frozenset[str] | None
-    signature = inspect.signature(ordering.compute)
-    if any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in signature.parameters.values()
-    ):
-        accepted = None
-    else:
-        accepted = frozenset(signature.parameters)
-    _ACCEPTED_PARAMS[ordering.name] = accepted
-    return accepted
+@functools.cache
+def accepted_params(name: str) -> frozenset[str]:
+    """Keyword parameters ordering ``name`` declares besides
+    ``graph`` and ``seed``."""
+    parameters = inspect.signature(spec(name).compute).parameters
+    return frozenset(parameters) - {"graph", "seed"}
 
 
 def compute_ordering(
@@ -198,18 +211,17 @@ def compute_ordering(
     """Compute the arrangement for ``graph`` by ordering name.
 
     Extra ``params`` are forwarded to the ordering function, filtered
-    against its signature: parameters an ordering does not declare are
-    silently dropped.  This lets sweep-wide knobs (``backend``,
-    ``workers``, ``window``) apply to the orderings they concern
-    without every ordering having to accept every knob.
+    against :func:`accepted_params`: parameters an ordering does not
+    declare are silently dropped.  This lets sweep-wide knobs
+    (``workers``, ``window``, ``query_volume``) apply to the orderings
+    they concern without every ordering having to accept every knob.
     """
     ordering = spec(name)
     if params:
-        accepted = _accepted_params(ordering)
-        if accepted is not None:
-            params = {
-                key: value
-                for key, value in params.items()
-                if key in accepted
-            }
+        accepted = accepted_params(ordering.name)
+        params = {
+            key: value
+            for key, value in params.items()
+            if key in accepted
+        }
     return ordering.compute(graph, seed=seed, **params)

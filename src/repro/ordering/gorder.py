@@ -7,29 +7,27 @@ objective ``F(pi) = sum_{0 < pi_u - pi_v <= w} S(u, v)`` where
 Finding the optimal arrangement is NP-hard; the greedy insertion is a
 ``1/(2w)``-approximation (Theorem 5.2 of the paper).
 
-Two priority-queue kernels drive the greedy loop, selected by the
-``backend`` parameter:
+One priority-queue kernel drives the greedy loop: per placement step
+it gathers every affected candidate at once as numpy arrays (``N+(u)``,
+``N−(u)``, and the sibling expansion: the concatenated out-adjacency
+slices of the in-neighbours), then applies the newest entry's +1
+events and the expiring node's −1 events as one fused
+:meth:`~repro.ordering.unit_heap.UnitHeap.apply_step`, which
+deduplicates and sums the unit events into one net delta per node
+(overlapping enter/exit events cancel outright).  This removes the
+per-edge Python call and ``int()`` boxing that made a literal
+Algorithm 2 loop the replication's slowest component (its Table 2
+hours).
 
-* ``"batched"`` (default) — per placement step, gather every affected
-  candidate at once as numpy arrays (``N+(u)``, ``N−(u)``, and the
-  sibling expansion: the concatenated out-adjacency slices of the
-  in-neighbours), then apply the newest entry's +1 events and the
-  expiring node's −1 events as one fused
-  :meth:`~repro.ordering.unit_heap.UnitHeap.apply_step`, which
-  deduplicates and sums the unit events into one net delta per node
-  (overlapping enter/exit events cancel outright).  This removes the
-  per-edge Python call and ``int()`` boxing that made the loop kernel
-  the replication's slowest component (its Table 2 hours).
-* ``"loop"`` — the reference kernel: one
-  :meth:`~repro.ordering.unit_heap.UnitHeap.increase` /
-  ``decrease`` call per score event, exactly Algorithm 2.
-
-Both kernels produce **byte-identical sequences**: the unit heap
-breaks ties by smallest node id among maximal keys, a pure function of
-the net key state, so collapsing a step's events into one batch
-cannot change any pop.  :func:`gorder_naive` (literal greedy rescan,
-O(n^2 * w * d), tests only) shares the same tie-break and therefore
-also agrees exactly.
+:func:`gorder_sequence_reference` keeps that literal loop — one
+:meth:`~repro.ordering.unit_heap.UnitHeap.increase` / ``decrease``
+call per score event — as the test and benchmark oracle.  Both
+produce **byte-identical sequences**: the unit heap breaks ties by
+smallest node id among maximal keys, a pure function of the net key
+state, so collapsing a step's events into one batch cannot change any
+pop.  :func:`gorder_naive` (literal greedy rescan, O(n^2 * w * d),
+tests only) shares the same tie-break and therefore also agrees
+exactly.
 
 ``hub_threshold`` optionally skips the sibling expansion through
 common in-neighbours with out-degree above the threshold.  Such hubs
@@ -49,17 +47,14 @@ from repro.errors import InvalidParameterError
 from repro.graph.csr import CSRGraph
 from repro.graph.permute import permutation_from_sequence
 from repro.ordering.metrics import pair_score
-from repro.ordering.unit_heap import MeteredUnitHeap, UnitHeap
+from repro.ordering.unit_heap import UnitHeap
 
 #: The paper's default window size (chosen in its Figure 8 experiment).
 DEFAULT_WINDOW = 5
 
-#: Names accepted by the ``backend`` parameter of the greedy kernel.
-GORDER_BACKENDS = ("batched", "loop")
-
 
 def _validate_gorder_params(
-    window: int, hub_threshold: int | None, backend: str
+    window: int, hub_threshold: int | None
 ) -> None:
     if window < 1:
         raise InvalidParameterError(
@@ -69,102 +64,33 @@ def _validate_gorder_params(
         raise InvalidParameterError(
             f"hub_threshold must be non-negative, got {hub_threshold}"
         )
-    if backend not in GORDER_BACKENDS:
-        known = ", ".join(GORDER_BACKENDS)
-        raise InvalidParameterError(
-            f"unknown gorder backend {backend!r}; choose from: {known}"
-        )
 
 
 def gorder_sequence(
     graph: CSRGraph,
     window: int = DEFAULT_WINDOW,
     hub_threshold: int | None = None,
-    backend: str = "batched",
 ) -> np.ndarray:
     """The Gorder placement sequence (``sequence[i]`` = i-th node placed).
 
-    ``backend`` selects the priority-queue kernel (see the module
-    docstring); both backends return byte-identical sequences.
+    One numpy gather and one fused heap batch per placement step (see
+    the module docstring).  With telemetry on, the run also publishes
+    ``gorder.heap_pops``, ``gorder.priority_updates`` (unit score
+    events) and ``gorder.batched_moves`` (live candidates refreshed,
+    deduplicated per step) — totals the kernel already has, so a
+    traced run executes exactly the untraced program.
     """
-    _validate_gorder_params(window, hub_threshold, backend)
+    _validate_gorder_params(window, hub_threshold)
     n = graph.num_nodes
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    if backend == "loop":
-        return _gorder_sequence_loop(graph, window, hub_threshold)
-    return _gorder_sequence_batched(graph, window, hub_threshold)
-
-
-def _gorder_sequence_loop(
-    graph: CSRGraph, window: int, hub_threshold: int | None
-) -> np.ndarray:
-    """Reference kernel: one heap call per unit score event."""
-    n = graph.num_nodes
-    out_offsets = graph.offsets
-    out_adjacency = graph.adjacency
-    in_offsets = graph.in_offsets
-    in_adjacency = graph.in_adjacency
-    out_degrees = graph.out_degrees()
-    skip_limit = (
-        np.iinfo(np.int64).max if hub_threshold is None else hub_threshold
-    )
-
-    # Telemetry: hoisted to one check per call.  The metered heap
-    # subclass keeps the disabled path identical to the bare kernel.
-    counting = obs.enabled()
-    heap = MeteredUnitHeap(n) if counting else UnitHeap(n)
-    sequence = np.empty(n, dtype=np.int64)
-
-    def apply(u: int, entering: bool) -> None:
-        """Propagate u's window-entry (+1) or -exit (-1) score events."""
-        update = heap.increase if entering else heap.decrease
-        for v in out_adjacency[out_offsets[u]:out_offsets[u + 1]]:
-            update(int(v))  # S_n: edge u -> v
-        for z in in_adjacency[in_offsets[u]:in_offsets[u + 1]]:
-            z = int(z)
-            update(z)  # S_n: edge z -> u
-            if out_degrees[z] > skip_limit:
-                continue  # hub co-citation: skipped, see module docstring
-            for v in out_adjacency[out_offsets[z]:out_offsets[z + 1]]:
-                v = int(v)
-                if v != u:
-                    update(v)  # S_s: z is a common in-neighbour of u, v
-
-    # Seed with the highest in-degree node (deterministic hub start).
-    start = int(np.argmax(graph.in_degrees())) if n > 1 else 0
-    with obs.profile(
-        "gorder.greedy", n=n, m=graph.num_edges, window=window,
-        backend="loop",
-    ):
-        heap.remove(start)
-        sequence[0] = start
-        apply(start, entering=True)
-        for i in range(1, n):
-            if i > window:
-                apply(int(sequence[i - 1 - window]), entering=False)
-            chosen = heap.pop_max()
-            sequence[i] = chosen
-            apply(chosen, entering=True)
-    if counting:
-        obs.inc("gorder.heap_pops", heap.pops)
-        obs.inc("gorder.priority_updates", heap.priority_updates)
-    return sequence
-
-
-def _gorder_sequence_batched(
-    graph: CSRGraph, window: int, hub_threshold: int | None
-) -> np.ndarray:
-    """Batched kernel: one numpy gather + one heap batch per step."""
-    n = graph.num_nodes
     out_offsets = graph.offsets
     out_adjacency = graph.adjacency
     in_offsets = graph.in_offsets
     in_adjacency = graph.in_adjacency
     out_degrees = graph.out_degrees()
 
-    counting = obs.enabled()
-    heap = MeteredUnitHeap(n) if counting else UnitHeap(n)
+    heap = UnitHeap(n)
     sequence = np.empty(n, dtype=np.int64)
 
     # ------------------------------------------------------------------
@@ -173,7 +99,7 @@ def _gorder_sequence_batched(
     # building the full table up front halves the gather work and
     # replaces ~15 small numpy calls per gather with two slices and a
     # concatenate.  Size is the total event count — the same quantity
-    # the loop kernel spends one Python call on per event — i.e.
+    # the reference loop spends one Python call on per event — i.e.
     # 2m + sum_z d_out(z)^2 entries (hub skipping prunes the square).
     #
     # The sibling table: for every in-neighbour z of every node u (the
@@ -232,17 +158,19 @@ def _gorder_sequence_batched(
             siblings[sib_bounds[u]:sib_bounds[u + 1]],
         ))
 
+    # Seed with the highest in-degree node (deterministic hub start).
     start = int(np.argmax(graph.in_degrees())) if n > 1 else 0
+    moves = 0
     with obs.profile(
         "gorder.greedy", n=n, m=graph.num_edges, window=window,
         backend="batched",
     ):
         heap.remove(start)
         sequence[0] = start
-        # The loop kernel interleaves exit(i), pop(i), enter(i).  No
-        # pop happens between enter(i) and exit(i+1), so the batched
-        # kernel fuses those two updates into one heap.apply_step:
-        # events hitting the same node cancel before touching the heap.
+        # Algorithm 2 interleaves exit(i), pop(i), enter(i).  No pop
+        # happens between enter(i) and exit(i+1), so the kernel fuses
+        # those two updates into one heap.apply_step: events hitting
+        # the same node cancel before touching the heap.
         # A node's events are needed twice — at window entry and again
         # at exit — so a (window + 2)-slot ring keeps each gather
         # alive until its exit step comes round.
@@ -252,22 +180,85 @@ def _gorder_sequence_batched(
         ring[0] = events
         for i in range(1, n):
             if i > window:
-                heap.apply_step(
+                moves += heap.apply_step(
                     events, ring[(i - 1 - window) % ring_size]
                 )
             else:
-                heap.increase_batch(events)
+                moves += heap.increase_batch(events)
             chosen = heap.pop_max()
             sequence[i] = chosen
             events = gather(chosen)
             ring[i % ring_size] = events
         # The last node's entry moves no future pop, but applying it
-        # keeps the update counters identical to the loop kernel's.
-        heap.increase_batch(events)
-    if counting:
-        obs.inc("gorder.heap_pops", heap.pops)
-        obs.inc("gorder.priority_updates", heap.priority_updates)
-        obs.inc("gorder.batched_moves", heap.batched_moves)
+        # keeps the update counters identical to the reference loop's.
+        moves += heap.increase_batch(events)
+    if obs.enabled():
+        # Every node's events enter once; the first n-1-window placed
+        # nodes' events also exit.
+        event_counts = (
+            out_degrees + graph.in_degrees() + np.diff(sib_offsets)
+        )
+        exited = sequence[:max(n - 1 - window, 0)]
+        obs.inc("gorder.heap_pops", n - 1)
+        obs.inc(
+            "gorder.priority_updates",
+            int(event_counts.sum()) + int(event_counts[exited].sum()),
+        )
+        obs.inc("gorder.batched_moves", moves)
+    return sequence
+
+
+def gorder_sequence_reference(
+    graph: CSRGraph,
+    window: int = DEFAULT_WINDOW,
+    hub_threshold: int | None = None,
+) -> np.ndarray:
+    """Literal Algorithm 2: one heap call per unit score event.
+
+    The oracle :func:`gorder_sequence` is tested and benchmarked
+    against (byte-identical output, see the module docstring); it
+    publishes no telemetry.
+    """
+    _validate_gorder_params(window, hub_threshold)
+    n = graph.num_nodes
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    out_offsets = graph.offsets
+    out_adjacency = graph.adjacency
+    in_offsets = graph.in_offsets
+    in_adjacency = graph.in_adjacency
+    out_degrees = graph.out_degrees()
+    skip_limit = (
+        np.iinfo(np.int64).max if hub_threshold is None else hub_threshold
+    )
+    heap = UnitHeap(n)
+    sequence = np.empty(n, dtype=np.int64)
+
+    def apply(u: int, entering: bool) -> None:
+        """Propagate u's window-entry (+1) or -exit (-1) score events."""
+        update = heap.increase if entering else heap.decrease
+        for v in out_adjacency[out_offsets[u]:out_offsets[u + 1]]:
+            update(int(v))  # S_n: edge u -> v
+        for z in in_adjacency[in_offsets[u]:in_offsets[u + 1]]:
+            z = int(z)
+            update(z)  # S_n: edge z -> u
+            if out_degrees[z] > skip_limit:
+                continue  # hub co-citation: skipped, see module docstring
+            for v in out_adjacency[out_offsets[z]:out_offsets[z + 1]]:
+                v = int(v)
+                if v != u:
+                    update(v)  # S_s: z is a common in-neighbour of u, v
+
+    start = int(np.argmax(graph.in_degrees())) if n > 1 else 0
+    heap.remove(start)
+    sequence[0] = start
+    apply(start, entering=True)
+    for i in range(1, n):
+        if i > window:
+            apply(int(sequence[i - 1 - window]), entering=False)
+        chosen = heap.pop_max()
+        sequence[i] = chosen
+        apply(chosen, entering=True)
     return sequence
 
 
@@ -276,17 +267,11 @@ def gorder_order(
     seed: int = 0,
     window: int = DEFAULT_WINDOW,
     hub_threshold: int | None = None,
-    backend: str = "batched",
 ) -> np.ndarray:
     """The Gorder arrangement ``pi`` (see :func:`gorder_sequence`)."""
     del seed  # deterministic
     return permutation_from_sequence(
-        gorder_sequence(
-            graph,
-            window=window,
-            hub_threshold=hub_threshold,
-            backend=backend,
-        )
+        gorder_sequence(graph, window=window, hub_threshold=hub_threshold)
     )
 
 

@@ -20,18 +20,12 @@ reproduced here:
 * **BOBA** — a first-touch edge-stream pass [Okanovic et al.]: one
   traversal of the edge list packs endpoints in the order they are
   first seen, so vertices that appear together in the stream land on
-  nearby cache lines.  The stream splits into contiguous chunks whose
-  first-touch sequences are computed independently (optionally on a
-  spawned process pool, like :mod:`repro.ordering.parallel`) and
-  merged keep-first — the output is identical for every worker count.
+  nearby cache lines.
 
 All run in O(n + m + sort) time and are deterministic.
 """
 
 from __future__ import annotations
-
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -134,105 +128,24 @@ def dbg_order(
     return permutation_from_sequence(sequence)
 
 
-def _first_touch(endpoints: np.ndarray) -> np.ndarray:
-    """Deduplicate a node stream keeping each first occurrence."""
-    if not endpoints.shape[0]:
-        return endpoints
-    values, first_seen = np.unique(endpoints, return_index=True)
-    return values[np.argsort(first_seen, kind="stable")]
-
-
-def _boba_chunk(
-    task: tuple,
-) -> tuple[int, np.ndarray]:
-    """First-touch sequence of one edge-stream chunk.
-
-    Runs either inline or in a spawned worker process; the chunk
-    travels as two flat arrays (cheap to pickle) and the result is a
-    pure function of the chunk, so the merge is worker-count
-    invariant.
-    """
-    index, sources, targets = task
-    endpoints = np.empty(2 * sources.shape[0], dtype=np.int64)
-    endpoints[0::2] = sources
-    endpoints[1::2] = targets
-    return index, _first_touch(endpoints)
-
-
-def boba_order(
-    graph: CSRGraph,
-    seed: int = 0,
-    num_parts: int = 4,
-    workers: int = 1,
-) -> np.ndarray:
+def boba_order(graph: CSRGraph, seed: int = 0) -> np.ndarray:
     """BOBA: pack endpoints in edge-stream first-touch order.
 
     One pass over the CSR edge stream (sources ascending, adjacency
     order within a source) assigns each vertex the position at which
     it is first touched — source before target within an edge.
     Vertices never touched by an edge keep their original relative
-    order at the tail.
-
-    The stream is split into ``num_parts`` contiguous chunks whose
-    local first-touch sequences are computed independently —
-    in-process, or on a spawned :class:`ProcessPoolExecutor` when
-    ``workers > 1`` — then merged in chunk order with a keep-first
-    deduplication.  A vertex's global first touch lies in the earliest
-    chunk that contains it, so the merged sequence equals the
-    single-pass sequence: the arrangement is deterministic and
-    identical for every ``num_parts``/``workers`` combination.
+    order at the tail.  Deterministic.
     """
     del seed  # deterministic
-    if num_parts < 1:
-        raise InvalidParameterError(
-            f"num_parts must be positive, got {num_parts}"
-        )
-    if workers < 1:
-        raise InvalidParameterError(
-            f"workers must be positive, got {workers}"
-        )
     n = graph.num_nodes
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    sources, targets = graph.edge_array()
-    chunks = [
-        chunk
-        for chunk in np.array_split(
-            np.arange(sources.shape[0], dtype=np.int64), num_parts
-        )
-        if chunk.shape[0]
-    ]
-    tasks = [
-        (
-            index,
-            np.ascontiguousarray(sources[chunk]),
-            np.ascontiguousarray(targets[chunk]),
-        )
-        for index, chunk in enumerate(chunks)
-    ]
-    effective_workers = min(workers, max(len(tasks), 1))
-    pieces: list[np.ndarray] = [
-        np.zeros(0, dtype=np.int64)
-    ] * len(tasks)
-    with obs.span(
-        "ordering.boba", n=n, m=graph.num_edges,
-        parts=len(tasks), workers=effective_workers,
-    ):
-        if effective_workers <= 1:
-            for task in tasks:
-                index, local = _boba_chunk(task)
-                pieces[index] = local
-        else:
-            context = multiprocessing.get_context("spawn")
-            with ProcessPoolExecutor(
-                max_workers=effective_workers, mp_context=context
-            ) as pool:
-                for index, local in pool.map(_boba_chunk, tasks):
-                    pieces[index] = local
-        touched = (
-            _first_touch(np.concatenate(pieces))
-            if pieces else np.zeros(0, dtype=np.int64)
-        )
+    with obs.span("ordering.boba", n=n, m=graph.num_edges):
+        sources, targets = graph.edge_array()
+        endpoints = np.empty(2 * sources.shape[0], dtype=np.int64)
+        endpoints[0::2] = sources
+        endpoints[1::2] = targets
+        values, first_seen = np.unique(endpoints, return_index=True)
+        touched = values[np.argsort(first_seen, kind="stable")]
         seen = np.zeros(n, dtype=bool)
         seen[touched] = True
         sequence = np.concatenate([touched, np.flatnonzero(~seen)])

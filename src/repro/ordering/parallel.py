@@ -81,7 +81,7 @@ def _order_part(
     """
     (
         index, num_nodes, offsets, adjacency,
-        window, hub_threshold, backend, collect,
+        window, hub_threshold, collect,
     ) = task
     subgraph = CSRGraph(
         num_nodes, offsets, adjacency,
@@ -93,10 +93,7 @@ def _order_part(
     before = obs.counters() if collect else {}
     start = time.perf_counter()
     sequence = gorder_sequence(
-        subgraph,
-        window=window,
-        hub_threshold=hub_threshold,
-        backend=backend,
+        subgraph, window=window, hub_threshold=hub_threshold
     )
     seconds = time.perf_counter() - start
     counters: dict[str, int] = {}
@@ -119,7 +116,6 @@ def gorder_partitioned(
     window: int = DEFAULT_WINDOW,
     hub_threshold: int | None = None,
     workers: int = 1,
-    backend: str = "batched",
 ) -> np.ndarray:
     """Gorder applied independently to ``num_parts`` partitions.
 
@@ -144,13 +140,12 @@ def gorder_partitioned(
         subgraph, _ = induced_subgraph(graph, part)
         tasks.append((
             index, subgraph.num_nodes, subgraph.offsets,
-            subgraph.adjacency, window, hub_threshold, backend,
-            collect,
+            subgraph.adjacency, window, hub_threshold, collect,
         ))
     pieces: list[np.ndarray] = [None] * len(tasks)  # type: ignore[list-item]
     with obs.span(
         "gorder.partitioned", n=n, m=graph.num_edges,
-        parts=len(tasks), workers=effective_workers, backend=backend,
+        parts=len(tasks), workers=effective_workers,
     ):
         if effective_workers == 1:
             for task in tasks:

@@ -9,7 +9,7 @@ explicit amortisation model:
     total_seconds(candidate) = ordering_seconds(candidate)
         + query_volume * probe_cycles(candidate) / clock_hz
 
-Each candidate configuration (ordering + kernel backend + window) is
+Each candidate configuration (ordering + window) is
 actually run — its wall-time measured, its locality probed with the
 simulated-cache NQ probe of :mod:`repro.ordering.evaluation` — and
 the selector picks the configuration minimising modelled total cost
@@ -70,36 +70,24 @@ HEAVY_COST_MULTIPLE = 10.0
 class CandidateConfig:
     """One configuration the selector may pick.
 
-    ``window``/``backend``/``workers`` are forwarded to the ordering
-    through the registry's signature filter, so each knob reaches
-    exactly the orderings that declare it.
+    ``window`` is forwarded to the ordering through the registry's
+    signature filter, so it reaches only the orderings that declare
+    it.
     """
 
     ordering: str
     window: int | None = None
-    backend: str | None = None
-    workers: int | None = None
 
     @property
     def label(self) -> str:
-        parts = []
-        if self.window is not None:
-            parts.append(f"w={self.window}")
-        if self.backend is not None:
-            parts.append(f"{self.backend}")
-        if not parts:
+        if self.window is None:
             return self.ordering
-        return f"{self.ordering}[{','.join(parts)}]"
+        return f"{self.ordering}[w={self.window}]"
 
     def ordering_params(self) -> dict:
-        params: dict = {}
-        if self.window is not None:
-            params["window"] = self.window
-        if self.backend is not None:
-            params["backend"] = self.backend
-        if self.workers is not None:
-            params["workers"] = self.workers
-        return params
+        if self.window is None:
+            return {}
+        return {"window": self.window}
 
 
 @dataclass(frozen=True)
@@ -109,7 +97,6 @@ class CandidateProbe:
     ordering: str
     label: str
     window: int | None
-    backend: str | None
     ordering_seconds: float
     probe_cycles: float
     #: Modelled total seconds at the decision's query volume.
@@ -124,7 +111,6 @@ class CandidateProbe:
             "ordering": self.ordering,
             "label": self.label,
             "window": self.window,
-            "backend": self.backend,
             "ordering_seconds": self.ordering_seconds,
             "probe_cycles": self.probe_cycles,
             "amortised_seconds": self.amortised_seconds,
@@ -179,8 +165,6 @@ class SelectionDecision:
 
 def default_candidates(
     window: int = DEFAULT_WINDOW,
-    gorder_backend: str = "batched",
-    workers: int | None = None,
 ) -> tuple[CandidateConfig, ...]:
     """The default frontier: baseline, lightweights, Gorder.
 
@@ -191,10 +175,8 @@ def default_candidates(
         CandidateConfig("hubcluster"),
         CandidateConfig("hubsort"),
         CandidateConfig("dbg"),
-        CandidateConfig("boba", workers=workers),
-        CandidateConfig(
-            "gorder", window=window, backend=gorder_backend,
-        ),
+        CandidateConfig("boba"),
+        CandidateConfig("gorder", window=window),
     )
 
 
@@ -304,7 +286,6 @@ def _select(
                 ordering=config.ordering,
                 label=config.label,
                 window=config.window,
-                backend=config.backend,
                 ordering_seconds=seconds,
                 probe_cycles=cycles,
                 amortised_seconds=(
@@ -371,42 +352,33 @@ def select_ordering(
     return decision
 
 
-#: Keyword knobs ``auto_order`` understands; sweep-wide parameters
-#: outside this set are dropped, mirroring the registry's signature
-#: filter (the registry cannot filter for ``auto`` itself because
-#: its wrapper accepts ``**params``).
-_AUTO_KNOBS = frozenset(
-    {
-        "query_volume", "clock_hz", "cache_backend", "algo_backend",
-        "window", "backend", "workers", "candidates", "dataset",
-    }
-)
-
-
-def auto_order(graph: CSRGraph, seed: int = 0, **params) -> np.ndarray:
+def auto_order(
+    graph: CSRGraph,
+    seed: int = 0,
+    query_volume: float = DEFAULT_QUERY_VOLUME,
+    clock_hz: float = DEFAULT_CLOCK_HZ,
+    cache_backend: str = "replay",
+    algo_backend: str = "runtime",
+    window: int = DEFAULT_WINDOW,
+    candidates: tuple[CandidateConfig, ...] | None = None,
+    dataset: str = "",
+) -> np.ndarray:
     """The registry ordering ``auto``: select, then arrange.
 
-    Accepts the selector knobs (``query_volume``, ``clock_hz``,
-    ``cache_backend``, ``algo_backend``, ``candidates``, ``dataset``)
-    plus the sweep-wide ordering knobs ``window``/``backend``/
-    ``workers``, which parameterise the candidate set.  Unknown
-    parameters are dropped.  Returns the chosen arrangement — the
-    permutation computed during probing, not a recomputation.
+    ``window`` parameterises the default candidate set and is ignored
+    when ``candidates`` is given.  Returns the chosen arrangement —
+    the permutation computed during probing, not a recomputation.
     """
-    knobs = {
-        key: value for key, value in params.items()
-        if key in _AUTO_KNOBS
-    }
-    candidates = knobs.pop("candidates", None)
     if candidates is None:
-        candidates = default_candidates(
-            window=knobs.pop("window", DEFAULT_WINDOW),
-            gorder_backend=knobs.pop("backend", "batched"),
-            workers=knobs.pop("workers", None),
-        )
-    else:
-        for key in ("window", "backend", "workers"):
-            knobs.pop(key, None)
-        candidates = tuple(candidates)
-    _, perm = _select(graph, candidates=candidates, seed=seed, **knobs)
+        candidates = default_candidates(window=window)
+    _, perm = _select(
+        graph,
+        query_volume=query_volume,
+        candidates=tuple(candidates),
+        seed=seed,
+        cache_backend=cache_backend,
+        algo_backend=algo_backend,
+        clock_hz=clock_hz,
+        dataset=dataset,
+    )
     return perm

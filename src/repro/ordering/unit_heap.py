@@ -54,7 +54,7 @@ class UnitHeap:
     the maximal-key items.  This is a pure function of the heap state,
     so any sequence of updates with the same net effect leaves the pop
     order unchanged — the property the batched Gorder kernel relies on
-    for byte-identical output versus the event-loop kernel.
+    for byte-identical output versus the event-loop reference.
     """
 
     #: Fresh runs buffered before a collapse into the merge ladder.
@@ -284,21 +284,22 @@ class UnitHeap:
 
     def increase_batch(
         self, items: np.ndarray, counts: np.ndarray | None = None
-    ) -> None:
-        """Add to many keys at once.
+    ) -> int:
+        """Add to many keys at once; return the number of moved items.
 
         ``items`` may contain duplicates (each occurrence is one +1
         event) and removed items (silently ignored).  ``counts``, when
         given, must align with ``items`` and give the non-negative
-        delta per entry instead of the implicit 1.
+        delta per entry instead of the implicit 1.  The return value
+        counts distinct live items whose key changed.
         """
-        self._update_batch(items, counts, 1)
+        return self._update_batch(items, counts, 1)
 
     def decrease_batch(
         self, items: np.ndarray, counts: np.ndarray | None = None
-    ) -> None:
+    ) -> int:
         """Subtract from many keys at once (mirror of increase_batch)."""
-        self._update_batch(items, counts, -1)
+        return self._update_batch(items, counts, -1)
 
     def _update_batch(
         self, items: np.ndarray, counts: np.ndarray | None, sign: int
@@ -473,87 +474,3 @@ class UnitHeap:
                 tails[best] = int(run[-1])
             self._entries -= 1
 
-
-class MeteredUnitHeap(UnitHeap):
-    """A :class:`UnitHeap` that counts its own operations.
-
-    The telemetry backend for Gorder: when tracing is on the greedy
-    loop swaps this in for the plain heap and publishes the totals as
-    counters afterwards.  Keeping the plain class untouched keeps the
-    telemetry-disabled path at exactly its original cost.
-
-    ``increases``/``decreases`` count unit events — one per scalar
-    call, one per batch entry (weighted by ``counts``) — so the totals
-    agree between the loop and batched Gorder kernels.
-    ``batched_moves`` counts deduplicated live items refreshed per
-    batch call (per window step for the fused :meth:`apply_step`), the
-    measure of how much work vectorisation collapses.
-    """
-
-    __slots__ = (
-        "increases", "decreases", "pops", "removes", "batched_moves"
-    )
-
-    def __init__(
-        self,
-        num_items: int,
-        candidates: np.ndarray | None = None,
-    ) -> None:
-        super().__init__(num_items, candidates=candidates)
-        self.increases = 0
-        self.decreases = 0
-        self.pops = 0
-        self.removes = 0
-        self.batched_moves = 0
-
-    @staticmethod
-    def _units(items, counts) -> int:
-        if counts is not None:
-            return int(np.sum(counts))
-        return int(np.asarray(items).shape[0])
-
-    def increase(self, item: int) -> None:
-        self.increases += 1
-        super().increase(item)
-
-    def decrease(self, item: int) -> None:
-        self.decreases += 1
-        super().decrease(item)
-
-    def increase_batch(
-        self, items: np.ndarray, counts: np.ndarray | None = None
-    ) -> None:
-        self.increases += self._units(items, counts)
-        self.batched_moves += self._update_batch(items, counts, 1)
-
-    def decrease_batch(
-        self, items: np.ndarray, counts: np.ndarray | None = None
-    ) -> None:
-        self.decreases += self._units(items, counts)
-        self.batched_moves += self._update_batch(items, counts, -1)
-
-    def apply_step(
-        self, enter_events: np.ndarray, exit_events: np.ndarray
-    ) -> int:
-        # Counting must not change the kernel being measured: run the
-        # fused fast path and attribute costs arithmetically (one unit
-        # per raw event; batched_moves = the step's live touched items,
-        # the fused call's return value).
-        moved = super().apply_step(enter_events, exit_events)
-        self.increases += int(np.asarray(enter_events).shape[0])
-        self.decreases += int(np.asarray(exit_events).shape[0])
-        self.batched_moves += moved
-        return moved
-
-    def remove(self, item: int) -> None:
-        self.removes += 1
-        super().remove(item)
-
-    def pop_max(self) -> int:
-        self.pops += 1
-        return super().pop_max()
-
-    @property
-    def priority_updates(self) -> int:
-        """Total key-change events (the paper's unit updates)."""
-        return self.increases + self.decreases

@@ -1,8 +1,9 @@
-"""Benchmark-regression harness for the Gorder kernels.
+"""Benchmark-regression harness for the Gorder kernel.
 
-Times the loop and batched greedy kernels (plus the partitioned
-multiprocess ordering) on a deterministic generated graph, verifies
-they agree byte-for-byte, and emits a machine-readable
+Times the production (batched) greedy kernel against the literal-loop
+oracle :func:`~repro.ordering.gorder.gorder_sequence_reference` (plus
+the partitioned multiprocess ordering) on a deterministic generated
+graph, verifies they agree byte-for-byte, and emits a machine-readable
 ``BENCH_gorder.json`` so every future change has a perf trajectory to
 compare against.  Schema (version 1, documented in
 ``docs/performance.md``)::
@@ -16,7 +17,7 @@ compare against.  Schema (version 1, documented in
       "window": int,
       "kernels": {
         "loop":    {"seconds", "heap_pops", "unit_updates",
-                    "updates_per_second"},
+                    "updates_per_second"},   # the reference oracle
         "batched": {..., "batched_moves"}
       },
       "speedup_batched_vs_loop": float,
@@ -104,14 +105,18 @@ from repro import obs
 from repro.errors import InvalidParameterError, ReproError
 from repro.graph.generators import social_graph
 from repro.ioutil import atomic_write_text
-from repro.ordering.gorder import DEFAULT_WINDOW, gorder_sequence
+from repro.ordering.gorder import (
+    DEFAULT_WINDOW,
+    gorder_sequence,
+    gorder_sequence_reference,
+)
 from repro.ordering.parallel import gorder_partitioned
 
 #: Current BENCH_gorder.json schema version.
 BENCH_SCHEMA_VERSION = 1
 
-#: Counters attributed to each kernel (diffed around one metered run,
-#: separate from the timed runs — see :func:`_counted`).
+#: Kernel counters (diffed around one counted run of the production
+#: kernel, separate from the timed runs — see :func:`_counted`).
 _KERNEL_COUNTERS = {
     "heap_pops": "gorder.heap_pops",
     "unit_updates": "gorder.priority_updates",
@@ -168,10 +173,8 @@ def _counted(fn) -> dict:
     """Run ``fn`` once with the counter registry active and return the
     diffed kernel counters.
 
-    Kept separate from :func:`_timed` on purpose: metering swaps in
-    the instrumented heap, whose per-event accounting would otherwise
-    leak into the timings (the benchmark must measure the production
-    path, not the telemetry path).
+    Kept separate from :func:`_timed` so the timed runs leave
+    telemetry exactly as the caller configured it.
     """
     owns_telemetry = not obs.enabled()
     if owns_telemetry:
@@ -194,9 +197,11 @@ def run_gorder_bench(
 ) -> dict:
     """Run the kernel benchmark and return the JSON-ready payload.
 
-    Raises :class:`BenchRegressionError` if the batched and loop
-    backends (or the partitioned worker counts) disagree — a perf
-    harness must never bless a wrong answer.
+    Raises :class:`BenchRegressionError` if the production kernel and
+    the loop reference (or the partitioned worker counts) disagree — a
+    perf harness must never bless a wrong answer.  Only the production
+    kernel publishes counters; the reference fires the same unit
+    events (identical output), so both kernel entries report them.
     """
     config = config or GorderBenchConfig()
     graph = social_graph(
@@ -212,18 +217,17 @@ def run_gorder_bench(
     graph.in_degrees()
 
     # Timing runs leave telemetry exactly as the caller configured it
-    # (normally disabled) so both kernels take their production path;
-    # counters come from one separate metered run per kernel.
+    # (normally disabled); counters come from one separate run.
     with obs.span(
         "bench.gorder_kernel", n=graph.num_nodes,
         m=graph.num_edges, window=config.window,
         quick=config.quick,
     ):
-        run_loop = lambda: gorder_sequence(  # noqa: E731
-            graph, window=config.window, backend="loop"
+        run_loop = lambda: gorder_sequence_reference(  # noqa: E731
+            graph, window=config.window
         )
         run_batched = lambda: gorder_sequence(  # noqa: E731
-            graph, window=config.window, backend="batched"
+            graph, window=config.window
         )
         loop_seq, loop_seconds = _timed(run_loop, config.repeats)
         batched_seq, batched_seconds = _timed(
@@ -232,20 +236,17 @@ def run_gorder_bench(
         identical = bool(np.array_equal(loop_seq, batched_seq))
         if not identical:
             raise BenchRegressionError(
-                "batched and loop Gorder backends diverged on "
+                "Gorder diverged from its loop reference on "
                 f"{graph.name} (window={config.window})"
             )
         partitioned = None
         if config.include_partitioned:
             partitioned = _bench_partitioned(graph, config)
-        loop_counters = _counted(run_loop)
-        batched_counters = _counted(run_batched)
+        counters = _counted(run_batched)
 
-    loop_kernel = _kernel_payload(
-        loop_seconds, loop_counters, batched=False
-    )
+    loop_kernel = _kernel_payload(loop_seconds, counters, batched=False)
     batched_kernel = _kernel_payload(
-        batched_seconds, batched_counters, batched=True
+        batched_seconds, counters, batched=True
     )
     return {
         "schema_version": BENCH_SCHEMA_VERSION,

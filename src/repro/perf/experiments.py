@@ -61,7 +61,7 @@ class Profile:
     #: Keyword arguments forwarded to every ordering computation
     #: (signature-filtered per ordering), as sorted (name, value)
     #: pairs so the profile stays hashable and JSON-roundtrippable.
-    #: The CLI's ``--ordering-backend``/``--workers`` flags land here.
+    #: The CLI's ``--workers``/``--query-volume`` flags land here.
     ordering_params: tuple[tuple[str, object], ...] = ()
     #: Cache simulation backend for every cell
     #: (:data:`repro.cache.layout.CACHE_BACKENDS`).  Profiles default

@@ -9,7 +9,8 @@ CLI uses with :class:`~repro.errors.ReproError`).
 
 Status-code semantics (documented in ``docs/serving.md``):
 
-* ``400`` — malformed request (unknown dataset/ordering/field type)
+* ``400`` — malformed request (unknown dataset/ordering/field type,
+  or ``ordering_params`` the ordering does not declare)
 * ``404`` — unknown endpoint
 * ``429`` — admission queue full; ``Retry-After`` header set
 * ``503`` — draining (shutdown in progress); ``Retry-After`` set
@@ -24,7 +25,7 @@ from typing import Any
 
 from repro.algorithms import ALGORITHM_NAMES
 from repro.errors import ReproError
-from repro.ordering import ALL_ORDERING_NAMES
+from repro.ordering import ALL_ORDERING_NAMES, accepted_params
 from repro.perf.runner import RunResult
 
 #: Protocol version reported by ``/health`` and spill metadata.
@@ -144,7 +145,12 @@ def _optional_bool(payload: dict, key: str, default: bool) -> bool:
     return value
 
 
-def _ordering_params(payload: dict) -> dict:
+def _ordering_params(payload: dict, ordering: str) -> dict:
+    """The request's ordering keywords, each declared by ``ordering``.
+
+    Rejecting undeclared names (rather than letting the registry's
+    signature filter drop them) keeps one store key per permutation.
+    """
     value = payload.get("ordering_params") or {}
     if not isinstance(value, dict) or not all(
         isinstance(key, str) for key in value
@@ -152,6 +158,14 @@ def _ordering_params(payload: dict) -> dict:
         raise BadRequestError(
             "field 'ordering_params' must be an object with "
             "string keys"
+        )
+    accepted = accepted_params(ordering)
+    unknown = sorted(set(value) - accepted)
+    if unknown:
+        raise BadRequestError(
+            f"ordering {ordering!r} does not accept ordering_params "
+            f"{', '.join(unknown)}; accepted: "
+            f"{', '.join(sorted(accepted)) or 'none'}"
         )
     return dict(value)
 
@@ -171,13 +185,15 @@ class OrderRequest:
     def from_payload(cls, payload: Any) -> "OrderRequest":
         if not isinstance(payload, dict):
             raise BadRequestError("request body must be a JSON object")
+        dataset = _require_str(payload, "dataset")
+        ordering = _require_str(
+            payload, "ordering", "gorder", ALL_ORDERING_NAMES
+        )
         return cls(
-            dataset=_require_str(payload, "dataset"),
-            ordering=_require_str(
-                payload, "ordering", "gorder", ALL_ORDERING_NAMES
-            ),
+            dataset=dataset,
+            ordering=ordering,
             seed=_optional_int(payload, "seed", 0),
-            ordering_params=_ordering_params(payload),
+            ordering_params=_ordering_params(payload, ordering),
             include_permutation=_optional_bool(
                 payload, "include_permutation", False
             ),
@@ -210,16 +226,19 @@ class RunRequest:
             isinstance(seed, bool) or not isinstance(seed, int)
         ):
             raise BadRequestError("field 'seed' must be an integer")
+        dataset = _require_str(payload, "dataset")
+        algorithm = _require_str(
+            payload, "algorithm", None, ALGORITHM_NAMES
+        )
+        ordering = _require_str(
+            payload, "ordering", "gorder", ALL_ORDERING_NAMES
+        )
         return cls(
-            dataset=_require_str(payload, "dataset"),
-            algorithm=_require_str(
-                payload, "algorithm", None, ALGORITHM_NAMES
-            ),
-            ordering=_require_str(
-                payload, "ordering", "gorder", ALL_ORDERING_NAMES
-            ),
+            dataset=dataset,
+            algorithm=algorithm,
+            ordering=ordering,
             seed=seed,
-            ordering_params=_ordering_params(payload),
+            ordering_params=_ordering_params(payload, ordering),
             cache_backend=_require_str(
                 payload, "cache_backend", "replay", ("step", "replay")
             ),

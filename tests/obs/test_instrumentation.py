@@ -6,7 +6,6 @@ from repro import obs
 from repro.graph import from_edges
 from repro.ordering.gorder import gorder_sequence
 from repro.ordering.gorder_lazy import gorder_sequence_lazy
-from repro.ordering.unit_heap import MeteredUnitHeap
 from repro.perf.runner import OrderingCache, run_cell
 
 
@@ -16,35 +15,6 @@ def cycle4():
     return from_edges(
         [(0, 1), (1, 2), (2, 3), (3, 0)], num_nodes=4, name="cycle4"
     )
-
-
-class TestMeteredUnitHeap:
-    def test_counts_each_operation(self):
-        heap = MeteredUnitHeap(3)
-        heap.increase(0)
-        heap.increase(0)
-        heap.decrease(0)
-        heap.remove(2)
-        heap.increase(2)  # addressed at a removed item: still an event
-        assert heap.pop_max() == 0
-        assert heap.increases == 3
-        assert heap.decreases == 1
-        assert heap.removes == 1
-        assert heap.pops == 1
-        assert heap.priority_updates == 4
-
-    def test_same_semantics_as_plain_heap(self):
-        from repro.ordering.unit_heap import UnitHeap
-
-        plain, metered = UnitHeap(5), MeteredUnitHeap(5)
-        for heap in (plain, metered):
-            heap.increase(3)
-            heap.increase(3)
-            heap.increase(1)
-            heap.remove(4)
-        assert [plain.pop_max() for _ in range(4)] == [
-            metered.pop_max() for _ in range(4)
-        ]
 
 
 class TestGorderCounters:
@@ -79,18 +49,9 @@ class TestGorderCounters:
         assert ends[0]["attrs"]["n"] == 4
         assert ends[0]["attrs"]["backend"] == "batched"
 
-    def test_greedy_span_names_loop_backend(self, cycle4):
-        obs.configure(capture=True)
-        gorder_sequence(cycle4, backend="loop")
-        ends = [
-            e for e in obs.captured()
-            if e["kind"] == "span_end" and e["name"] == "gorder.greedy"
-        ]
-        assert ends[0]["attrs"]["backend"] == "loop"
-
     def test_batched_moves_counter(self, cycle4):
         obs.configure()
-        gorder_sequence(cycle4, backend="batched")
+        gorder_sequence(cycle4)
         counters = obs.counters()
         # The 4-cycle's 8 unit events dedup to at most 8 moved items.
         assert 0 < counters["gorder.batched_moves"] <= 8

@@ -1,26 +1,28 @@
-"""Equivalence of the batched Gorder kernel with its references.
+"""Equivalence of the production Gorder kernel with its oracles.
 
-The batched numpy kernel must be *byte-identical* to the scalar loop
-kernel — both implement the same state-functional greedy (max key,
-then smallest node id) — and both must match the quadratic
-:func:`gorder_naive` oracle.  These tests sweep graphs, windows and
-hub thresholds, plus hypothesis-generated random graphs, and verify
-the multiprocess partitioned ordering is worker-count invariant.
+The batched numpy kernel must be *byte-identical* to the literal-loop
+reference :func:`gorder_sequence_reference` — both implement the same
+state-functional greedy (max key, then smallest node id) — and both
+must match the quadratic :func:`gorder_naive` oracle.  These tests
+sweep graphs, windows and hub thresholds, plus hypothesis-generated
+random graphs, check that telemetry neither changes the sequence nor
+the pinned counter totals, and verify the multiprocess partitioned
+ordering is worker-count invariant.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro import obs
 from repro.errors import InvalidParameterError
 from repro.graph import from_edges, generators, invert_permutation
 from repro.ordering import (
-    GORDER_BACKENDS,
     gorder_naive,
-    gorder_order,
     gorder_partitioned,
     gorder_sequence,
     gorder_sequence_lazy,
+    gorder_sequence_reference,
     window_scores,
     window_scores_reference,
 )
@@ -47,20 +49,14 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("window", WINDOWS)
     def test_batched_matches_loop(self, graphs, window):
         for graph in graphs:
-            batched = gorder_sequence(
-                graph, window=window, backend="batched"
-            )
-            loop = gorder_sequence(
-                graph, window=window, backend="loop"
-            )
+            batched = gorder_sequence(graph, window=window)
+            loop = gorder_sequence_reference(graph, window=window)
             assert np.array_equal(batched, loop), graph.name
 
     @pytest.mark.parametrize("window", WINDOWS)
     def test_batched_matches_naive_oracle(self, window):
         graph = generators.social_graph(40, edges_per_node=4, seed=5)
-        batched = gorder_sequence(
-            graph, window=window, backend="batched"
-        )
+        batched = gorder_sequence(graph, window=window)
         oracle = invert_permutation(gorder_naive(graph, window=window))
         assert np.array_equal(batched, oracle)
 
@@ -68,20 +64,16 @@ class TestBackendEquivalence:
     def test_batched_matches_lazy(self, graphs, window):
         """The lazy-PQ variant shares the smallest-id tie-break."""
         for graph in graphs:
-            batched = gorder_sequence(
-                graph, window=window, backend="batched"
-            )
+            batched = gorder_sequence(graph, window=window)
             lazy = gorder_sequence_lazy(graph, window=window)
             assert np.array_equal(batched, lazy), graph.name
 
     @pytest.mark.parametrize("hub_threshold", [0, 2, 5])
     def test_hub_threshold_equivalence(self, graphs, hub_threshold):
         for graph in graphs:
-            batched = gorder_sequence(
-                graph, hub_threshold=hub_threshold, backend="batched"
-            )
-            loop = gorder_sequence(
-                graph, hub_threshold=hub_threshold, backend="loop"
+            batched = gorder_sequence(graph, hub_threshold=hub_threshold)
+            loop = gorder_sequence_reference(
+                graph, hub_threshold=hub_threshold
             )
             assert np.array_equal(batched, loop), graph.name
 
@@ -89,54 +81,82 @@ class TestBackendEquivalence:
     @given(graph=graph_strategy())
     def test_property_backends_agree(self, graph):
         for window in (1, 3):
-            batched = gorder_sequence(
-                graph, window=window, backend="batched"
-            )
-            loop = gorder_sequence(
-                graph, window=window, backend="loop"
-            )
+            batched = gorder_sequence(graph, window=window)
+            loop = gorder_sequence_reference(graph, window=window)
             assert np.array_equal(batched, loop)
             assert_valid_permutation(
                 invert_permutation(batched), graph.num_nodes
             )
 
     def test_empty_and_single_node(self):
-        for backend in GORDER_BACKENDS:
-            empty = gorder_sequence(
-                from_edges([], num_nodes=0), backend=backend
-            )
+        for kernel in (gorder_sequence, gorder_sequence_reference):
+            empty = kernel(from_edges([], num_nodes=0))
             assert empty.size == 0
-            single = gorder_sequence(
-                from_edges([], num_nodes=1), backend=backend
-            )
+            single = kernel(from_edges([], num_nodes=1))
             assert single.tolist() == [0]
 
-    def test_backend_selection_on_order(self, small_social):
-        batched = gorder_order(small_social, backend="batched")
-        loop = gorder_order(small_social, backend="loop")
-        assert np.array_equal(batched, loop)
-
     def test_unknown_backend_rejected(self, triangle):
-        with pytest.raises(InvalidParameterError, match="backend"):
-            gorder_sequence(triangle, backend="gpu")
+        """One kernel: the former ``backend`` knob is not a parameter."""
+        with pytest.raises(TypeError, match="backend"):
+            gorder_sequence(triangle, backend="loop")
 
-    def test_backend_registry(self):
-        assert set(GORDER_BACKENDS) == {"batched", "loop"}
+    def test_reference_validates_like_production(self, triangle):
+        with pytest.raises(InvalidParameterError):
+            gorder_sequence_reference(triangle, window=0)
+        with pytest.raises(InvalidParameterError):
+            gorder_sequence_reference(triangle, hub_threshold=-1)
+
+
+class TestTelemetryInvariance:
+    """Telemetry on runs the same kernel and publishes fixed totals."""
+
+    #: (nodes, edges_per_node, seed, window, hub_threshold) ->
+    #: (heap_pops, priority_updates, batched_moves), pinned from the
+    #: metered-heap implementation these counters replaced.
+    PINNED = {
+        (400, 6, 11, 5, None): (399, 68249, 21339),
+        (400, 6, 11, 3, 20): (399, 66926, 20987),
+        (1500, 8, 5, 5, None): (1499, 441550, 163369),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED, key=str))
+    def test_counters_match_pinned(self, case):
+        nodes, edges_per_node, seed, window, hub_threshold = case
+        graph = generators.social_graph(
+            nodes, edges_per_node=edges_per_node, seed=seed
+        )
+        obs.configure()
+        try:
+            gorder_sequence(
+                graph, window=window, hub_threshold=hub_threshold
+            )
+            counters = obs.counters()
+        finally:
+            obs.reset()
+        assert (
+            counters["gorder.heap_pops"],
+            counters["gorder.priority_updates"],
+            counters["gorder.batched_moves"],
+        ) == self.PINNED[case]
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_sequence_identical_with_and_without_telemetry(
+        self, graphs, window
+    ):
+        for graph in graphs:
+            bare = gorder_sequence(graph, window=window)
+            obs.configure()
+            try:
+                traced = gorder_sequence(graph, window=window)
+            finally:
+                obs.reset()
+            assert np.array_equal(bare, traced), graph.name
 
 
 class TestPartitionedWorkers:
     def test_workers_validation(self, triangle):
         with pytest.raises(InvalidParameterError):
             gorder_partitioned(triangle, workers=0)
-
-    def test_backend_forwarded(self, small_social):
-        batched = gorder_partitioned(
-            small_social, num_parts=3, backend="batched"
-        )
-        loop = gorder_partitioned(
-            small_social, num_parts=3, backend="loop"
-        )
-        assert np.array_equal(batched, loop)
 
     @pytest.mark.slow
     def test_workers_4_identical_to_workers_1(self):
@@ -153,8 +173,6 @@ class TestPartitionedTelemetry:
     """Per-part attribution: stable part= attrs, merged counters."""
 
     def test_inline_parts_profiled_with_part_attr(self, small_social):
-        from repro import obs
-
         obs.configure(capture=True)
         try:
             gorder_partitioned(small_social, num_parts=3, workers=1)
@@ -178,8 +196,6 @@ class TestPartitionedTelemetry:
         home; after the merge the parent registry is indistinguishable
         from having run every part inline.
         """
-        from repro import obs
-
         graph = generators.social_graph(400, edges_per_node=5, seed=3)
         obs.configure()
         try:

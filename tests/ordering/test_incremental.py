@@ -11,8 +11,56 @@ from repro.ordering import (
     gorder_order,
     gorder_score,
 )
+from repro.ordering.unit_heap import UnitHeap
 
 from tests.conftest import assert_valid_permutation
+
+
+class CountingHeap(UnitHeap):
+    """A :class:`UnitHeap` that records the operations issued to it.
+
+    Every instance is appended to :attr:`created`, so a test that
+    patches it into :mod:`repro.ordering.incremental` can inspect the
+    heap the extension built.
+    """
+
+    created: list = []
+
+    def __init__(self, num_items, candidates=None):
+        super().__init__(num_items, candidates=candidates)
+        self.updates = 0
+        self.removes = 0
+        self.popped = []
+        CountingHeap.created.append(self)
+
+    def increase(self, item):
+        self.updates += 1
+        super().increase(item)
+
+    def decrease(self, item):
+        self.updates += 1
+        super().decrease(item)
+
+    def remove(self, item):
+        self.removes += 1
+        super().remove(item)
+
+    def pop_max(self):
+        item = super().pop_max()
+        self.popped.append(item)
+        return item
+
+
+@pytest.fixture
+def counting_heap(monkeypatch):
+    """Patch :class:`CountingHeap` into the incremental extension;
+    returns the list of heaps it creates."""
+    from repro.ordering import incremental
+
+    created = []
+    monkeypatch.setattr(CountingHeap, "created", created)
+    monkeypatch.setattr(incremental, "UnitHeap", CountingHeap)
+    return created
 
 
 def grow(base, extra_nodes, seed=5):
@@ -111,57 +159,24 @@ class TestExtendLazyExclusion:
     score events aimed at old nodes outright.
     """
 
-    def _instrumented(self, monkeypatch):
-        from repro.ordering import incremental
-        from repro.ordering.unit_heap import MeteredUnitHeap
-
-        created = []
-
-        class RecordingHeap(MeteredUnitHeap):
-            def __init__(self, num_items, candidates=None):
-                super().__init__(num_items, candidates=candidates)
-                self.popped = []
-                created.append(self)
-
-            def pop_max(self):
-                item = super().pop_max()
-                self.popped.append(item)
-                return item
-
-        monkeypatch.setattr(incremental, "UnitHeap", RecordingHeap)
-        return created
-
-    def test_no_scalar_removes(self, evolved, monkeypatch):
+    def test_no_scalar_removes(self, evolved, counting_heap):
         """Pre-fix code issued one heap.remove per old node."""
         base, base_perm, grown = evolved
-        created = self._instrumented(monkeypatch)
         gorder_extend(grown, base_perm)
-        (heap,) = created
+        (heap,) = counting_heap
         assert heap.removes == 0
 
-    def test_only_new_nodes_popped(self, evolved, monkeypatch):
+    def test_only_new_nodes_popped(self, evolved, counting_heap):
         base, base_perm, grown = evolved
-        created = self._instrumented(monkeypatch)
         gorder_extend(grown, base_perm)
-        (heap,) = created
+        (heap,) = counting_heap
         assert len(heap.popped) == grown.num_nodes - base.num_nodes
         assert min(heap.popped) >= base.num_nodes
 
-    def test_cost_scales_with_batch_not_graph(self, monkeypatch):
+    def test_cost_scales_with_batch_not_graph(self, counting_heap):
         """The same batch appended to a 10x larger base must not cost
         10x more heap operations: extension work is proportional to
         the new nodes' neighbourhoods."""
-        from repro.ordering import incremental
-        from repro.ordering.unit_heap import MeteredUnitHeap
-
-        class CountingHeap(MeteredUnitHeap):
-            latest = None
-
-            def __init__(self, num_items, candidates=None):
-                super().__init__(num_items, candidates=candidates)
-                CountingHeap.latest = self
-
-        monkeypatch.setattr(incremental, "UnitHeap", CountingHeap)
 
         def operations(base_nodes):
             base = generators.social_graph(
@@ -170,11 +185,8 @@ class TestExtendLazyExclusion:
             base_perm = gorder_order(base)
             grown = grow(base, 20, seed=9)
             gorder_extend(grown, base_perm)
-            heap = CountingHeap.latest
-            return (
-                heap.increases + heap.decreases
-                + heap.pops + heap.removes
-            )
+            heap = counting_heap[-1]
+            return heap.updates + len(heap.popped) + heap.removes
 
         small = operations(120)
         large = operations(1200)

@@ -49,8 +49,8 @@ class TestDefaultCandidates:
         assert [c.ordering for c in heavy] == ["gorder"]
 
     def test_knobs_reach_gorder_label(self):
-        configs = default_candidates(window=7, gorder_backend="loop")
-        assert configs[-1].label == "gorder[w=7,loop]"
+        configs = default_candidates(window=7)
+        assert configs[-1].label == "gorder[w=7]"
 
 
 class TestSelectOrdering:
@@ -81,7 +81,7 @@ class TestSelectOrdering:
 
     def test_heavyweight_pruned_at_low_volume(self, graph):
         decision = select_ordering(graph, query_volume=1)
-        assert decision.pruned == ("gorder[w=5,batched]",)
+        assert decision.pruned == ("gorder[w=5]",)
         assert all(
             probe.ordering not in HEAVYWEIGHT_ORDERINGS
             for probe in decision.probes
@@ -147,8 +147,10 @@ class TestAutoOrder:
         assert np.array_equal(via_registry, direct)
 
     def test_unknown_params_dropped(self, graph):
-        perm = auto_order(
-            graph, candidates=LIGHT, temperature=0.5, passes=3
+        """The registry's signature filter covers ``auto`` too."""
+        perm = compute_ordering(
+            "auto", graph, candidates=LIGHT, temperature=0.5, passes=3,
+            workers=2,
         )
         assert_valid_permutation(perm, graph.num_nodes)
 

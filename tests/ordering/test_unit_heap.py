@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.errors import InvalidParameterError
 from repro.ordering import UnitHeap
-from repro.ordering.unit_heap import MeteredUnitHeap
 
 
 class TestBasics:
@@ -284,45 +283,39 @@ class TestBatchUpdates:
 
 
 class TestMeteredBatches:
+    """The moved-item counts batch updates return (Gorder's
+    ``gorder.batched_moves`` counter sums them)."""
+
     def test_batch_counters_match_raw_units(self):
-        heap = MeteredUnitHeap(6)
-        heap.increase_batch(np.array([1, 1, 2]))
-        heap.decrease_batch(np.array([1]))
-        assert heap.increases == 3
-        assert heap.decreases == 1
-        assert heap.priority_updates == 4
+        """Keys count every raw unit event; the return value counts
+        distinct moved items."""
+        heap = UnitHeap(6)
+        assert heap.increase_batch(np.array([1, 1, 2])) == 2
+        assert heap.decrease_batch(np.array([1])) == 1
+        assert (heap.key_of(1), heap.key_of(2)) == (1, 1)
 
     def test_apply_step_unit_counts_match_two_phases(self):
-        """Raw unit counts agree with the two-phase form, so the loop
-        and batched Gorder kernels report identical priority_updates.
-        batched_moves dedups per *step* in the fused form (3 touched
-        items here) vs per *phase* two-phased (3 + 2)."""
-        fused = MeteredUnitHeap(6)
-        phased = MeteredUnitHeap(6)
+        """The fused step lands the same keys as the two-phase form
+        but dedups moved items per *step* (3 touched items here), not
+        per *phase* (3 + 2)."""
+        fused = UnitHeap(6)
+        phased = UnitHeap(6)
         enter = np.array([1, 1, 2, 3])
         exit_ = np.array([2, 3])
-        moved = fused.apply_step(enter, exit_)
-        phased.increase_batch(enter)
-        phased.decrease_batch(exit_)
-        assert fused.increases == phased.increases == 4
-        assert fused.decreases == phased.decreases == 2
-        assert moved == fused.batched_moves == 3
-        assert phased.batched_moves == 5
-
-    def test_metered_apply_step_pops_match_plain(self):
-        plain, metered = UnitHeap(8), MeteredUnitHeap(8)
-        enter = np.array([1, 1, 5, 3])
-        exit_ = np.array([5, 0])
-        for heap in (plain, metered):
-            heap.apply_step(enter, exit_)
-        assert [plain.pop_max() for _ in range(8)] == [
-            metered.pop_max() for _ in range(8)
+        assert fused.apply_step(enter, exit_) == 3
+        assert phased.increase_batch(enter) == 3
+        assert phased.decrease_batch(exit_) == 2
+        assert [fused.key_of(i) for i in range(6)] == [
+            phased.key_of(i) for i in range(6)
         ]
 
     def test_counts_weighted_units(self):
-        heap = MeteredUnitHeap(4)
-        heap.increase_batch(np.array([0, 2]), counts=np.array([3, 2]))
-        assert heap.increases == 5
+        heap = UnitHeap(4)
+        moved = heap.increase_batch(
+            np.array([0, 2]), counts=np.array([3, 2])
+        )
+        assert moved == 2
+        assert (heap.key_of(0), heap.key_of(2)) == (3, 2)
 
 
 class TestCandidateSubset:
@@ -391,11 +384,3 @@ class TestCandidateSubset:
         assert [lazy.pop_max() for _ in range(pops)] == [
             eager.pop_max() for _ in range(pops)
         ]
-
-    def test_metered_passes_candidates_through(self):
-        heap = MeteredUnitHeap(6, candidates=np.array([1, 2]))
-        assert len(heap) == 2
-        heap.increase(2)
-        assert heap.pop_max() == 2
-        assert heap.increases == 1
-        assert heap.pops == 1

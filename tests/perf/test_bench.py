@@ -98,10 +98,8 @@ class TestRegressionGuard:
     def test_divergence_raises(self, monkeypatch):
         """A wrong answer must never be blessed with a timing."""
 
-        def fake_sequence(graph, window=5, backend="batched"):
-            n = graph.num_nodes
-            order = np.arange(n, dtype=np.int64)
-            return order if backend == "loop" else order[::-1].copy()
+        def fake_sequence(graph, window=5):
+            return np.arange(graph.num_nodes, dtype=np.int64)[::-1].copy()
 
         monkeypatch.setattr(bench, "gorder_sequence", fake_sequence)
         with pytest.raises(BenchRegressionError):

@@ -95,25 +95,25 @@ class TestOrderingCache:
         """Runs with different ordering knobs never share an entry."""
         cache = OrderingCache()
         default, _ = cache.permutation(graph, "gorder", 0)
-        loop, _ = cache.permutation(
-            graph, "gorder", 0, params={"backend": "loop"}
+        narrow, _ = cache.permutation(
+            graph, "gorder", 0, params={"window": 3}
         )
-        assert default is not loop
+        assert default is not narrow
         assert len(cache) == 2
         again, _ = cache.permutation(
-            graph, "gorder", 0, params={"backend": "loop"}
+            graph, "gorder", 0, params={"window": 3}
         )
-        assert again is loop
+        assert again is narrow
 
     def test_params_key_order_insensitive(self, graph):
         cache = OrderingCache()
         a, _ = cache.permutation(
             graph, "gorder", 0,
-            params={"window": 3, "backend": "loop"},
+            params={"window": 3, "hub_threshold": 4},
         )
         b, _ = cache.permutation(
             graph, "gorder", 0,
-            params={"backend": "loop", "window": 3},
+            params={"hub_threshold": 4, "window": 3},
         )
         assert a is b
         assert len(cache) == 1

@@ -29,16 +29,16 @@ class TestOrderRequest:
         request = OrderRequest.from_payload(
             {
                 "dataset": "pokec",
-                "ordering": "rcm",
+                "ordering": "ldg",
                 "seed": 3,
-                "ordering_params": {"backend": "batched"},
+                "ordering_params": {"bin_size": 32},
                 "include_permutation": True,
                 "deadline_seconds": 2.5,
             }
         )
-        assert request.ordering == "rcm"
+        assert request.ordering == "ldg"
         assert request.seed == 3
-        assert request.ordering_params == {"backend": "batched"}
+        assert request.ordering_params == {"bin_size": 32}
         assert request.include_permutation
         assert request.deadline_seconds == 2.5
 
@@ -54,6 +54,32 @@ class TestOrderRequest:
         )
         assert request.ordering == "auto"
         assert request.ordering_params == {"query_volume": 5000}
+
+    def test_undeclared_ordering_params_rejected(self):
+        """A knob the ordering does not declare would be dropped by
+        the registry filter and mint a second store key for the same
+        permutation; the error names the accepted parameters."""
+        with pytest.raises(BadRequestError) as excinfo:
+            OrderRequest.from_payload(
+                {
+                    "dataset": "epinion",
+                    "ordering": "gorder",
+                    "ordering_params": {"backend": "loop"},
+                }
+            )
+        message = str(excinfo.value)
+        assert "backend" in message
+        assert "hub_threshold, window" in message
+
+    def test_parameterless_ordering_accepts_none(self):
+        with pytest.raises(BadRequestError, match="accepted: none"):
+            OrderRequest.from_payload(
+                {
+                    "dataset": "epinion",
+                    "ordering": "rcm",
+                    "ordering_params": {"window": 3},
+                }
+            )
 
     @pytest.mark.parametrize(
         "payload",
@@ -90,6 +116,28 @@ class TestRunRequest:
     def test_algorithm_required(self):
         with pytest.raises(BadRequestError):
             RunRequest.from_payload({"dataset": "epinion"})
+
+    def test_undeclared_ordering_params_rejected(self):
+        with pytest.raises(BadRequestError, match="workers"):
+            RunRequest.from_payload(
+                {
+                    "dataset": "epinion",
+                    "algorithm": "pr",
+                    "ordering": "boba",
+                    "ordering_params": {"workers": 2},
+                }
+            )
+
+    def test_declared_ordering_params_kept(self):
+        request = RunRequest.from_payload(
+            {
+                "dataset": "epinion",
+                "algorithm": "pr",
+                "ordering": "gorder-part",
+                "ordering_params": {"workers": 2, "num_parts": 3},
+            }
+        )
+        assert request.ordering_params == {"workers": 2, "num_parts": 3}
 
     def test_bad_cache_backend(self):
         with pytest.raises(BadRequestError):

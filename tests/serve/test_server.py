@@ -125,6 +125,21 @@ class TestEndpoints:
         _, stats, _ = harness.get("/stats")
         assert "serve.admitted" not in stats["counters"]
 
+    def test_undeclared_ordering_params_are_400(self, harness):
+        status, payload, _ = harness.post(
+            "/order",
+            {
+                "dataset": "epinion",
+                "ordering": "gorder",
+                "ordering_params": {"backend": "loop"},
+            },
+        )
+        assert status == 400
+        assert payload["error"] == "bad_request"
+        assert "hub_threshold, window" in payload["message"]
+        _, stats, _ = harness.get("/stats")
+        assert "serve.admitted" not in stats["counters"]
+
     def test_invalid_json_is_400(self, harness):
         import urllib.error
         import urllib.request

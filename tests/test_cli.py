@@ -20,6 +20,15 @@ class TestParser:
         ):
             assert parser.parse_args(command).command == command[0]
 
+    def test_ordering_backend_flag_removed(self, capsys):
+        """Gorder has one kernel; the former kernel flag is unknown."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["order", "--dataset", "epinion",
+                  "--ordering-backend", "loop"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --ordering-backend loop" in err
+
 
 class TestCommands:
     def test_datasets(self, capsys):
