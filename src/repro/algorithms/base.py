@@ -172,7 +172,8 @@ ALGORITHM_NAMES: tuple[str, ...] = tuple(
 #: Trace-emitter selection: ``"runtime"`` is the vectorised frontier
 #: runtime (the default), ``"scalar"`` forces the scalar-loop oracle
 #: where one exists (algorithms without a port run their only traced
-#: implementation either way).
+#: implementation either way).  Only differential tests and
+#: ``bench --suite algos`` select the oracle.
 ALGO_BACKENDS: tuple[str, ...] = ("runtime", "scalar")
 
 

@@ -30,8 +30,8 @@ class KnobSurface:
     ``token`` must appear in the token set of ``scope`` (a qualified
     function/class name inside ``module``; ``''`` means anywhere in
     the module).  Tokens are identifiers, attribute/keyword names, or
-    string literals — so ``"--cache-backend"`` checks the CLI flag
-    and ``"cache_backend"`` checks a keyword argument.
+    string literals — so ``"--query-volume"`` checks the CLI flag
+    and ``"ordering_params"`` checks a keyword argument.
     """
 
     name: str
@@ -147,6 +147,9 @@ KNOBS: tuple[Knob, ...] = (
             ),
         ),
     ),
+    # The simulator pair stays on Profile only so the end-to-end
+    # benchmark can forward it to run_cell; no CLI flag, serve field
+    # or archive key sets or records it.
     Knob(
         name="cache_backend",
         declared_in=_PROFILE,
@@ -167,21 +170,6 @@ KNOBS: tuple[Knob, ...] = (
                 "representative run",
                 "repro.perf.experiments",
                 "_representative_run",
-                "cache_backend",
-            ),
-            _surface(
-                "CLI flag", "repro.cli", "", "--cache-backend"
-            ),
-            _surface(
-                "serve protocol",
-                "repro.serve.protocol",
-                "",
-                "cache_backend",
-            ),
-            _surface(
-                "archive metadata",
-                "repro.cli",
-                "_cmd_sweep_run",
                 "cache_backend",
             ),
         ),
@@ -206,27 +194,6 @@ KNOBS: tuple[Knob, ...] = (
                 "representative run",
                 "repro.perf.experiments",
                 "_representative_run",
-                "algo_backend",
-            ),
-            _surface(
-                "CLI flag", "repro.cli", "", "--algo-backend"
-            ),
-            _surface(
-                "serve protocol",
-                "repro.serve.protocol",
-                "",
-                "algo_backend",
-            ),
-            _surface(
-                "serve dispatch",
-                "repro.serve.server",
-                "OrderingService.handle_run",
-                "algo_backend",
-            ),
-            _surface(
-                "archive metadata",
-                "repro.cli",
-                "_cmd_sweep_run",
                 "algo_backend",
             ),
         ),
@@ -267,30 +234,6 @@ KNOBS: tuple[Knob, ...] = (
                 "repro.serve.server",
                 "OrderingService.handle_run",
                 "ordering_params",
-            ),
-        ),
-    ),
-    Knob(
-        name="cache_backend",
-        declared_in=_RUN_REQUEST,
-        surfaces=(
-            _surface(
-                "serve dispatch",
-                "repro.serve.server",
-                "OrderingService.handle_run",
-                "cache_backend",
-            ),
-        ),
-    ),
-    Knob(
-        name="algo_backend",
-        declared_in=_RUN_REQUEST,
-        surfaces=(
-            _surface(
-                "serve dispatch",
-                "repro.serve.server",
-                "OrderingService.handle_run",
-                "algo_backend",
             ),
         ),
     ),

@@ -12,16 +12,18 @@ This is the heart of the substitution documented in DESIGN.md: node
 ids with close values land on the same cache line of the same array,
 exactly the effect a graph ordering manipulates.
 
-Two interchangeable simulation backends (see docs/performance.md):
+One production simulation path and one oracle (see
+docs/performance.md):
 
+* ``"replay"`` (the default) — touches are recorded into growable
+  trace buffers (:class:`~repro.cache.replay.TraceBuffer`) and
+  replayed vectorised through :meth:`CacheHierarchy.replay` the first
+  time a result is read.  Unsupported geometries (non-LRU levels,
+  wrapper hierarchies) silently fall back to stepping.
 * ``"step"`` — every touch steps the hierarchy inline, one scalar
-  :meth:`CacheHierarchy.access` at a time.  The reference oracle;
-  works for every replacement policy and for wrapper hierarchies.
-* ``"replay"`` — touches are recorded into growable trace buffers
-  (:class:`~repro.cache.replay.TraceBuffer`) and replayed vectorised
-  through :meth:`CacheHierarchy.replay` the first time a result is
-  read.  Byte-identical counters for all-LRU hierarchies, much
-  faster; unsupported geometries silently fall back to stepping.
+  :meth:`CacheHierarchy.access` at a time.  The reference oracle,
+  byte-identical to replay on all-LRU hierarchies; only differential
+  tests and ``bench --suite cache`` select it.
 """
 
 from __future__ import annotations
@@ -272,10 +274,10 @@ class Memory:
     """Simulated address space + cache hierarchy + cost accounting.
 
     ``cache_backend`` selects the simulation strategy (see the module
-    docstring): ``"step"`` is the scalar oracle, ``"replay"`` records
-    a trace and replays it vectorised.  Replay silently degrades to
-    stepping when the hierarchy cannot be replayed exactly (non-LRU
-    levels, or wrappers such as
+    docstring): ``"replay"`` records a trace and replays it
+    vectorised, ``"step"`` is the scalar oracle.  Replay silently
+    degrades to stepping when the hierarchy cannot be replayed exactly
+    (non-LRU levels, or wrappers such as
     :class:`~repro.cache.reuse.RecordingHierarchy`), so results are
     backend-independent by construction.
     """
@@ -284,7 +286,7 @@ class Memory:
         self,
         hierarchy: CacheHierarchy | None = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
-        cache_backend: str = "step",
+        cache_backend: str = "replay",
     ) -> None:
         if cache_backend not in CACHE_BACKENDS:
             raise InvalidParameterError(

@@ -37,9 +37,11 @@ and ``--log-json PATH`` (machine-readable JSONL trace; see
 
 Commands that compute orderings accept ``--workers N`` (process pool
 for the partitioned Gorder) and ``--query-volume Q`` (amortisation for
-``--ordering auto``); commands that simulate accept
-``--cache-backend step|replay`` (scalar stepping vs vectorised trace
-replay); see ``docs/performance.md``.
+``--ordering auto``).  Commands that simulate always run the vectorised
+trace replay over the frontier runtime's traces; the scalar oracles
+(cache stepping, per-touch emitters) are reached only by the
+differential tests and ``bench --suite cache|algos`` (see
+``docs/performance.md``).
 
 The matrix commands (``speedup``, ``ranking``, ``sweep run``) run
 through the fault-tolerant sweep engine and accept ``--checkpoint``/
@@ -95,19 +97,13 @@ def _ordering_params(args: argparse.Namespace) -> dict:
 
 
 def _profile_from_args(args: argparse.Namespace) -> "perf.Profile":
-    """The requested profile, with any CLI simulation knobs applied."""
+    """The requested profile, with any CLI ordering knobs applied."""
     profile = perf.get_profile(getattr(args, "profile", None))
     params = _ordering_params(args)
     if params:
         profile = replace(
             profile, ordering_params=tuple(sorted(params.items()))
         )
-    cache_backend = getattr(args, "cache_backend", None)
-    if cache_backend is not None:
-        profile = replace(profile, cache_backend=cache_backend)
-    algo_backend = getattr(args, "algo_backend", None)
-    if algo_backend is not None:
-        profile = replace(profile, algo_backend=algo_backend)
     return profile
 
 
@@ -152,8 +148,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         params=params,
         hierarchy=profile.hierarchy(),
         ordering_params=_ordering_params(args),
-        cache_backend=profile.cache_backend,
-        algo_backend=profile.algo_backend,
     )
     stats = result.stats
     print(f"dataset     : {result.dataset}")
@@ -273,11 +267,7 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
         perf.save_results(
             outcome.matrix(),
             args.save,
-            metadata={
-                "profile": profile.name,
-                "cache_backend": profile.cache_backend,
-                "algo_backend": profile.algo_backend,
-            },
+            metadata={"profile": profile.name},
             manifest=obs.run_manifest(
                 profile=profile.name, seed=profile.seed,
                 command="sweep run",
@@ -892,23 +882,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="modelled queries for `--ordering auto` amortisation "
              "(default 100000)",
     )
-    # Cache-simulation flags shared by the simulating commands.
-    cache_flags = argparse.ArgumentParser(add_help=False)
-    group = cache_flags.add_argument_group("cache simulation")
-    group.add_argument(
-        "--cache-backend",
-        choices=("step", "replay"),
-        default=None,
-        help="cache simulator: vectorised trace replay (profile "
-             "default) or scalar stepping",
-    )
-    group.add_argument(
-        "--algo-backend",
-        choices=("runtime", "scalar"),
-        default=None,
-        help="trace emitter: vectorised frontier runtime (default) "
-             "or the scalar-loop oracle (counter-identical)",
-    )
     # Sweep-engine flags shared by the matrix commands.
     sweep_flags = argparse.ArgumentParser(add_help=False)
     group = sweep_flags.add_argument_group("fault tolerance")
@@ -986,7 +959,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write the arrangement here")
 
     p = sub.add_parser(
-        "run", parents=[telemetry_flags, ordering_flags, cache_flags],
+        "run", parents=[telemetry_flags, ordering_flags],
         help="simulate one algorithm run",
     )
     p.set_defaults(func=_cmd_run)
@@ -1003,9 +976,7 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(
             name,
-            parents=[
-                telemetry_flags, sweep_flags, ordering_flags, cache_flags
-            ],
+            parents=[telemetry_flags, sweep_flags, ordering_flags],
             help=help_text,
         )
         p.set_defaults(func=func)
@@ -1023,9 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_sub = p.add_subparsers(dest="sweep_command", required=True)
     p = sweep_sub.add_parser(
         "run",
-        parents=[
-            telemetry_flags, sweep_flags, ordering_flags, cache_flags
-        ],
+        parents=[telemetry_flags, sweep_flags, ordering_flags],
         help="run the speedup matrix through the sweep engine",
     )
     p.set_defaults(func=_cmd_sweep_run)
@@ -1078,7 +1047,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "docs/robustness.md)")
 
     p = sub.add_parser(
-        "stall", parents=[telemetry_flags, cache_flags],
+        "stall", parents=[telemetry_flags],
         help="Figure 1: execute vs stall",
     )
     p.set_defaults(func=_cmd_stall)
@@ -1086,7 +1055,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", default=None)
 
     p = sub.add_parser(
-        "cache-stats", parents=[telemetry_flags, cache_flags],
+        "cache-stats", parents=[telemetry_flags],
         help="Table 3: PR cache statistics",
     )
     p.set_defaults(func=_cmd_cache_stats)
@@ -1094,7 +1063,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", default=None)
 
     p = sub.add_parser(
-        "window", parents=[telemetry_flags, cache_flags],
+        "window", parents=[telemetry_flags],
         help="Figure 4: window sweep",
     )
     p.set_defaults(func=_cmd_window)

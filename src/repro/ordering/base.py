@@ -47,8 +47,6 @@ def _auto_order(
     seed: int = 0,
     query_volume: float | None = None,
     clock_hz: float | None = None,
-    cache_backend: str | None = None,
-    algo_backend: str | None = None,
     window: int | None = None,
     candidates: tuple | None = None,
     dataset: str | None = None,
@@ -67,8 +65,6 @@ def _auto_order(
     knobs = {
         "query_volume": query_volume,
         "clock_hz": clock_hz,
-        "cache_backend": cache_backend,
-        "algo_backend": algo_backend,
         "window": window,
         "candidates": candidates,
         "dataset": dataset,

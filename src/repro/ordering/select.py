@@ -184,8 +184,6 @@ def _probe_candidate(
     graph: CSRGraph,
     config: CandidateConfig,
     seed: int,
-    cache_backend: str,
-    algo_backend: str,
 ) -> tuple[np.ndarray, float, float]:
     """``(perm, ordering_seconds, probe_cycles)`` for one candidate."""
     start = time.perf_counter()
@@ -193,10 +191,7 @@ def _probe_candidate(
         config.ordering, graph, seed=seed, **config.ordering_params()
     )
     ordering_seconds = time.perf_counter() - start
-    cycles, _ = probe_arrangement(
-        graph, perm,
-        cache_backend=cache_backend, algo_backend=algo_backend,
-    )
+    cycles, _ = probe_arrangement(graph, perm)
     return perm, ordering_seconds, float(cycles)
 
 
@@ -205,8 +200,6 @@ def _select(
     query_volume: float = DEFAULT_QUERY_VOLUME,
     candidates: tuple[CandidateConfig, ...] | None = None,
     seed: int = 0,
-    cache_backend: str = "replay",
-    algo_backend: str = "runtime",
     clock_hz: float = DEFAULT_CLOCK_HZ,
     dataset: str = "",
 ) -> tuple[SelectionDecision, np.ndarray]:
@@ -266,9 +259,7 @@ def _select(
                         cost_floor=round(floor, 6),
                     )
                     continue
-            perm, seconds, cycles = _probe_candidate(
-                graph, config, seed, cache_backend, algo_backend
-            )
+            perm, seconds, cycles = _probe_candidate(graph, config, seed)
             if baseline_cycles is None:
                 baseline_cycles = cycles
             if config.ordering != "original":
@@ -333,8 +324,6 @@ def select_ordering(
     query_volume: float = DEFAULT_QUERY_VOLUME,
     candidates: tuple[CandidateConfig, ...] | None = None,
     seed: int = 0,
-    cache_backend: str = "replay",
-    algo_backend: str = "runtime",
     clock_hz: float = DEFAULT_CLOCK_HZ,
     dataset: str = "",
 ) -> SelectionDecision:
@@ -344,8 +333,6 @@ def select_ordering(
         query_volume=query_volume,
         candidates=candidates,
         seed=seed,
-        cache_backend=cache_backend,
-        algo_backend=algo_backend,
         clock_hz=clock_hz,
         dataset=dataset,
     )
@@ -357,8 +344,6 @@ def auto_order(
     seed: int = 0,
     query_volume: float = DEFAULT_QUERY_VOLUME,
     clock_hz: float = DEFAULT_CLOCK_HZ,
-    cache_backend: str = "replay",
-    algo_backend: str = "runtime",
     window: int = DEFAULT_WINDOW,
     candidates: tuple[CandidateConfig, ...] | None = None,
     dataset: str = "",
@@ -376,8 +361,6 @@ def auto_order(
         query_volume=query_volume,
         candidates=tuple(candidates),
         seed=seed,
-        cache_backend=cache_backend,
-        algo_backend=algo_backend,
         clock_hz=clock_hz,
         dataset=dataset,
     )

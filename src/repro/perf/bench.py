@@ -726,8 +726,6 @@ class FrontierBenchConfig:
     #: Acceptance band: the chosen configuration's probe cycles must
     #: land within this fraction of the measured oracle best.
     tolerance: float = 0.10
-    cache_backend: str = "replay"
-    algo_backend: str = "runtime"
     seed: int = 0
     quick: bool = False
 
@@ -763,7 +761,7 @@ def run_frontier_bench(
           "quick": bool,
           "manifest": {...},
           "workload": {"datasets", "query_volume", "clock_hz",
-                       "cache_backend", "algo_backend", "tolerance"},
+                       "tolerance"},
           "datasets": {
             "<name>": {"nodes", "edges", "predictors", "probes",
                        "pruned", "selected", "oracle", "regret",
@@ -802,8 +800,6 @@ def run_frontier_bench(
                 graph,
                 query_volume=config.query_volume,
                 seed=config.seed,
-                cache_backend=config.cache_backend,
-                algo_backend=config.algo_backend,
                 dataset=name,
             )
             clock_hz = decision.clock_hz
@@ -853,8 +849,6 @@ def run_frontier_bench(
             "datasets": list(config.datasets),
             "query_volume": config.query_volume,
             "clock_hz": clock_hz,
-            "cache_backend": config.cache_backend,
-            "algo_backend": config.algo_backend,
             "tolerance": config.tolerance,
         },
         "datasets": per_dataset,
@@ -877,8 +871,7 @@ def render_frontier_bench(payload: dict) -> str:
     workload = payload["workload"]
     lines = [
         f"workload    : NQ x{workload['query_volume']:,.0f} on "
-        f"{', '.join(workload['datasets'])} "
-        f"({workload['cache_backend']}/{workload['algo_backend']})",
+        f"{', '.join(workload['datasets'])}",
     ]
     for name, entry in payload["datasets"].items():
         lines.append(

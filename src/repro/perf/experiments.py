@@ -17,21 +17,17 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro import obs
 from repro.algorithms import ALGORITHM_NAMES, pick_sources
-from repro.algorithms import base as algorithms_base
-from repro.cache import CacheHierarchy, Memory, scaled_hierarchy
+from repro.cache import CacheHierarchy, scaled_hierarchy
 from repro.errors import InvalidParameterError
 from repro.graph import datasets
 from repro.graph.csr import CSRGraph
-from repro.graph.permute import relabel
 from repro.ordering import ORDERING_NAMES
-from repro.ordering.gorder import gorder_order
 from repro.ordering.metrics import minla_energy, minloga_energy
 from repro.ordering.minla import minla_order, minloga_order
 from repro.perf.runner import (
@@ -63,17 +59,11 @@ class Profile:
     #: pairs so the profile stays hashable and JSON-roundtrippable.
     #: The CLI's ``--workers``/``--query-volume`` flags land here.
     ordering_params: tuple[tuple[str, object], ...] = ()
-    #: Cache simulation backend for every cell
-    #: (:data:`repro.cache.layout.CACHE_BACKENDS`).  Profiles default
-    #: to the vectorised ``"replay"`` path — counter-identical to
-    #: ``"step"`` for the all-LRU profile hierarchies, much faster.
-    #: The CLI's ``--cache-backend`` flag overrides it.
+    #: Simulator path for every cell, forwarded to :func:`run_cell`.
+    #: Always the production pair (vectorised replay, frontier
+    #: runtime); no entry point sets them.  They remain only because
+    #: the end-to-end benchmark's spec test reads them.
     cache_backend: str = "replay"
-    #: Trace emitter for every cell
-    #: (:data:`repro.algorithms.base.ALGO_BACKENDS`): the vectorised
-    #: frontier ``"runtime"`` or the scalar-loop ``"scalar"`` oracle
-    #: (counter-identical).  The CLI's ``--algo-backend`` flag
-    #: overrides it.
     algo_backend: str = "runtime"
 
     def hierarchy(self) -> CacheHierarchy:
@@ -374,40 +364,37 @@ def window_sweep(
     dataset_name: str = "flickr",
     windows: tuple[int, ...] = (1, 2, 3, 5, 8, 16, 64, 256, 1024),
 ) -> dict[int, RunResult]:
-    """Replication Figure 4: PR cycles per Gorder window size."""
+    """Replication Figure 4: PR cycles per Gorder window size.
+
+    Each window is one :func:`run_cell` (the same simulator path as
+    every other experiment) through a sweep-local one-entry
+    :class:`OrderingCache`, so the windows' arrangements do not crowd
+    the shared memo.
+    """
     graph = datasets.load(dataset_name)
     params = algorithm_params("pr", graph, profile)
-    pagerank_spec = algorithms_base.spec("pr")
+    cache = OrderingCache(max_entries=1)
     results: dict[int, RunResult] = {}
     for window in windows:
-        with obs.span(
-            "ordering.compute", ordering="gorder", window=window,
-            dataset=dataset_name, n=graph.num_nodes,
-        ):
-            start = time.perf_counter()
-            perm = gorder_order(graph, window=window)
-            ordering_seconds = time.perf_counter() - start
-        memory = Memory(
-            profile.hierarchy(), cache_backend=profile.cache_backend
-        )
-        with obs.span(
-            "run.simulate", dataset=dataset_name, algorithm="pr",
-            ordering=f"gorder(w={window})",
+        result = run_cell(
+            graph,
+            "pr",
+            "gorder",
+            seed=profile.seed,
+            params=params,
+            hierarchy=profile.hierarchy(),
+            cache=cache,
+            dataset_name=dataset_name,
+            ordering_params={"window": window},
             cache_backend=profile.cache_backend,
-        ):
-            pagerank_spec.traced(relabel(graph, perm), memory, **params)
+            algo_backend=profile.algo_backend,
+        )
         obs.progress(
             "window.cell", window=window,
-            mcycles=round(memory.cost().total_cycles / 1e6, 1),
+            mcycles=round(result.cycles / 1e6, 1),
         )
-        results[window] = RunResult(
-            dataset=dataset_name,
-            algorithm="pr",
-            ordering=f"gorder(w={window})",
-            cost=memory.cost(),
-            stats=memory.stats(),
-            ordering_seconds=ordering_seconds,
-            simulation_seconds=0.0,
+        results[window] = dataclasses.replace(
+            result, ordering=f"gorder(w={window})"
         )
     return results
 

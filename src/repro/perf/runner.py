@@ -313,7 +313,7 @@ def run_cell(
     cache: OrderingCache | None = None,
     dataset_name: str | None = None,
     ordering_params: dict | None = None,
-    cache_backend: str = "step",
+    cache_backend: str = "replay",
     algo_backend: str = "runtime",
     cancel_check: Callable[[], None] | None = None,
 ) -> RunResult:
@@ -326,14 +326,11 @@ def run_cell(
     ``ordering_params`` are forwarded to the ordering computation
     (signature-filtered, see
     :func:`repro.ordering.base.compute_ordering`).
-    ``cache_backend`` selects the cache simulation strategy
-    (:data:`repro.cache.layout.CACHE_BACKENDS`): ``"step"`` scalar
-    stepping, ``"replay"`` recorded-trace vectorised replay with
-    byte-identical counters for all-LRU hierarchies.
-    ``algo_backend`` selects the trace emitter
-    (:data:`repro.algorithms.base.ALGO_BACKENDS`): ``"runtime"`` the
-    vectorised frontier runtime, ``"scalar"`` the scalar-loop oracle
-    (counter-identical by construction; kept for cross-checks).
+    ``cache_backend``/``algo_backend`` only forward
+    :class:`~repro.perf.experiments.Profile`'s fields to the simulator
+    (:class:`~repro.cache.Memory`, :func:`repro.algorithms.traced_fn`);
+    the defaults are the production path, and the scalar oracles are
+    counter-identical to it.
     ``cancel_check`` is a cooperative cancellation hook (the serve
     daemon's deadline enforcement): it is invoked at the phase
     boundaries of the run — before the ordering is computed, after

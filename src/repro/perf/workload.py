@@ -66,19 +66,12 @@ class Workload:
         self,
         graph: CSRGraph,
         hierarchy_factory=scaled_hierarchy,
-        cache_backend: str = "replay",
-        algo_backend: str = "runtime",
     ) -> float:
         """Total simulated cycles of one workload execution."""
         total = 0.0
         for algorithm, params in self.steps:
-            memory = Memory(
-                hierarchy_factory(), cache_backend=cache_backend
-            )
-            traced = algorithms.traced_fn(
-                algorithms.spec(algorithm), algo_backend
-            )
-            traced(graph, memory, **params)
+            memory = Memory(hierarchy_factory())
+            algorithms.spec(algorithm).traced(graph, memory, **params)
             total += memory.cost().total_cycles
         return total
 

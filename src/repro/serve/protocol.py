@@ -10,7 +10,8 @@ CLI uses with :class:`~repro.errors.ReproError`).
 Status-code semantics (documented in ``docs/serving.md``):
 
 * ``400`` — malformed request (unknown dataset/ordering/field type,
-  or ``ordering_params`` the ordering does not declare)
+  a top-level field the endpoint does not accept, or
+  ``ordering_params`` the ordering does not declare)
 * ``404`` — unknown endpoint
 * ``429`` — admission queue full; ``Retry-After`` header set
 * ``503`` — draining (shutdown in progress); ``Retry-After`` set
@@ -20,7 +21,7 @@ Status-code semantics (documented in ``docs/serving.md``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from repro.algorithms import ALGORITHM_NAMES
@@ -145,6 +146,21 @@ def _optional_bool(payload: dict, key: str, default: bool) -> bool:
     return value
 
 
+def _reject_unknown_fields(payload: dict, request_type: type) -> None:
+    """400 for top-level fields ``request_type`` does not declare.
+
+    Silently ignoring them would hide a client's typo or a retired
+    field behind a default.
+    """
+    accepted = sorted(item.name for item in fields(request_type))
+    unknown = sorted(set(payload) - set(accepted))
+    if unknown:
+        raise BadRequestError(
+            f"unknown field(s) {', '.join(map(repr, unknown))}; "
+            f"accepted: {', '.join(accepted)}"
+        )
+
+
 def _ordering_params(payload: dict, ordering: str) -> dict:
     """The request's ordering keywords, each declared by ``ordering``.
 
@@ -185,6 +201,7 @@ class OrderRequest:
     def from_payload(cls, payload: Any) -> "OrderRequest":
         if not isinstance(payload, dict):
             raise BadRequestError("request body must be a JSON object")
+        _reject_unknown_fields(payload, cls)
         dataset = _require_str(payload, "dataset")
         ordering = _require_str(
             payload, "ordering", "gorder", ALL_ORDERING_NAMES
@@ -212,8 +229,6 @@ class RunRequest:
     ordering: str = "gorder"
     seed: int | None = None
     ordering_params: dict = field(default_factory=dict)
-    cache_backend: str = "replay"
-    algo_backend: str = "runtime"
     profile: str = "quick"
     deadline_seconds: float | None = None
 
@@ -221,6 +236,7 @@ class RunRequest:
     def from_payload(cls, payload: Any) -> "RunRequest":
         if not isinstance(payload, dict):
             raise BadRequestError("request body must be a JSON object")
+        _reject_unknown_fields(payload, cls)
         seed = payload.get("seed")
         if seed is not None and (
             isinstance(seed, bool) or not isinstance(seed, int)
@@ -239,13 +255,6 @@ class RunRequest:
             ordering=ordering,
             seed=seed,
             ordering_params=_ordering_params(payload, ordering),
-            cache_backend=_require_str(
-                payload, "cache_backend", "replay", ("step", "replay")
-            ),
-            algo_backend=_require_str(
-                payload, "algo_backend", "runtime",
-                ("runtime", "scalar"),
-            ),
             profile=_require_str(payload, "profile", "quick"),
             deadline_seconds=_optional_number(
                 payload, "deadline_seconds"

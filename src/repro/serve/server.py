@@ -280,16 +280,12 @@ class OrderingService:
                     cache=self.cache,
                     dataset_name=request.dataset,
                     ordering_params=request.ordering_params,
-                    cache_backend=request.cache_backend,
-                    algo_backend=request.algo_backend,
                     cancel_check=job_ctx.check,
                 )
                 job_ctx.checkpoint("simulated")
                 payload = run_result_payload(result)
                 payload["request_id"] = job_ctx.request_id
                 payload["seed"] = seed
-                payload["cache_backend"] = request.cache_backend
-                payload["algo_backend"] = request.algo_backend
                 return payload
 
         return self._execute(ctx, job)

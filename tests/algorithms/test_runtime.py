@@ -10,11 +10,19 @@ Two layers of guarantees:
   oracle and require identical results **and** identical per-level
   cache counters on both cache backends — the runtime's contract is
   reproducing the scalar touch sequence reference-for-reference, not
-  approximating it.
+  approximating it;
+* the differential harness runs the production simulator path
+  (``Memory`` and ``traced_fn`` at their defaults) against the oracle
+  pair (cache stepping, scalar emitters) on hypothesis graphs, for
+  every registered algorithm under several headline orderings.  No CLI
+  flag or serve field reaches the oracles, so this is their coverage.
 """
+
+import inspect
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.algorithms import ALGO_BACKENDS, REGISTRY, traced_fn
 from repro.algorithms.runtime import (
@@ -29,6 +37,11 @@ from repro.algorithms.runtime import (
 from repro.cache import CacheHierarchy, CacheLevel, Memory
 from repro.errors import InvalidParameterError
 from repro.graph import from_edges, generators
+from repro.graph.permute import relabel
+from repro.ordering import accepted_params, compute_ordering
+from repro.perf import Profile, run_cell
+
+from tests.conftest import graph_strategy
 
 
 def tiny_hierarchy():
@@ -256,6 +269,31 @@ class TestBackendDispatch:
             traced_fn(REGISTRY["bfs"], "gpu")
 
 
+class TestOneDefault:
+    """Every remaining simulator switch defaults to the production
+    pair, and the selector no longer takes one."""
+
+    @staticmethod
+    def defaults(function, *names):
+        parameters = inspect.signature(function).parameters
+        return tuple(parameters[name].default for name in names)
+
+    def test_production_pair_everywhere(self):
+        production = ("replay", "runtime")
+        assert self.defaults(Memory, "cache_backend") == production[:1]
+        assert self.defaults(traced_fn, "algo_backend") == production[1:]
+        assert self.defaults(
+            run_cell, "cache_backend", "algo_backend"
+        ) == production
+        profile = Profile(name="d", datasets=("epinion",))
+        assert (profile.cache_backend, profile.algo_backend) == production
+
+    def test_auto_accepts_no_backend(self):
+        accepted = accepted_params("auto")
+        assert "cache_backend" not in accepted
+        assert "algo_backend" not in accepted
+
+
 # ---------------------------------------------------------------------
 # Counter-identity parity: runtime vs scalar oracle
 # ---------------------------------------------------------------------
@@ -322,3 +360,66 @@ class TestCounterIdentity:
         assert_counter_identical(
             social, name, "replay", {"iterations": 0}
         )
+
+
+# ---------------------------------------------------------------------
+# Differential harness: production path vs oracle pair
+# ---------------------------------------------------------------------
+DIFFERENTIAL_ORDERINGS = ("original", "rcm", "gorder")
+#: Large enough that the arrays span more lines than the tiny
+#: hierarchy's L1 holds, so the graphs exercise evictions.
+DIFFERENTIAL_GRAPHS = graph_strategy(max_nodes=40, max_edges=120)
+
+
+def differential_params(name):
+    if name in ("sp", "dsssp"):
+        return {"source": 0}
+    if name in ("pr", "lp"):
+        return {"iterations": 2}
+    if name == "diam":
+        return {"num_sources": 2, "seed": 0}
+    return {}
+
+
+def simulate(graph, name, oracle):
+    """Result and every counter of one traced run.
+
+    ``oracle`` selects cache stepping plus the scalar emitter; without
+    it, ``Memory`` and ``traced_fn`` run at their defaults.
+    """
+    spec = REGISTRY[name]
+    if oracle:
+        memory = Memory(tiny_hierarchy(), cache_backend="step")
+        traced = traced_fn(spec, "scalar")
+    else:
+        memory = Memory(tiny_hierarchy())
+        traced = traced_fn(spec)
+    result = traced(graph, memory, **differential_params(name))
+    return result, (
+        memory.level_counts,
+        memory.total_refs,
+        memory.prefetched_refs,
+        memory.stats(),
+    )
+
+
+class TestProductionMatchesOracle:
+    @pytest.mark.parametrize("ordering", DIFFERENTIAL_ORDERINGS)
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(graph=DIFFERENTIAL_GRAPHS)
+    def test_random_graphs(self, name, ordering, graph):
+        perm = compute_ordering(ordering, graph, seed=0)
+        arranged = relabel(graph, perm)
+        production, production_counters = simulate(
+            arranged, name, oracle=False
+        )
+        oracle, oracle_counters = simulate(arranged, name, oracle=True)
+        np.testing.assert_equal(production, oracle)
+        # level_counts, total_refs, prefetched_refs, per-level
+        # refs/misses (CacheStats).
+        assert production_counters == oracle_counters

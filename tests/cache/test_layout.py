@@ -15,7 +15,8 @@ def small_memory():
                 CacheLevel(4 * 64, 64, 4, "L2"),
                 CacheLevel(8 * 64, 64, 8, "L3"),
             ]
-        )
+        ),
+        cache_backend="step",
     )
 
 

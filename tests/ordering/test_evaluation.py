@@ -78,32 +78,22 @@ class TestEvaluateAll:
 
 
 class TestBackendPlumbing:
-    """Regression tests: the evaluation bundle must honour the cache
-    and algorithm backend arguments instead of silently probing with
-    the defaults, and must report how long each ordering took."""
+    """Regression tests: the evaluation probe runs the production
+    simulator path with the oracle's counters, and the bundle reports
+    how long each ordering took."""
 
     def test_probe_counter_identity_replay_vs_step(self, graph):
+        from repro.algorithms import REGISTRY, traced_fn
+        from repro.cache import Memory, scaled_hierarchy
         from repro.ordering import probe_arrangement
         from repro.graph import identity_permutation
 
         perm = identity_permutation(graph.num_nodes)
-        step_cycles, step_stats = probe_arrangement(
-            graph, perm, cache_backend="step"
-        )
-        replay_cycles, replay_stats = probe_arrangement(
-            graph, perm, cache_backend="replay"
-        )
-        assert step_cycles == replay_cycles
-        assert step_stats == replay_stats
-
-    def test_evaluate_ordering_accepts_backends(self, graph):
-        from repro.graph import identity_permutation
-
-        perm = identity_permutation(graph.num_nodes)
-        step = evaluate_ordering(graph, perm, cache_backend="step")
-        replay = evaluate_ordering(graph, perm, cache_backend="replay")
-        assert step.probe_cycles == replay.probe_cycles
-        assert step.l1_miss_rate == replay.l1_miss_rate
+        cycles, stats = probe_arrangement(graph, perm)
+        oracle = Memory(scaled_hierarchy(), cache_backend="step")
+        traced_fn(REGISTRY["nq"], "scalar")(graph, oracle)
+        assert cycles == oracle.cost().total_cycles
+        assert stats == oracle.stats()
 
     def test_ordering_seconds_recorded(self, graph):
         import math

@@ -148,6 +148,33 @@ class TestOtherExperiments:
         assert set(results) == {1, 5}
         assert results[5].cycles > 0
 
+    def test_window_sweep_runs_the_shared_simulator_path(
+        self, tiny_profile
+    ):
+        from repro.algorithms import REGISTRY, traced_fn
+        from repro.cache import Memory
+        from repro.graph.permute import relabel
+        from repro.ordering.gorder import gorder_order
+
+        results = window_sweep(
+            tiny_profile, dataset_name="epinion", windows=(1, 5)
+        )
+        graph = datasets.load("epinion")
+        params = algorithm_params("pr", graph, tiny_profile)
+        for window, result in results.items():
+            # Per-window cycles equal a direct oracle run of the same
+            # arrangement: routing through run_cell changed no count.
+            memory = Memory(tiny_profile.hierarchy(), cache_backend="step")
+            traced_fn(REGISTRY["pr"], "scalar")(
+                relabel(graph, gorder_order(graph, window=window)),
+                memory,
+                **params,
+            )
+            assert result.cycles == memory.cost().total_cycles
+            assert result.stats == memory.stats()
+            assert result.ordering == f"gorder(w={window})"
+            assert result.simulation_seconds > 0
+
     def test_annealing_sweep(self):
         results = annealing_sweep(
             dataset_name="epinion",

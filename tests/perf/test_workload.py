@@ -97,11 +97,3 @@ class TestExtensionWorkloads:
         rows = amortization_table(mixed, graph, ["gorder"])
         assert rows[0].ordering == "gorder"
         assert rows[0].cycles > 0
-
-
-class TestWorkloadCacheBackend:
-    def test_cycles_identical_across_backends(self, graph):
-        mixed = Workload.of("parity", "nq", ("pr", {"iterations": 2}))
-        assert mixed.cycles(graph, cache_backend="replay") == (
-            mixed.cycles(graph, cache_backend="step")
-        )

@@ -109,7 +109,6 @@ class TestRunRequest:
             {"dataset": "epinion", "algorithm": "pr"}
         )
         assert request.algorithm == "pr"
-        assert request.cache_backend == "replay"
         assert request.seed is None
         assert request.profile == "quick"
 
@@ -149,22 +148,6 @@ class TestRunRequest:
                 }
             )
 
-    def test_algo_backend_defaults_to_runtime(self):
-        request = RunRequest.from_payload(
-            {"dataset": "epinion", "algorithm": "pr"}
-        )
-        assert request.algo_backend == "runtime"
-
-    def test_scalar_algo_backend_accepted(self):
-        request = RunRequest.from_payload(
-            {
-                "dataset": "epinion",
-                "algorithm": "pr",
-                "algo_backend": "scalar",
-            }
-        )
-        assert request.algo_backend == "scalar"
-
     def test_bad_algo_backend(self):
         with pytest.raises(BadRequestError):
             RunRequest.from_payload(
@@ -174,6 +157,70 @@ class TestRunRequest:
                     "algo_backend": "vector",
                 }
             )
+
+
+class TestUnknownFields:
+    """Top-level fields an endpoint does not declare are a 400 that
+    names the accepted fields, never silently ignored."""
+
+    def test_run_rejects_retired_cache_backend(self):
+        with pytest.raises(BadRequestError) as excinfo:
+            RunRequest.from_payload(
+                {
+                    "dataset": "epinion",
+                    "algorithm": "pr",
+                    "cache_backend": "step",
+                }
+            )
+        message = str(excinfo.value)
+        assert "'cache_backend'" in message
+        assert "accepted: " in message
+        for name in ("algorithm", "dataset", "ordering_params",
+                     "profile"):
+            assert name in message.split("accepted: ")[1]
+
+    def test_order_rejects_unknown_field(self):
+        with pytest.raises(
+            BadRequestError, match="'window'.*accepted: .*ordering"
+        ):
+            OrderRequest.from_payload(
+                {"dataset": "epinion", "window": 5}
+            )
+
+    def test_auto_rejects_backend_ordering_params(self):
+        with pytest.raises(BadRequestError, match="cache_backend"):
+            OrderRequest.from_payload(
+                {
+                    "dataset": "epinion",
+                    "ordering": "auto",
+                    "ordering_params": {"cache_backend": "step"},
+                }
+            )
+
+    def test_every_declared_field_accepted(self):
+        request = RunRequest.from_payload(
+            {
+                "dataset": "epinion",
+                "algorithm": "pr",
+                "ordering": "gorder",
+                "seed": 3,
+                "ordering_params": {"window": 4},
+                "profile": "quick",
+                "deadline_seconds": 5,
+            }
+        )
+        assert request.ordering_params == {"window": 4}
+        order = OrderRequest.from_payload(
+            {
+                "dataset": "epinion",
+                "ordering": "gorder",
+                "seed": 3,
+                "ordering_params": {"window": 4},
+                "include_permutation": True,
+                "deadline_seconds": 5,
+            }
+        )
+        assert order.include_permutation
 
 
 class TestErrorShaping:

@@ -89,30 +89,24 @@ class TestEndpoints:
         assert status == 200
         assert payload["cycles"] > 0
         assert payload["seed"] == 0
-        assert payload["cache_backend"] == "replay"
+        assert "cache_backend" not in payload
         _, stats, _ = harness.get("/stats")
         # The run request found the ordering the order request
         # computed — via memory or disk, never a second compute.
         assert stats["counters"]["serve.store_computed"] == 1
 
-    def test_run_reports_and_honours_algo_backend(self, harness):
-        status, runtime, _ = harness.post(
-            "/run", {"dataset": "epinion", "algorithm": "pr"}
-        )
-        assert status == 200
-        assert runtime["algo_backend"] == "runtime"
-        status, scalar, _ = harness.post(
-            "/run",
-            {
-                "dataset": "epinion",
-                "algorithm": "pr",
-                "algo_backend": "scalar",
-            },
-        )
-        assert status == 200
-        assert scalar["algo_backend"] == "scalar"
-        # The scalar oracle is counter-identical to the runtime.
-        assert scalar["cycles"] == runtime["cycles"]
+    def test_run_rejects_retired_backend_fields(self, harness):
+        for field in ("cache_backend", "algo_backend"):
+            status, payload, _ = harness.post(
+                "/run",
+                {"dataset": "epinion", "algorithm": "pr", field: "step"},
+            )
+            assert status == 400
+            assert payload["error"] == "bad_request"
+            assert field in payload["message"]
+            assert "accepted: " in payload["message"]
+        _, stats, _ = harness.get("/stats")
+        assert stats["counters"].get("serve.store_computed", 0) == 0
 
     def test_unknown_dataset_rejected_before_admission(
         self, harness

@@ -134,27 +134,13 @@ class TestCommands:
         assert "bits/edge" in output
 
 
-class TestCacheBackendFlag:
-    def test_parser_accepts_backends(self):
+class TestRetiredBackendFlags:
+    def test_parser_rejects_backend_flags(self):
         parser = build_parser()
-        args = parser.parse_args(
-            ["run", "--dataset", "epinion", "--cache-backend", "step"]
-        )
-        assert args.cache_backend == "step"
-        with pytest.raises(SystemExit):
-            parser.parse_args(
-                ["run", "--dataset", "epinion",
-                 "--cache-backend", "magic"]
-            )
-
-    def test_run_backends_agree(self, capsys):
-        outputs = []
-        for backend in ("step", "replay"):
-            assert main(
-                ["run", "--dataset", "epinion",
-                 "--algorithm", "nq", "--ordering", "gorder",
-                 "--cache-backend", backend]
-            ) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-        assert "cycles" in outputs[0]
+        for command in ("run", "speedup", "stall", "cache-stats",
+                        "window"):
+            for flag, value in (("--cache-backend", "step"),
+                                ("--algo-backend", "scalar")):
+                with pytest.raises(SystemExit) as excinfo:
+                    parser.parse_args([command, flag, value])
+                assert excinfo.value.code == 2
