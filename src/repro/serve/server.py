@@ -429,13 +429,40 @@ class _Handler(BaseHTTPRequestHandler):
         return data == b""
 
     # -- request plumbing ----------------------------------------------
-    def _read_json(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+    def _read_body(self) -> bytes:
+        """Consume the request's declared body, whatever the route.
+
+        On a kept-alive connection an unread body would be parsed as
+        the next request.  A body whose length cannot be trusted gets
+        a 400 and ends the connection, since the stream can no longer
+        be framed.
+        """
+        if "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+            raise BadRequestError(
+                "Transfer-Encoding is not supported; "
+                "send a Content-Length"
+            )
+        declared = self.headers.get("Content-Length")
+        if declared is None:
+            return b""
+        text = declared.strip()
+        if not (text.isascii() and text.isdigit()):
+            self.close_connection = True
+            raise BadRequestError(
+                "Content-Length must be a non-negative integer, "
+                f"got {declared!r}"
+            )
+        length = int(text)
         if length > MAX_BODY_BYTES:
+            self.close_connection = True
             raise BadRequestError(
                 f"request body too large ({length} bytes)"
             )
-        raw = self.rfile.read(length) if length else b"{}"
+        return self.rfile.read(length)
+
+    @staticmethod
+    def _parse_json(raw: bytes) -> Any:
         try:
             return json.loads(raw.decode("utf-8") or "{}")
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -456,8 +483,18 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", str(len(body)))
             for name, value in (headers or {}).items():
                 self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
+            if self.close_connection:
+                self.send_header("Connection", "close")
+            # Status line, headers and body leave in one write.  With
+            # end_headers() the body would follow as a second small
+            # segment, which Nagle holds until the client ACKs the
+            # first, and the client delays that ACK (40 ms on Linux):
+            # every reply on a kept-alive connection would stall.
+            if self.request_version == "HTTP/0.9":
+                self.wfile.write(body)  # no status line or headers
+            else:
+                self._headers_buffer.append(b"\r\n" + body)
+                self.flush_headers()
         except (BrokenPipeError, ConnectionResetError):
             self.service.counters.inc("serve.client_disconnects")
             obs.inc("serve.client_disconnects")
@@ -500,6 +537,11 @@ class _Handler(BaseHTTPRequestHandler):
     # -- verbs ---------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         service = self.service
+        try:
+            self._read_body()
+        except BadRequestError as exc:
+            self._respond_error(exc)
+            return
         if self.path == "/health":
             self._dispatch(service.health)
         elif self.path == "/stats":
@@ -513,8 +555,9 @@ class _Handler(BaseHTTPRequestHandler):
         service = self.service
         ctx: RequestContext | None = None
         try:
+            raw = self._read_body()
             if self.path == "/order":
-                request = OrderRequest.from_payload(self._read_json())
+                request = OrderRequest.from_payload(self._parse_json(raw))
                 ctx = service.context(
                     "order", request.deadline_seconds
                 )
@@ -523,7 +566,7 @@ class _Handler(BaseHTTPRequestHandler):
                     service.handle_order, request, ctx, ctx=ctx
                 )
             elif self.path == "/run":
-                request = RunRequest.from_payload(self._read_json())
+                request = RunRequest.from_payload(self._parse_json(raw))
                 ctx = service.context("run", request.deadline_seconds)
                 ctx.disconnect_check = self._disconnected
                 self._dispatch(

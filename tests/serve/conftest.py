@@ -6,11 +6,17 @@ the genuine HTTP transport (status codes, Retry-After headers,
 concurrent handler threads) without subprocess overhead.  The
 SIGTERM/exit-code contract is covered separately by a subprocess test
 in ``test_server.py``.
+
+``ServeHarness.request`` opens a fresh connection per request, as
+``urllib`` does; :class:`KeepAliveClient` sends requests over one
+persistent connection, the way the daemon's real clients do.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -29,6 +35,58 @@ def clean_telemetry():
     obs.reset()
 
 
+class KeepAliveClient:
+    """JSON requests over one persistent HTTP/1.1 connection."""
+
+    def __init__(self, connection: http.client.HTTPConnection) -> None:
+        self.connection = connection
+
+    @classmethod
+    def unix(cls, path: str, timeout: float = 30.0) -> KeepAliveClient:
+        """A client of a daemon listening on the unix socket ``path``."""
+        connection = http.client.HTTPConnection("localhost")
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.settimeout(timeout)
+        sock.connect(path)
+        connection.sock = sock
+        return cls(connection)
+
+    def request(
+        self,
+        method: str,
+        path: str,
+        body: dict | bytes | None = None,
+    ) -> tuple[int, dict, dict]:
+        """(status, json payload, headers); a dict body is sent as
+        JSON, bytes as they are."""
+        data = (
+            json.dumps(body).encode("utf-8")
+            if isinstance(body, dict)
+            else body
+        )
+        self.connection.request(
+            method,
+            path,
+            body=data,
+            headers={"Content-Type": "application/json"},
+        )
+        response = self.connection.getresponse()
+        return (
+            response.status,
+            json.loads(response.read()),
+            dict(response.headers),
+        )
+
+    def get(self, path: str) -> tuple[int, dict, dict]:
+        return self.request("GET", path)
+
+    def post(self, path: str, body: dict) -> tuple[int, dict, dict]:
+        return self.request("POST", path, body)
+
+    def close(self) -> None:
+        self.connection.close()
+
+
 class ServeHarness:
     """One running daemon plus a tiny JSON client."""
 
@@ -38,6 +96,7 @@ class ServeHarness:
         self.httpd = _make_server(config, self.service)
         self.port = self.httpd.server_address[1]
         self.base = f"http://127.0.0.1:{self.port}"
+        self._clients: list[KeepAliveClient] = []
         self._thread = threading.Thread(
             target=self.httpd.serve_forever,
             kwargs={"poll_interval": 0.02},
@@ -84,7 +143,19 @@ class ServeHarness:
     ) -> tuple[int, dict, dict]:
         return self.request(path, body, timeout)
 
+    def connect(self, timeout: float = 30.0) -> KeepAliveClient:
+        """A client that keeps one connection to the daemon open."""
+        client = KeepAliveClient(
+            http.client.HTTPConnection(
+                "127.0.0.1", self.port, timeout=timeout
+            )
+        )
+        self._clients.append(client)
+        return client
+
     def close(self) -> None:
+        for client in self._clients:
+            client.close()
         self.httpd.shutdown()
         self._thread.join(timeout=2.0)
         self.httpd.server_close()

@@ -392,11 +392,9 @@ class TestDrain:
 
 class TestUnixSocket:
     def test_serves_over_unix_socket(self, tmp_path):
-        import http.client
-        import socket
-
         from repro.serve import OrderingService, ServeConfig
         from repro.serve.server import _make_server
+        from tests.serve.conftest import KeepAliveClient
 
         socket_path = str(tmp_path / "repro.sock")
         config = ServeConfig(
@@ -411,17 +409,20 @@ class TestUnixSocket:
         )
         thread.start()
         try:
-            connection = http.client.HTTPConnection("localhost")
-            connection.sock = socket.socket(
-                socket.AF_UNIX, socket.SOCK_STREAM
-            )
-            connection.sock.connect(socket_path)
-            connection.request("GET", "/health")
-            response = connection.getresponse()
-            payload = json.loads(response.read())
-            connection.close()
-            assert response.status == 200
-            assert payload["status"] == "ok"
+            # Two requests on one connection: the unix listener shares
+            # the TCP listener's reply path and body framing.
+            client = KeepAliveClient.unix(socket_path)
+            try:
+                status, payload, _ = client.get("/health")
+                assert status == 200
+                assert payload["status"] == "ok"
+                status, payload, _ = client.post("/nope", {"x": 1})
+                assert status == 404
+                status, payload, _ = client.get("/stats")
+                assert status == 200
+                assert payload["graphs"] == []
+            finally:
+                client.close()
         finally:
             service.drain()
             httpd.shutdown()
