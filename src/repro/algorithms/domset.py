@@ -5,8 +5,8 @@ covering the most still-uncovered nodes (itself plus its
 out-neighbours), add it to the dominating set, and mark its coverage.
 Selection uses a :class:`~repro.ordering.unit_heap.UnitHeap` — when a
 node ``w`` becomes covered, the gain of ``w`` and of every in-neighbour
-of ``w`` drops by exactly one, so all updates are unit decrements and
-the greedy runs in O(m) amortised.
+of ``w`` drops by exactly one, so all updates are O(1) unit
+decrements, plus one vectorised O(n/256 + 256) scan per pop attempt.
 
 Domination invariant (verified by tests): every node is in the set or
 is an out-neighbour of a set member.
@@ -30,10 +30,8 @@ def dominating_set(graph: CSRGraph) -> np.ndarray:
     in_offsets = graph.in_offsets
     in_adjacency = graph.in_adjacency
     heap = UnitHeap(n)
-    for u in range(n):
-        # gain(u) = 1 (itself) + out_degree(u), built by unit increases.
-        for _ in range(int(offsets[u + 1] - offsets[u]) + 1):
-            heap.increase(u)
+    # gain(u) = 1 (itself) + out_degree(u).
+    heap.increase_batch(np.arange(n), counts=np.diff(offsets) + 1)
     covered = np.zeros(n, dtype=bool)
     chosen: list[int] = []
     remaining = n
@@ -69,9 +67,7 @@ def dominating_set_traced(
     in_offsets = graph.in_offsets
     in_adjacency = graph.in_adjacency
     heap = UnitHeap(n)
-    for u in range(n):
-        for _ in range(int(offsets[u + 1] - offsets[u]) + 1):
-            heap.increase(u)
+    heap.increase_batch(np.arange(n), counts=np.diff(offsets) + 1)
     covered = np.zeros(n, dtype=bool)
     chosen: list[int] = []
     remaining = n

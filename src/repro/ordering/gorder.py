@@ -12,12 +12,11 @@ it gathers every affected candidate at once as numpy arrays (``N+(u)``,
 ``N−(u)``, and the sibling expansion: the concatenated out-adjacency
 slices of the in-neighbours), then applies the newest entry's +1
 events and the expiring node's −1 events as one fused
-:meth:`~repro.ordering.unit_heap.UnitHeap.apply_step`, which
-deduplicates and sums the unit events into one net delta per node
-(overlapping enter/exit events cancel outright).  This removes the
-per-edge Python call and ``int()`` boxing that made a literal
-Algorithm 2 loop the replication's slowest component (its Table 2
-hours).
+:meth:`~repro.ordering.unit_heap.UnitHeap.apply_step`: two scatter-adds
+into the heap's key vector plus one scatter-max into its per-block key
+bounds.  This removes the per-edge Python call and ``int()`` boxing
+that made a literal Algorithm 2 loop the replication's slowest
+component (its Table 2 hours).
 
 :func:`gorder_sequence_reference` keeps that literal loop — one
 :meth:`~repro.ordering.unit_heap.UnitHeap.increase` / ``decrease``
@@ -75,10 +74,9 @@ def gorder_sequence(
 
     One numpy gather and one fused heap batch per placement step (see
     the module docstring).  With telemetry on, the run also publishes
-    ``gorder.heap_pops``, ``gorder.priority_updates`` (unit score
-    events) and ``gorder.batched_moves`` (live candidates refreshed,
-    deduplicated per step) — totals the kernel already has, so a
-    traced run executes exactly the untraced program.
+    ``gorder.heap_pops`` and ``gorder.priority_updates`` (unit score
+    events) — totals the kernel already has, so a traced run executes
+    exactly the untraced program.
     """
     _validate_gorder_params(window, hub_threshold)
     n = graph.num_nodes
@@ -160,7 +158,6 @@ def gorder_sequence(
 
     # Seed with the highest in-degree node (deterministic hub start).
     start = int(np.argmax(graph.in_degrees())) if n > 1 else 0
-    moves = 0
     with obs.profile(
         "gorder.greedy", n=n, m=graph.num_edges, window=window,
         backend="batched",
@@ -169,8 +166,8 @@ def gorder_sequence(
         sequence[0] = start
         # Algorithm 2 interleaves exit(i), pop(i), enter(i).  No pop
         # happens between enter(i) and exit(i+1), so the kernel fuses
-        # those two updates into one heap.apply_step: events hitting
-        # the same node cancel before touching the heap.
+        # those two updates into one heap.apply_step, whose net keys
+        # are all the next pop reads.
         # A node's events are needed twice — at window entry and again
         # at exit — so a (window + 2)-slot ring keeps each gather
         # alive until its exit step comes round.
@@ -180,18 +177,15 @@ def gorder_sequence(
         ring[0] = events
         for i in range(1, n):
             if i > window:
-                moves += heap.apply_step(
+                heap.apply_step(
                     events, ring[(i - 1 - window) % ring_size]
                 )
             else:
-                moves += heap.increase_batch(events)
+                heap.increase_batch(events)
             chosen = heap.pop_max()
             sequence[i] = chosen
             events = gather(chosen)
             ring[i % ring_size] = events
-        # The last node's entry moves no future pop, but applying it
-        # keeps the update counters identical to the reference loop's.
-        moves += heap.increase_batch(events)
     if obs.enabled():
         # Every node's events enter once; the first n-1-window placed
         # nodes' events also exit.
@@ -204,7 +198,6 @@ def gorder_sequence(
             "gorder.priority_updates",
             int(event_counts.sum()) + int(event_counts[exited].sum()),
         )
-        obs.inc("gorder.batched_moves", moves)
     return sequence
 
 

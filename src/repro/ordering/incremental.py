@@ -79,9 +79,9 @@ def gorder_extend(
         np.iinfo(np.int64).max if hub_threshold is None else hub_threshold
     )
 
-    # Old nodes are excluded lazily: the candidate mask makes them
-    # start removed, so construction costs O(batch) entries instead of
-    # an O(n) per-node remove loop.
+    # Old nodes are excluded up front: the candidate mask makes them
+    # start removed in one vectorised fill instead of an O(n)
+    # per-node remove loop.
     heap = UnitHeap(
         n, candidates=np.arange(num_old, n, dtype=np.int64)
     )

@@ -18,7 +18,7 @@ compare against.  Schema (version 1, documented in
       "kernels": {
         "loop":    {"seconds", "heap_pops", "unit_updates",
                     "updates_per_second"},   # the reference oracle
-        "batched": {..., "batched_moves"}
+        "batched": {...}                      # same fields
       },
       "speedup_batched_vs_loop": float,
       "identical": true,             # divergence raises instead
@@ -120,7 +120,6 @@ BENCH_SCHEMA_VERSION = 1
 _KERNEL_COUNTERS = {
     "heap_pops": "gorder.heap_pops",
     "unit_updates": "gorder.priority_updates",
-    "batched_moves": "gorder.batched_moves",
 }
 
 
@@ -244,10 +243,8 @@ def run_gorder_bench(
             partitioned = _bench_partitioned(graph, config)
         counters = _counted(run_batched)
 
-    loop_kernel = _kernel_payload(loop_seconds, counters, batched=False)
-    batched_kernel = _kernel_payload(
-        batched_seconds, counters, batched=True
-    )
+    loop_kernel = _kernel_payload(loop_seconds, counters)
+    batched_kernel = _kernel_payload(batched_seconds, counters)
     return {
         "schema_version": BENCH_SCHEMA_VERSION,
         "bench": "gorder_kernel",
@@ -272,10 +269,8 @@ def run_gorder_bench(
     }
 
 
-def _kernel_payload(
-    seconds: float, counters: dict, batched: bool
-) -> dict:
-    payload = {
+def _kernel_payload(seconds: float, counters: dict) -> dict:
+    return {
         "seconds": seconds,
         "heap_pops": counters["heap_pops"],
         "unit_updates": counters["unit_updates"],
@@ -283,9 +278,6 @@ def _kernel_payload(
             counters["unit_updates"] / seconds if seconds else None
         ),
     }
-    if batched:
-        payload["batched_moves"] = counters["batched_moves"]
-    return payload
 
 
 def _bench_partitioned(graph, config: GorderBenchConfig) -> dict:

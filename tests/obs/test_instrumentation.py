@@ -25,8 +25,9 @@ class TestGorderCounters:
         obs.configure()
         gorder_sequence(cycle4)
         counters = obs.counters()
-        assert counters["gorder.heap_pops"] == 3
-        assert counters["gorder.priority_updates"] == 8
+        assert counters == {
+            "gorder.heap_pops": 3, "gorder.priority_updates": 8,
+        }
 
     def test_disabled_run_keeps_counters_empty(self, cycle4):
         gorder_sequence(cycle4)
@@ -48,14 +49,6 @@ class TestGorderCounters:
         assert len(ends) == 1
         assert ends[0]["attrs"]["n"] == 4
         assert ends[0]["attrs"]["backend"] == "batched"
-
-    def test_batched_moves_counter(self, cycle4):
-        obs.configure()
-        gorder_sequence(cycle4)
-        counters = obs.counters()
-        # The 4-cycle's 8 unit events dedup to at most 8 moved items.
-        assert 0 < counters["gorder.batched_moves"] <= 8
-        assert counters["gorder.priority_updates"] == 8
 
 
 class TestGorderLazyCounters:

@@ -111,12 +111,12 @@ class TestTelemetryInvariance:
     """Telemetry on runs the same kernel and publishes fixed totals."""
 
     #: (nodes, edges_per_node, seed, window, hub_threshold) ->
-    #: (heap_pops, priority_updates, batched_moves), pinned from the
-    #: metered-heap implementation these counters replaced.
+    #: (heap_pops, priority_updates), pinned from the metered-heap
+    #: implementation these counters replaced.
     PINNED = {
-        (400, 6, 11, 5, None): (399, 68249, 21339),
-        (400, 6, 11, 3, 20): (399, 66926, 20987),
-        (1500, 8, 5, 5, None): (1499, 441550, 163369),
+        (400, 6, 11, 5, None): (399, 68249),
+        (400, 6, 11, 3, 20): (399, 66926),
+        (1500, 8, 5, 5, None): (1499, 441550),
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED, key=str))
@@ -136,7 +136,6 @@ class TestTelemetryInvariance:
         assert (
             counters["gorder.heap_pops"],
             counters["gorder.priority_updates"],
-            counters["gorder.batched_moves"],
         ) == self.PINNED[case]
 
     @pytest.mark.parametrize("window", WINDOWS)
@@ -201,6 +200,9 @@ class TestPartitionedTelemetry:
         try:
             gorder_partitioned(graph, num_parts=3, workers=1)
             inline_counters = obs.counters()
+            assert set(inline_counters) == {
+                "gorder.heap_pops", "gorder.priority_updates",
+            }
             obs.reset()
             obs.configure(capture=True)
             gorder_partitioned(graph, num_parts=3, workers=2)

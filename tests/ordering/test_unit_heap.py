@@ -1,12 +1,17 @@
 """Unit and model-based property tests for the unit heap."""
 
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.domset import dominating_set
 from repro.errors import InvalidParameterError
-from repro.ordering import UnitHeap
+from repro.graph import datasets
+from repro.ordering import UnitHeap, gorder_order, slashburn_order
+from repro.ordering.unit_heap import BLOCK
 
 
 class TestBasics:
@@ -45,11 +50,12 @@ class TestBasics:
         heap.increase(0)
         heap.decrease(0)
         heap.increase(1)
-        # Both at key 1; FIFO tie-break: 0 reached key 1 first... but 0
-        # re-entered bucket 1 after the decrease, so 1 may come first.
-        # Only the key value is part of the contract.
+        # Both at key 1: ties pop the smallest id, whatever order the
+        # keys reached their values in.
         assert heap.key_of(0) == 1
         assert heap.key_of(1) == 1
+        assert heap.pop_max() == 0
+        assert heap.pop_max() == 1
 
     def test_updates_after_removal_ignored(self):
         heap = UnitHeap(2)
@@ -226,9 +232,10 @@ class TestBatchUpdates:
     def test_empty_batches_are_noops(self):
         heap = UnitHeap(3)
         heap.increase_batch(np.array([], dtype=np.int64))
-        assert heap.apply_step(
+        heap.decrease_batch(np.array([]))
+        heap.apply_step(
             np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-        ) == 0
+        )
         assert self._drain(heap) == [0, 1, 2]
 
     def test_min_id_tie_break(self):
@@ -280,42 +287,6 @@ class TestBatchUpdates:
             ]
             assert popped == min(candidates)
             del model[popped]
-
-
-class TestMeteredBatches:
-    """The moved-item counts batch updates return (Gorder's
-    ``gorder.batched_moves`` counter sums them)."""
-
-    def test_batch_counters_match_raw_units(self):
-        """Keys count every raw unit event; the return value counts
-        distinct moved items."""
-        heap = UnitHeap(6)
-        assert heap.increase_batch(np.array([1, 1, 2])) == 2
-        assert heap.decrease_batch(np.array([1])) == 1
-        assert (heap.key_of(1), heap.key_of(2)) == (1, 1)
-
-    def test_apply_step_unit_counts_match_two_phases(self):
-        """The fused step lands the same keys as the two-phase form
-        but dedups moved items per *step* (3 touched items here), not
-        per *phase* (3 + 2)."""
-        fused = UnitHeap(6)
-        phased = UnitHeap(6)
-        enter = np.array([1, 1, 2, 3])
-        exit_ = np.array([2, 3])
-        assert fused.apply_step(enter, exit_) == 3
-        assert phased.increase_batch(enter) == 3
-        assert phased.decrease_batch(exit_) == 2
-        assert [fused.key_of(i) for i in range(6)] == [
-            phased.key_of(i) for i in range(6)
-        ]
-
-    def test_counts_weighted_units(self):
-        heap = UnitHeap(4)
-        moved = heap.increase_batch(
-            np.array([0, 2]), counts=np.array([3, 2])
-        )
-        assert moved == 2
-        assert (heap.key_of(0), heap.key_of(2)) == (3, 2)
 
 
 class TestCandidateSubset:
@@ -384,3 +355,158 @@ class TestCandidateSubset:
         assert [lazy.pop_max() for _ in range(pops)] == [
             eager.pop_max() for _ in range(pops)
         ]
+
+
+@st.composite
+def multi_block_programs(draw):
+    """A heap over several blocks (ragged tail included) plus a mixed
+    program of scalar, batch and fused-step updates, removals, pops
+    and peeks.  Item ids favour block edges, where a stale or missed
+    bound would show."""
+    size = draw(st.integers(1, 1100))
+    edges = sorted({
+        i for b in range(0, size + BLOCK, BLOCK)
+        for i in (b - 1, b, b + 1) if 0 <= i < size
+    })
+    item = st.one_of(st.integers(0, size - 1), st.sampled_from(edges))
+    items = st.lists(item, max_size=12)
+    candidates = draw(st.none() | st.lists(item, max_size=40))
+    ops = draw(st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(["inc", "dec", "remove"]), item),
+            st.tuples(st.sampled_from(["pop", "peek"])),
+            st.tuples(
+                st.sampled_from(["inc_batch", "dec_batch"]),
+                items, st.booleans(),
+            ),
+            st.tuples(st.just("step"), items, items),
+        ),
+        max_size=80,
+    ))
+    return size, candidates, ops
+
+
+class TestMultiBlockModel:
+    """The heap against a dict model across block boundaries."""
+
+    @staticmethod
+    def _expected_top(model):
+        top = max(model.values())
+        return min(i for i, key in model.items() if key == top), top
+
+    @settings(deadline=None)
+    @given(multi_block_programs())
+    def test_matches_dict_model(self, program):
+        size, candidates, ops = program
+        if candidates is None:
+            heap = UnitHeap(size)
+            model = {i: 0 for i in range(size)}
+        else:
+            heap = UnitHeap(size, candidates=np.array(candidates, int))
+            model = {i: 0 for i in candidates}
+
+        def bump(batch, sign, counts=None):
+            for i, count in zip(batch, counts or [1] * len(batch)):
+                if i in model:
+                    model[i] += sign * count
+
+        for op in ops:
+            kind = op[0]
+            if kind == "inc":
+                heap.increase(op[1])
+                bump([op[1]], 1)
+            elif kind == "dec":
+                heap.decrease(op[1])
+                bump([op[1]], -1)
+            elif kind == "remove":
+                heap.remove(op[1])
+                model.pop(op[1], None)
+            elif kind in ("inc_batch", "dec_batch"):
+                _, batch, weighted = op
+                counts = [i % 3 for i in batch] if weighted else None
+                update = (
+                    heap.increase_batch if kind == "inc_batch"
+                    else heap.decrease_batch
+                )
+                update(
+                    np.array(batch, dtype=np.int64),
+                    None if counts is None else np.array(counts, int),
+                )
+                bump(batch, 1 if kind == "inc_batch" else -1, counts)
+            elif kind == "step":
+                _, enter, exit_ = op
+                heap.apply_step(
+                    np.array(enter, dtype=np.int64),
+                    np.array(exit_, dtype=np.int64),
+                )
+                bump(enter, 1)
+                bump(exit_, -1)
+            elif model:
+                item, top = self._expected_top(model)
+                if kind == "peek":
+                    assert heap.peek_max_key() == top
+                else:
+                    assert heap.pop_max() == item
+                    del model[item]
+            assert len(heap) == len(model)
+        while model:
+            item, top = self._expected_top(model)
+            assert heap.peek_max_key() == top
+            assert heap.pop_max() == item
+            del model[item]
+        with pytest.raises(IndexError):
+            heap.pop_max()
+
+    def test_stale_bound_is_tightened_and_retried(self):
+        """Decreases and removals leave a block's bound stale-high;
+        the pop must tighten it and fall through to the true top."""
+        heap = UnitHeap(3 * BLOCK)
+        for item, key in ((5, 3), (9, 2), (BLOCK + 1, 2), (2 * BLOCK, 2)):
+            heap.increase_batch(np.array([item]), counts=np.array([key]))
+        heap.remove(5)  # block 0 keeps its bound of 3
+        assert heap.peek_max_key() == 2
+        assert heap.pop_max() == 9
+        heap.decrease(BLOCK + 1)  # block 1 keeps its bound of 2
+        assert heap.pop_max() == 2 * BLOCK
+        assert heap.pop_max() == BLOCK + 1
+        assert heap.pop_max() == 0
+
+    def test_ragged_tail_drains_in_id_order(self):
+        heap = UnitHeap(BLOCK + 3)
+        assert [heap.pop_max() for _ in range(BLOCK + 3)] == list(
+            range(BLOCK + 3)
+        )
+        with pytest.raises(IndexError):
+            heap.peek_max_key()
+
+
+class TestCallerPins:
+    """SHA-256 of every heap caller's output on ``wiki`` (6800 nodes,
+    27 blocks).  Pinned from the previous heap implementation: any
+    change to the pop order changes them."""
+
+    PINNED = {
+        "gorder": (
+            gorder_order,
+            "50f451644dc4725b12b075169f92fffc"
+            "9485353d652926ecce58219f1caf94c7",
+        ),
+        "slashburn": (
+            slashburn_order,
+            "644bb25ff25d462537184a7d27ed7e78"
+            "c1b805b6f27a335e55ad5cf19083dff5",
+        ),
+        "dominating_set": (
+            dominating_set,
+            "47eecd40ce0aac92eb67cefbb585ea1d"
+            "5f640f829cedcf9a7340ebe4c22e25a2",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_wiki_output_pinned(self, name):
+        function, digest = self.PINNED[name]
+        output = np.ascontiguousarray(
+            function(datasets.load("wiki")), dtype=np.int64
+        )
+        assert hashlib.sha256(output.tobytes()).hexdigest() == digest
