@@ -156,28 +156,28 @@ def breadth_first_search_traced_scalar(
     touch_queue = traced_queue.touch
     for root in range(n):
         # The restart scan probes distance.
-        traced_distance.touch(root)  # repro: noqa[REP007] — scalar oracle
+        traced_distance.touch(root)
         if distance[root] != UNVISITED:
             continue
         distance[root] = 0
         head = 0
         tail = 1
         queue[0] = root
-        touch_queue(0)  # repro: noqa[REP007] — scalar oracle
+        touch_queue(0)
         while head < tail:
-            touch_queue(head)  # repro: noqa[REP007] — scalar oracle
+            touch_queue(head)
             u = int(queue[head])
             head += 1
-            traced.offsets.touch(u)  # repro: noqa[REP007] — scalar oracle
+            traced.offsets.touch(u)
             start = int(offsets[u])
             end = int(offsets[u + 1])
             traced.adjacency.touch_run(start, end - start)
             next_distance = distance[u] + 1
             for v in adjacency[start:end].tolist():
-                touch_distance(v)  # repro: noqa[REP007] — scalar oracle
+                touch_distance(v)
                 if distance[v] == UNVISITED:
                     distance[v] = next_distance
                     queue[tail] = v
-                    touch_queue(tail)  # repro: noqa[REP007] — oracle
+                    touch_queue(tail)
                     tail += 1
     return distance

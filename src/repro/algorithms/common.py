@@ -47,6 +47,10 @@ def declare_graph(
     return TracedGraph(offsets, adjacency, in_offsets, in_adjacency)
 
 
+def no_emit(code: int, /) -> None:
+    """Untraced stand-in for :meth:`Memory.touch_sink`'s sink."""
+
+
 def touch_neighbor_list(
     traced: TracedGraph, graph: CSRGraph, u: int
 ) -> None:

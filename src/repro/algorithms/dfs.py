@@ -13,77 +13,65 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.common import NODE_BYTES, declare_graph
+from repro.algorithms.common import NODE_BYTES, declare_graph, no_emit
 from repro.cache.layout import Memory
 from repro.graph.csr import CSRGraph
 
 
 def depth_first_search(graph: CSRGraph) -> np.ndarray:
     """Whole-graph DFS; returns per-node preorder visit index."""
-    n = graph.num_nodes
-    offsets = graph.offsets
-    adjacency = graph.adjacency
-    visited = np.zeros(n, dtype=bool)
-    preorder = np.empty(n, dtype=np.int64)
-    counter = 0
-    for root in range(n):
-        if visited[root]:
-            continue
-        visited[root] = True
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            preorder[u] = counter
-            counter += 1
-            neighbors = adjacency[offsets[u]:offsets[u + 1]]
-            for i in range(neighbors.shape[0] - 1, -1, -1):
-                v = int(neighbors[i])
-                if not visited[v]:
-                    visited[v] = True
-                    stack.append(v)
-    return preorder
+    return _dfs(graph, memory=None)
 
 
 def depth_first_search_traced(
     graph: CSRGraph, memory: Memory
 ) -> np.ndarray:
     """Whole-graph DFS with traced memory accesses."""
+    return _dfs(graph, memory=memory)
+
+
+def _dfs(graph: CSRGraph, memory: Memory | None) -> np.ndarray:
     n = graph.num_nodes
-    traced = declare_graph(memory, graph)
-    traced_visited = memory.array("visited", n, 1)
-    traced_preorder = memory.array("preorder", n, NODE_BYTES)
-    traced_stack = memory.array("stack", n, NODE_BYTES)
-    offsets = graph.offsets
+    if memory is None:
+        emit = no_emit
+        c_visited = c_preorder = c_stack = c_offsets = 0
+        traced_adjacency = None
+    else:
+        traced = declare_graph(memory, graph)
+        c_visited = memory.array("visited", n, 1).code
+        c_preorder = memory.array("preorder", n, NODE_BYTES).code
+        c_stack = memory.array("stack", n, NODE_BYTES).code
+        c_offsets = traced.offsets.code
+        traced_adjacency = traced.adjacency
+        emit = memory.touch_sink()
+    offsets = graph.offsets.tolist()
     adjacency = graph.adjacency
-    visited = np.zeros(n, dtype=bool)
-    preorder = np.empty(n, dtype=np.int64)
+    visited = [False] * n
+    preorder = [0] * n
     counter = 0
-    touch_visited = traced_visited.touch
-    touch_stack = traced_stack.touch
     for root in range(n):
         # Restart scan probes the visited flag.
-        touch_visited(root)  # repro: noqa[REP007]
+        emit(c_visited + root)
         if visited[root]:
             continue
         visited[root] = True
         stack = [root]
-        touch_stack(0)  # repro: noqa[REP007]
+        emit(c_stack)
         while stack:
-            touch_stack(len(stack) - 1)  # repro: noqa[REP007]
+            emit(c_stack + len(stack) - 1)
             u = stack.pop()
-            traced_preorder.touch(u)  # repro: noqa[REP007]
+            emit(c_preorder + u)
             preorder[u] = counter
             counter += 1
-            traced.offsets.touch(u)  # repro: noqa[REP007]
-            start = int(offsets[u])
-            end = int(offsets[u + 1])
-            traced.adjacency.touch_run(start, end - start)
-            neighbors = adjacency[start:end]
-            for i in range(neighbors.shape[0] - 1, -1, -1):
-                v = int(neighbors[i])
-                touch_visited(v)  # repro: noqa[REP007]
+            emit(c_offsets + u)
+            start = offsets[u]
+            end = offsets[u + 1]
+            if traced_adjacency is not None:
+                traced_adjacency.touch_run(start, end - start)
+            for v in reversed(adjacency[start:end].tolist()):
+                emit(c_visited + v)
                 if not visited[v]:
                     visited[v] = True
                     stack.append(v)
-                    touch_stack(len(stack) - 1)  # repro: noqa[REP007]
-    return preorder
+                    emit(c_stack + len(stack) - 1)
+    return np.array(preorder, dtype=np.int64)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.common import NODE_BYTES, declare_graph
+from repro.algorithms.common import NODE_BYTES, declare_graph, no_emit
 from repro.cache.layout import Memory
 from repro.graph.csr import CSRGraph
 from repro.ordering.unit_heap import UnitHeap
@@ -24,29 +24,7 @@ from repro.ordering.unit_heap import UnitHeap
 
 def dominating_set(graph: CSRGraph) -> np.ndarray:
     """Greedy dominating set; returns chosen nodes in selection order."""
-    n = graph.num_nodes
-    offsets = graph.offsets
-    adjacency = graph.adjacency
-    in_offsets = graph.in_offsets
-    in_adjacency = graph.in_adjacency
-    heap = UnitHeap(n)
-    # gain(u) = 1 (itself) + out_degree(u).
-    heap.increase_batch(np.arange(n), counts=np.diff(offsets) + 1)
-    covered = np.zeros(n, dtype=bool)
-    chosen: list[int] = []
-    remaining = n
-    while remaining > 0:
-        u = heap.pop_max()
-        chosen.append(u)
-        for w in [u] + adjacency[offsets[u]:offsets[u + 1]].tolist():
-            if covered[w]:
-                continue
-            covered[w] = True
-            remaining -= 1
-            heap.decrease(w)  # w no longer contributes to its own gain
-            for z in in_adjacency[in_offsets[w]:in_offsets[w + 1]].tolist():
-                heap.decrease(z)
-    return np.array(chosen, dtype=np.int64)
+    return _greedy(graph, memory=None)
 
 
 def dominating_set_traced(
@@ -58,44 +36,58 @@ def dominating_set_traced(
     its traffic is modelled as one ``gain`` array access per unit
     update plus the ``covered`` flag probes.
     """
+    return _greedy(graph, memory=memory)
+
+
+def _greedy(graph: CSRGraph, memory: Memory | None) -> np.ndarray:
     n = graph.num_nodes
-    traced = declare_graph(memory, graph, include_in_csr=True)
-    traced_covered = memory.array("covered", n, 1)
-    traced_gain = memory.array("gain", n, NODE_BYTES)
-    offsets = graph.offsets
+    if memory is None:
+        emit = no_emit
+        c_covered = c_gain = c_offsets = c_in_offsets = 0
+        traced_adjacency = traced_in_adjacency = None
+    else:
+        traced = declare_graph(memory, graph, include_in_csr=True)
+        assert traced.in_offsets is not None
+        c_covered = memory.array("covered", n, 1).code
+        c_gain = memory.array("gain", n, NODE_BYTES).code
+        c_offsets = traced.offsets.code
+        c_in_offsets = traced.in_offsets.code
+        traced_adjacency = traced.adjacency
+        traced_in_adjacency = traced.in_adjacency
+        emit = memory.touch_sink()
+    offsets = graph.offsets.tolist()
     adjacency = graph.adjacency
-    in_offsets = graph.in_offsets
+    in_offsets = graph.in_offsets.tolist()
     in_adjacency = graph.in_adjacency
     heap = UnitHeap(n)
-    heap.increase_batch(np.arange(n), counts=np.diff(offsets) + 1)
-    covered = np.zeros(n, dtype=bool)
+    # gain(u) = 1 (itself) + out_degree(u).
+    heap.increase_batch(np.arange(n), counts=np.diff(graph.offsets) + 1)
+    covered = [False] * n
     chosen: list[int] = []
     remaining = n
-    touch_covered = traced_covered.touch
-    touch_gain = traced_gain.touch
-    assert traced.in_offsets is not None
-    assert traced.in_adjacency is not None
     while remaining > 0:
         u = heap.pop_max()
-        touch_gain(u)  # repro: noqa[REP007]
+        emit(c_gain + u)
         chosen.append(u)
-        traced.offsets.touch(u)  # repro: noqa[REP007]
-        start = int(offsets[u])
-        degree = int(offsets[u + 1]) - start
-        traced.adjacency.touch_run(start, degree)
+        emit(c_offsets + u)
+        start = offsets[u]
+        degree = offsets[u + 1] - start
+        if traced_adjacency is not None:
+            traced_adjacency.touch_run(start, degree)
         for w in [u] + adjacency[start:start + degree].tolist():
-            touch_covered(w)  # repro: noqa[REP007]
+            emit(c_covered + w)
             if covered[w]:
                 continue
             covered[w] = True
             remaining -= 1
-            heap.decrease(w)
-            touch_gain(w)  # repro: noqa[REP007]
-            traced.in_offsets.touch(w)  # repro: noqa[REP007]
-            in_start = int(in_offsets[w])
-            in_degree = int(in_offsets[w + 1]) - in_start
-            traced.in_adjacency.touch_run(in_start, in_degree)
+            heap.decrease(w)  # w no longer contributes to its own gain
+            emit(c_gain + w)
+            emit(c_in_offsets + w)
+            in_start = in_offsets[w]
+            in_degree = in_offsets[w + 1] - in_start
+            if traced_in_adjacency is not None:
+                traced_in_adjacency.touch_run(in_start, in_degree)
             for z in in_adjacency[in_start:in_start + in_degree].tolist():
                 heap.decrease(z)
-                touch_gain(z)  # repro: noqa[REP007]
+                emit(c_gain + z)
     return np.array(chosen, dtype=np.int64)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.common import NODE_BYTES
+from repro.algorithms.common import NODE_BYTES, no_emit
 from repro.algorithms.traced_heap import TracedBinaryHeap
 from repro.cache.layout import Memory
 from repro.graph.csr import CSRGraph
@@ -33,61 +33,56 @@ def core_decomposition_traced(
 def _peel(graph: CSRGraph, memory: Memory | None) -> np.ndarray:
     undirected = graph.undirected()
     n = undirected.num_nodes
-    offsets = undirected.offsets
+    offsets = undirected.offsets.tolist()
     adjacency = undirected.adjacency
-    degrees = np.diff(offsets).astype(np.int64)
+    degrees = np.diff(undirected.offsets).tolist()
     if memory is None:
         heap = TracedBinaryHeap(None)
-        touch_degree = _no_touch
-        touch_core = _no_touch
-        touch_removed = _no_touch
-        traced_offsets = traced_adjacency = None
+        emit = no_emit
+        c_offsets = c_degree = c_core = c_removed = 0
+        traced_adjacency = None
     else:
         # Heap capacity: one initial entry per node plus one re-push per
         # undirected edge endpoint decrement.
         heap = TracedBinaryHeap.declare(
             memory, "kcore_heap", n + undirected.num_edges
         )
-        traced_offsets = memory.array("u_offsets", n + 1, 8)
+        c_offsets = memory.array("u_offsets", n + 1, 8).code
         traced_adjacency = memory.array(
             "u_adjacency", undirected.num_edges, NODE_BYTES
         )
-        touch_degree = memory.array("degree", n, NODE_BYTES).touch
-        touch_core = memory.array("core", n, NODE_BYTES).touch
-        touch_removed = memory.array("removed", n, 1).touch
-    core = np.zeros(n, dtype=np.int64)
-    removed = np.zeros(n, dtype=bool)
+        c_degree = memory.array("degree", n, NODE_BYTES).code
+        c_core = memory.array("core", n, NODE_BYTES).code
+        c_removed = memory.array("removed", n, 1).code
+        emit = memory.touch_sink()
+    core = [0] * n
+    removed = [False] * n
     for u in range(n):
-        heap.push(int(degrees[u]), u)
+        heap.push(degrees[u], u)
     level = 0
     for _ in range(n):
         while True:
             key, u = heap.pop()
-            touch_removed(u)  # repro: noqa[REP007]
+            emit(c_removed + u)
             if removed[u]:
                 continue  # lazily invalidated entry
-            touch_degree(u)  # repro: noqa[REP007]
-            if key == int(degrees[u]):
+            emit(c_degree + u)
+            if key == degrees[u]:
                 break
         removed[u] = True
         if key > level:
             level = key
         core[u] = level
-        touch_core(u)  # repro: noqa[REP007]
-        if traced_offsets is not None:
-            traced_offsets.touch(u)  # repro: noqa[REP007]
-        start = int(offsets[u])
-        end = int(offsets[u + 1])
+        emit(c_core + u)
+        emit(c_offsets + u)
+        start = offsets[u]
+        end = offsets[u + 1]
         if traced_adjacency is not None:
             traced_adjacency.touch_run(start, end - start)
         for v in adjacency[start:end].tolist():
-            touch_removed(v)  # repro: noqa[REP007]
+            emit(c_removed + v)
             if not removed[v]:
-                touch_degree(v)  # repro: noqa[REP007]
+                emit(c_degree + v)
                 degrees[v] -= 1
-                heap.push(int(degrees[v]), v)
-    return core
-
-
-def _no_touch(index: int) -> None:
-    """Untraced placeholder touch."""
+                heap.push(degrees[v], v)
+    return np.array(core, dtype=np.int64)

@@ -150,7 +150,7 @@ def _propagate(
             if start == end:
                 continue
             if memory is not None:
-                traced_offsets.touch(u)  # repro: noqa[REP007] — oracle
+                traced_offsets.touch(u)
                 traced_adjacency.touch_run(start, end - start)
                 touch_label_all(adjacency[start:end])
             counts: dict[int, int] = {}
@@ -162,7 +162,7 @@ def _propagate(
                 counts, key=lambda label: (-counts[label], label)
             )
             if memory is not None:
-                touch_next(u)  # repro: noqa[REP007] — scalar oracle
+                touch_next(u)
             next_labels[u] = best
             if best != labels[u]:
                 changed = True

@@ -78,12 +78,12 @@ def neighbor_query_traced_scalar(
     q = np.zeros(n, dtype=np.int64)
     touch_degree_all = traced_degree.touch_all
     for u in range(n):
-        traced.offsets.touch(u)  # repro: noqa[REP007] — scalar oracle
+        traced.offsets.touch(u)
         start = int(offsets[u])
         end = int(offsets[u + 1])
         traced.adjacency.touch_run(start, end - start)
         neighbors = adjacency[start:end]
         touch_degree_all(neighbors)
-        traced_q.touch(u)  # repro: noqa[REP007] — scalar oracle
+        traced_q.touch(u)
         q[u] = degrees[neighbors].sum()
     return q

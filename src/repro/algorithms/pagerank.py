@@ -148,14 +148,14 @@ def pagerank_traced_scalar(
         next_rank[:] = 0.0
         dangling_mass = 0.0
         for u in range(n):
-            traced_rank.touch(u)  # repro: noqa[REP007] — scalar oracle
-            traced_degree.touch(u)  # repro: noqa[REP007] — scalar oracle
+            traced_rank.touch(u)
+            traced_degree.touch(u)
             degree = int(out_degrees[u])
             if degree == 0:
                 dangling_mass += rank[u]
                 continue
             contribution = rank[u] / degree
-            traced.offsets.touch(u)  # repro: noqa[REP007] — scalar oracle
+            traced.offsets.touch(u)
             start = int(offsets[u])
             traced.adjacency.touch_run(start, degree)
             neighbors = adjacency[start:start + degree]

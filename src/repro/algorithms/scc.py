@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.common import NODE_BYTES, declare_graph
+from repro.algorithms.common import NODE_BYTES, declare_graph, no_emit
 from repro.cache.layout import Memory
 from repro.graph.csr import CSRGraph
 
@@ -21,139 +21,95 @@ _UNSET = -1
 
 def strongly_connected_components(graph: CSRGraph) -> np.ndarray:
     """Tarjan SCC; returns the component id of every node."""
-    n = graph.num_nodes
-    offsets = graph.offsets
-    adjacency = graph.adjacency
-    disc = np.full(n, _UNSET, dtype=np.int64)
-    low = np.zeros(n, dtype=np.int64)
-    component = np.full(n, _UNSET, dtype=np.int64)
-    on_stack = np.zeros(n, dtype=bool)
-    tarjan_stack: list[int] = []
-    counter = 0
-    components = 0
-    for root in range(n):
-        if disc[root] != _UNSET:
-            continue
-        work: list[list[int]] = [[root, 0]]
-        while work:
-            u, edge_index = work[-1]
-            if edge_index == 0:
-                disc[u] = low[u] = counter
-                counter += 1
-                tarjan_stack.append(u)
-                on_stack[u] = True
-            start = int(offsets[u])
-            end = int(offsets[u + 1])
-            descended = False
-            i = start + edge_index
-            while i < end:
-                v = int(adjacency[i])
-                i += 1
-                if disc[v] == _UNSET:
-                    work[-1][1] = i - start
-                    work.append([v, 0])
-                    descended = True
-                    break
-                if on_stack[v] and disc[v] < low[u]:
-                    low[u] = disc[v]
-            if descended:
-                continue
-            if low[u] == disc[u]:
-                while True:
-                    w = tarjan_stack.pop()
-                    on_stack[w] = False
-                    component[w] = components
-                    if w == u:
-                        break
-                components += 1
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[u] < low[parent]:
-                    low[parent] = low[u]
-        # edge_index bookkeeping: loop resumed via the stored value.
-    return component
+    return _tarjan(graph, memory=None)
 
 
 def strongly_connected_components_traced(
     graph: CSRGraph, memory: Memory
 ) -> np.ndarray:
     """Tarjan SCC with traced memory accesses."""
+    return _tarjan(graph, memory=memory)
+
+
+def _tarjan(graph: CSRGraph, memory: Memory | None) -> np.ndarray:
     n = graph.num_nodes
-    traced = declare_graph(memory, graph)
-    traced_disc = memory.array("disc", n, NODE_BYTES)
-    traced_low = memory.array("low", n, NODE_BYTES)
-    traced_component = memory.array("component", n, NODE_BYTES)
-    traced_on_stack = memory.array("on_stack", n, 1)
-    traced_stack = memory.array("tarjan_stack", n, NODE_BYTES)
-    offsets = graph.offsets
-    adjacency = graph.adjacency
-    disc = np.full(n, _UNSET, dtype=np.int64)
-    low = np.zeros(n, dtype=np.int64)
-    component = np.full(n, _UNSET, dtype=np.int64)
-    on_stack = np.zeros(n, dtype=bool)
+    if memory is None:
+        emit = no_emit
+        c_disc = c_low = c_component = c_on_stack = c_stack = 0
+        c_offsets = c_adjacency = 0
+    else:
+        traced = declare_graph(memory, graph)
+        c_disc = memory.array("disc", n, NODE_BYTES).code
+        c_low = memory.array("low", n, NODE_BYTES).code
+        c_component = memory.array("component", n, NODE_BYTES).code
+        c_on_stack = memory.array("on_stack", n, 1).code
+        c_stack = memory.array("tarjan_stack", n, NODE_BYTES).code
+        c_offsets = traced.offsets.code
+        c_adjacency = traced.adjacency.code
+        emit = memory.touch_sink()
+    offsets = graph.offsets.tolist()
+    adjacency = graph.adjacency.tolist()
+    disc = [_UNSET] * n
+    low = [0] * n
+    component = [_UNSET] * n
+    on_stack = [False] * n
     tarjan_stack: list[int] = []
     counter = 0
     components = 0
-    touch_disc = traced_disc.touch
-    touch_low = traced_low.touch
-    touch_on_stack = traced_on_stack.touch
-    touch_stack = traced_stack.touch
-    touch_adjacency = traced.adjacency.touch
     for root in range(n):
-        touch_disc(root)  # restart scan  # repro: noqa[REP007]
+        emit(c_disc + root)  # restart scan
         if disc[root] != _UNSET:
             continue
         work: list[list[int]] = [[root, 0]]
         while work:
             u, edge_index = work[-1]
             if edge_index == 0:
-                touch_disc(u)  # repro: noqa[REP007]
-                touch_low(u)  # repro: noqa[REP007]
+                emit(c_disc + u)
+                emit(c_low + u)
                 disc[u] = low[u] = counter
                 counter += 1
                 tarjan_stack.append(u)
-                touch_stack(len(tarjan_stack) - 1)  # repro: noqa[REP007]
+                emit(c_stack + len(tarjan_stack) - 1)
                 on_stack[u] = True
-                touch_on_stack(u)  # repro: noqa[REP007]
-                traced.offsets.touch(u)  # repro: noqa[REP007]
-            start = int(offsets[u])
-            end = int(offsets[u + 1])
+                emit(c_on_stack + u)
+                emit(c_offsets + u)
+            start = offsets[u]
+            end = offsets[u + 1]
             descended = False
             i = start + edge_index
             while i < end:
-                touch_adjacency(i)  # repro: noqa[REP007]
-                v = int(adjacency[i])
+                emit(c_adjacency + i)
+                v = adjacency[i]
                 i += 1
-                touch_disc(v)  # repro: noqa[REP007]
+                emit(c_disc + v)
                 if disc[v] == _UNSET:
                     work[-1][1] = i - start
                     work.append([v, 0])
                     descended = True
                     break
-                touch_on_stack(v)  # repro: noqa[REP007]
+                emit(c_on_stack + v)
                 if on_stack[v] and disc[v] < low[u]:
-                    touch_low(u)  # repro: noqa[REP007]
+                    emit(c_low + u)
                     low[u] = disc[v]
             if descended:
                 continue
-            touch_low(u)  # repro: noqa[REP007]
-            touch_disc(u)  # repro: noqa[REP007]
+            emit(c_low + u)
+            emit(c_disc + u)
             if low[u] == disc[u]:
                 while True:
-                    touch_stack(len(tarjan_stack) - 1)  # repro: noqa[REP007]
+                    emit(c_stack + len(tarjan_stack) - 1)
                     w = tarjan_stack.pop()
                     on_stack[w] = False
-                    touch_on_stack(w)  # repro: noqa[REP007]
+                    emit(c_on_stack + w)
                     component[w] = components
-                    traced_component.touch(w)  # repro: noqa[REP007]
+                    emit(c_component + w)
                     if w == u:
                         break
                 components += 1
             work.pop()
             if work:
                 parent = work[-1][0]
-                touch_low(parent)  # repro: noqa[REP007]
+                emit(c_low + parent)
                 if low[u] < low[parent]:
                     low[parent] = low[u]
-    return component
+    return np.array(component, dtype=np.int64)

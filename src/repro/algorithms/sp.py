@@ -244,25 +244,25 @@ def _sp_traced_core(
     tail = 1
     touch_queue(0)
     while queue:
-        touch_queue(head % n)  # repro: noqa[REP007] — scalar oracle
+        touch_queue(head % n)
         head += 1
         u = queue.popleft()
         in_queue[u] = False
-        touch_in_queue(u)  # repro: noqa[REP007] — scalar oracle
-        touch_distance(u)  # repro: noqa[REP007] — scalar oracle
+        touch_in_queue(u)
+        touch_distance(u)
         candidate = distance[u] + 1
-        traced.offsets.touch(u)  # repro: noqa[REP007] — scalar oracle
+        traced.offsets.touch(u)
         start = int(offsets[u])
         end = int(offsets[u + 1])
         traced.adjacency.touch_run(start, end - start)
         for v in adjacency[start:end].tolist():
-            touch_distance(v)  # repro: noqa[REP007] — scalar oracle
+            touch_distance(v)
             if candidate < distance[v]:
                 distance[v] = candidate
-                touch_in_queue(v)  # repro: noqa[REP007] — scalar oracle
+                touch_in_queue(v)
                 if not in_queue[v]:
                     in_queue[v] = True
                     queue.append(v)
-                    touch_queue(tail % n)  # repro: noqa[REP007] — oracle
+                    touch_queue(tail % n)
                     tail += 1
     return distance

@@ -4,29 +4,42 @@ Kcore's peeling loop keeps node degrees in a binary heap (as the
 replication describes).  To charge the heap's memory traffic to the
 cache model faithfully, the traced variant cannot use ``heapq`` (its
 accesses would be invisible) — this class implements the heap over a
-declared :class:`~repro.cache.layout.TracedArray`, touching every slot
-a C implementation would read or write during sift-up/sift-down.
+declared :class:`~repro.cache.layout.TracedArray`, emitting every slot
+a C implementation would read or write during sift-up/sift-down
+through :meth:`Memory.touch_sink <repro.cache.layout.Memory.touch_sink>`.
 """
 
 from __future__ import annotations
 
+from repro.algorithms.common import no_emit
 from repro.cache.layout import Memory, TracedArray
+
+#: Entries are packed as ``key * 2**32 + value``.
+_VALUE_BITS = 32
+_VALUE_MASK = (1 << _VALUE_BITS) - 1
 
 
 class TracedBinaryHeap:
     """Min-heap of ``(key, value)`` pairs over a simulated array.
 
     One heap slot models an 8-byte packed entry (4-byte key + 4-byte
-    value).  Pass ``traced=None`` to get an untraced heap with
-    identical semantics (used to keep the pure and traced Kcore
-    implementations structurally identical).
+    value), and the Python side stores exactly that: one int
+    ``key * 2**32 + value``, which orders like the ``(key, value)``
+    tuple for values in ``[0, 2**32)``.  Pass ``traced=None`` to get
+    an untraced heap with identical semantics (used to keep the pure
+    and traced Kcore implementations structurally identical).
     """
 
-    __slots__ = ("_items", "_touch")
+    __slots__ = ("_items", "_emit", "_code")
 
     def __init__(self, traced: TracedArray | None) -> None:
-        self._items: list[tuple[int, int]] = []
-        self._touch = traced.touch if traced is not None else _no_touch
+        self._items: list[int] = []
+        if traced is None:
+            self._emit = no_emit
+            self._code = 0
+        else:
+            self._emit = traced.memory.touch_sink()
+            self._code = traced.code
 
     @classmethod
     def declare(
@@ -41,58 +54,57 @@ class TracedBinaryHeap:
     def push(self, key: int, value: int) -> None:
         """Insert an entry and restore the heap property."""
         items = self._items
-        touch = self._touch
-        items.append((key, value))
+        emit = self._emit
+        code = self._code
+        entry = (key << _VALUE_BITS) + value
+        items.append(entry)
         index = len(items) - 1
-        touch(index)
+        emit(code + index)
         while index > 0:
             parent = (index - 1) >> 1
-            touch(parent)
-            if items[parent] <= items[index]:
+            emit(code + parent)
+            if items[parent] <= entry:
                 break
-            items[parent], items[index] = items[index], items[parent]
-            touch(index)
+            items[index] = items[parent]
+            items[parent] = entry
+            emit(code + index)
             index = parent
         # loop end: either at root or parent is smaller
 
     def pop(self) -> tuple[int, int]:
         """Remove and return the minimal ``(key, value)`` entry."""
         items = self._items
-        touch = self._touch
+        emit = self._emit
+        code = self._code
         if not items:
             # Container protocol: empty-pop mirrors list.pop.
             raise IndexError(  # repro: noqa[REP006]
                 "pop from an empty TracedBinaryHeap"
             )
-        touch(0)
+        emit(code)
         top = items[0]
         last = items.pop()
         size = len(items)
         if size:
             items[0] = last
-            touch(0)
+            emit(code)
             index = 0
             while True:
                 left = 2 * index + 1
                 if left >= size:
                     break
                 smallest = left
-                touch(left)
+                emit(code + left)
                 right = left + 1
                 if right < size:
-                    touch(right)
+                    emit(code + right)
                     if items[right] < items[left]:
                         smallest = right
-                if items[smallest] >= items[index]:
+                if items[smallest] >= last:
                     break
-                items[index], items[smallest] = (
-                    items[smallest], items[index],
-                )
-                touch(index)
-                touch(smallest)
+                items[index] = items[smallest]
+                items[smallest] = last
+                emit(code + index)
+                emit(code + smallest)
                 index = smallest
-        return top
-
-
-def _no_touch(index: int) -> None:
-    """Untraced placeholder touch."""
+        return top >> _VALUE_BITS, top & _VALUE_MASK

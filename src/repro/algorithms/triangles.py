@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms.common import no_emit
 from repro.cache.layout import Memory
 from repro.graph.csr import CSRGraph
 
@@ -31,16 +32,21 @@ def triangle_count_traced(graph: CSRGraph, memory: Memory) -> int:
 def _count(graph: CSRGraph, memory: Memory | None) -> int:
     undirected = graph.undirected()
     n = undirected.num_nodes
-    offsets = undirected.offsets
-    adjacency = undirected.adjacency
-    degrees = np.diff(offsets)
-    if memory is not None:
-        traced_offsets = memory.array("u_offsets", n + 1, 8)
+    offsets = undirected.offsets.tolist()
+    adjacency = undirected.adjacency.tolist()
+    degrees = np.diff(undirected.offsets).tolist()
+    if memory is None:
+        emit = no_emit
+        c_offsets = c_adjacency = c_degree = 0
+        traced_adjacency = None
+    else:
+        c_offsets = memory.array("u_offsets", n + 1, 8).code
         traced_adjacency = memory.array(
             "u_adjacency", undirected.num_edges, 4
         )
-        traced_degree = memory.array("degree", n, 4)
-        touch_adjacency = traced_adjacency.touch
+        c_adjacency = traced_adjacency.code
+        c_degree = memory.array("degree", n, 4).code
+        emit = memory.touch_sink()
 
     def rank_lower(u: int, v: int) -> bool:
         """Whether u precedes v in the degree orientation."""
@@ -50,29 +56,26 @@ def _count(graph: CSRGraph, memory: Memory | None) -> int:
 
     total = 0
     for u in range(n):
-        start_u = int(offsets[u])
-        end_u = int(offsets[u + 1])
-        if memory is not None:
-            traced_offsets.touch(u)  # repro: noqa[REP007]
+        start_u = offsets[u]
+        end_u = offsets[u + 1]
+        emit(c_offsets + u)
+        if traced_adjacency is not None:
             traced_adjacency.touch_run(start_u, end_u - start_u)
-        for v in adjacency[start_u:end_u].tolist():
-            if memory is not None:
-                traced_degree.touch(v)  # repro: noqa[REP007]
+        for v in adjacency[start_u:end_u]:
+            emit(c_degree + v)
             if not rank_lower(u, v):
                 continue
             # Merge-intersect N(u) and N(v), keeping only successors
             # of v in the orientation (so each triangle counts once).
             i = start_u
-            j = int(offsets[v])
-            end_v = int(offsets[v + 1])
-            if memory is not None:
-                traced_offsets.touch(v)  # repro: noqa[REP007]
+            j = offsets[v]
+            end_v = offsets[v + 1]
+            emit(c_offsets + v)
             while i < end_u and j < end_v:
-                a = int(adjacency[i])
-                b = int(adjacency[j])
-                if memory is not None:
-                    touch_adjacency(i)  # repro: noqa[REP007]
-                    touch_adjacency(j)  # repro: noqa[REP007]
+                a = adjacency[i]
+                b = adjacency[j]
+                emit(c_adjacency + i)
+                emit(c_adjacency + j)
                 if a == b:
                     if rank_lower(v, a):
                         total += 1

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms.common import no_emit
 from repro.cache.layout import Memory
 from repro.errors import InvalidParameterError
 
@@ -17,11 +18,12 @@ class UnionFind:
     """Disjoint sets over items ``0 .. n-1``.
 
     Pass a :class:`Memory` to charge every parent/size access to the
-    cache simulator (one 4-byte slot per item and array).
+    cache simulator (one 4-byte slot per item and array), emitted
+    through :meth:`Memory.touch_sink`.
     """
 
-    __slots__ = ("_parent", "_size", "_count", "_touch_parent",
-                 "_touch_size")
+    __slots__ = ("_parent", "_size", "_count", "_emit", "_c_parent",
+                 "_c_size")
 
     def __init__(self, num_items: int, memory: Memory | None = None,
                  name: str = "dsu") -> None:
@@ -29,19 +31,18 @@ class UnionFind:
             raise InvalidParameterError(
                 f"num_items must be non-negative, got {num_items}"
             )
-        self._parent = np.arange(num_items, dtype=np.int64)
-        self._size = np.ones(num_items, dtype=np.int64)
+        self._parent = list(range(num_items))
+        self._size = [1] * num_items
         self._count = num_items
         if memory is None:
-            self._touch_parent = _no_touch
-            self._touch_size = _no_touch
+            self._emit = no_emit
+            self._c_parent = self._c_size = 0
         else:
-            self._touch_parent = memory.array(
+            self._c_parent = memory.array(
                 f"{name}_parent", num_items, 4
-            ).touch
-            self._touch_size = memory.array(
-                f"{name}_size", num_items, 4
-            ).touch
+            ).code
+            self._c_size = memory.array(f"{name}_size", num_items, 4).code
+            self._emit = memory.touch_sink()
 
     @property
     def num_components(self) -> int:
@@ -51,16 +52,17 @@ class UnionFind:
     def find(self, item: int) -> int:
         """Representative of ``item``'s set (path halving)."""
         parent = self._parent
-        touch = self._touch_parent
-        touch(item)
+        emit = self._emit
+        code = self._c_parent
+        emit(code + item)
         while parent[item] != item:
-            grandparent = int(parent[int(parent[item])])
-            touch(int(parent[item]))
+            grandparent = parent[parent[item]]
+            emit(code + parent[item])
             parent[item] = grandparent
-            touch(item)  # the halving write
+            emit(code + item)  # the halving write
             item = grandparent
-            touch(item)
-        return int(item)
+            emit(code + item)
+        return item
 
     def union(self, a: int, b: int) -> bool:
         """Merge the sets of ``a`` and ``b``; True if they were apart."""
@@ -68,25 +70,23 @@ class UnionFind:
         root_b = self.find(b)
         if root_a == root_b:
             return False
-        self._touch_size(root_a)
-        self._touch_size(root_b)
-        if self._size[root_a] < self._size[root_b]:
+        emit = self._emit
+        size = self._size
+        emit(self._c_size + root_a)
+        emit(self._c_size + root_b)
+        if size[root_a] < size[root_b]:
             root_a, root_b = root_b, root_a
         self._parent[root_b] = root_a
-        self._touch_parent(root_b)
-        self._size[root_a] += self._size[root_b]
-        self._touch_size(root_a)
+        emit(self._c_parent + root_b)
+        size[root_a] += size[root_b]
+        emit(self._c_size + root_a)
         self._count -= 1
         return True
 
     def components(self) -> np.ndarray:
         """Component id per item (ids are compacted root ranks)."""
-        n = self._parent.shape[0]
+        n = len(self._parent)
         roots = np.array([self.find(i) for i in range(n)],
                          dtype=np.int64)
         _, labels = np.unique(roots, return_inverse=True)
         return labels.astype(np.int64)
-
-
-def _no_touch(index: int) -> None:
-    """Untraced placeholder touch."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.common import declare_graph
+from repro.algorithms.common import declare_graph, no_emit
 from repro.algorithms.union_find import UnionFind
 from repro.cache.layout import Memory
 from repro.graph.csr import CSRGraph
@@ -31,14 +31,16 @@ def weakly_connected_components_traced(
 def _wcc(graph: CSRGraph, memory: Memory | None) -> np.ndarray:
     n = graph.num_nodes
     dsu = UnionFind(n, memory=memory)
-    offsets = graph.offsets
+    offsets = graph.offsets.tolist()
     adjacency = graph.adjacency
     traced = declare_graph(memory, graph) if memory is not None else None
+    emit = memory.touch_sink() if memory is not None else no_emit
+    c_offsets = traced.offsets.code if traced is not None else 0
     for u in range(n):
-        start = int(offsets[u])
-        end = int(offsets[u + 1])
+        start = offsets[u]
+        end = offsets[u + 1]
+        emit(c_offsets + u)
         if traced is not None:
-            traced.offsets.touch(u)  # repro: noqa[REP007]
             traced.adjacency.touch_run(start, end - start)
         for v in adjacency[start:end].tolist():
             dsu.union(u, v)

@@ -12,7 +12,6 @@ REP004    narrow numpy dtypes on accumulators (int32 overflow)
 REP005    telemetry discipline (spans as context managers, one
           registry, greppable counter names)
 REP006    builtin exceptions raised instead of ``ReproError``
-REP007    per-element ``touch`` loops in algorithm code
 REP008    lock-guarded attribute mutated without its lock *
 REP009    config knob missing from a required surface *
 REP010    reference oracle transitively impure *

@@ -628,112 +628,6 @@ class TelemetryDisciplineRule(Rule):
 
 
 @register
-class ScalarTouchLoopRule(Rule):
-    """REP007: algorithm loops must not touch one element at a time."""
-
-    id = "REP007"
-    title = "per-element touch loop in an algorithm"
-    severity = Severity.WARNING
-    #: v2: alias tracking follows tuple unpacking (``ta, tb = ...``).
-    version = 2
-    rationale = (
-        "A ``TracedArray.touch`` call inside a Python loop costs one "
-        "interpreter round-trip per simulated reference — the exact "
-        "overhead the frontier runtime (``repro.algorithms.runtime``) "
-        "exists to remove.  Algorithm code should batch accesses "
-        "through ``touch_many``/``touch_runs`` or assemble whole "
-        "per-step blocks with the runtime's ``TraceEmitter``.  The "
-        "scalar oracle paths that define counter-identity are the "
-        "deliberate exception; they carry inline noqa markers."
-    )
-
-    #: Only algorithm code is held to the batching convention; the
-    #: cache layer and tests touch single elements legitimately.
-    PATH_FRAGMENT = "repro/algorithms/"
-
-    def check(self, ctx: FileContext) -> list[Finding]:
-        if self.PATH_FRAGMENT not in ctx.path:
-            return []
-        aliases = self._touch_aliases(ctx.tree)
-        visitor = _TouchLoopVisitor(self, ctx, aliases)
-        visitor.visit(ctx.tree)
-        return visitor.findings
-
-    def _touch_aliases(self, tree: ast.Module) -> frozenset[str]:
-        """Names bound to a ``.touch`` method.
-
-        Handles both the direct spelling (``t = arr.touch``) and
-        tuple unpacking (``ta, tb = a.touch, b.touch``) — the latter
-        used to slip through and silently skip per-element loops.
-        """
-        names: set[str] = set()
-
-        def bind(target: ast.AST, value: ast.AST) -> None:
-            if (
-                isinstance(value, ast.Attribute)
-                and value.attr == "touch"
-                and isinstance(target, ast.Name)
-            ):
-                names.add(target.id)
-            elif (
-                isinstance(target, (ast.Tuple, ast.List))
-                and isinstance(value, (ast.Tuple, ast.List))
-                and len(target.elts) == len(value.elts)
-            ):
-                for sub_target, sub_value in zip(
-                    target.elts, value.elts
-                ):
-                    if isinstance(sub_target, ast.Starred):
-                        continue
-                    bind(sub_target, sub_value)
-
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Assign):
-                continue
-            for target in node.targets:
-                bind(target, node.value)
-        return frozenset(names)
-
-
-class _TouchLoopVisitor(RuleVisitor):
-    def __init__(
-        self, rule: Rule, ctx: FileContext, aliases: frozenset[str]
-    ) -> None:
-        super().__init__(rule, ctx)
-        self.aliases = aliases
-        self._loop_depth = 0
-
-    def _visit_loop(self, node: ast.AST) -> None:
-        self._loop_depth += 1
-        self.generic_visit(node)
-        self._loop_depth -= 1
-
-    visit_For = _visit_loop
-    visit_AsyncFor = _visit_loop
-    visit_While = _visit_loop
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if self._loop_depth > 0:
-            spelled = self._touch_spelling(node)
-            if spelled is not None:
-                self.report(
-                    node,
-                    f"per-element {spelled} inside a loop; batch via "
-                    "TracedArray.touch_many/touch_runs or the "
-                    "frontier runtime's TraceEmitter",
-                )
-        self.generic_visit(node)
-
-    def _touch_spelling(self, node: ast.Call) -> str | None:
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "touch":
-            return ".touch()"
-        if isinstance(func, ast.Name) and func.id in self.aliases:
-            return f"{func.id}() (bound .touch)"
-        return None
-
-
-@register
 class ForeignExceptionRule(Rule):
     """REP006: deliberate errors derive from repro.errors.ReproError."""
 

@@ -24,16 +24,35 @@ docs/performance.md):
   :meth:`CacheHierarchy.access` at a time.  The reference oracle,
   byte-identical to replay on all-LRU hierarchies; only differential
   tests and ``bench --suite cache`` select it.
+
+Every declared array gets a *slot* (its declaration index) and a
+public touch ``code``, ``(slot << 48) + 2**47``; one reference to
+element ``i`` is the int ``array.code + i``.  In replay mode single
+touches are recorded as these codes in one ``array('q')`` and decoded
+to line ids at freeze time.  Sequential emitters (Kcore, SCC, DFS, DS,
+WCC, TC) skip the per-touch method call altogether: they fetch one
+:meth:`Memory.touch_sink` and call ``emit(code + i)``.  The sink is the
+buffer's bound ``append`` in replay mode and a decoding stepper in step
+mode, so the oracle still steps every touch.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
 from repro import obs
 from repro.cache.cost import DEFAULT_COST_MODEL, CostModel, RunCost
 from repro.cache.hierarchy import CacheHierarchy, scaled_hierarchy
-from repro.cache.replay import CacheTrace, TraceBuffer
+from repro.cache.replay import (
+    INDEX_BIAS,
+    SLOT_SHIFT,
+    CacheTrace,
+    TraceBuffer,
+    touch_code,
+    unknown_slot,
+)
 from repro.cache.stats import CacheStats
 from repro.errors import InvalidParameterError
 
@@ -52,9 +71,11 @@ class TracedArray:
     the line is first referenced; ``touch_runs(starts, lengths)`` is
     its batched form.  ``element_lines(indices)`` exposes the
     element-to-line mapping for the frontier runtime's block emitter.
+    ``code`` is the array's touch code: ``emit(code + i)`` on
+    :meth:`Memory.touch_sink` is ``touch(i)`` without the method call.
     """
 
-    __slots__ = ("name", "length", "itemsize", "_base", "_memory")
+    __slots__ = ("name", "length", "itemsize", "base", "code", "memory")
 
     def __init__(
         self,
@@ -63,12 +84,14 @@ class TracedArray:
         itemsize: int,
         base: int,
         memory: "Memory",
+        code: int,
     ) -> None:
         self.name = name
         self.length = length
         self.itemsize = itemsize
-        self._base = base
-        self._memory = memory
+        self.base = base
+        self.memory = memory
+        self.code = code
 
     def touch(self, index: int) -> None:
         """Model one reference to element ``index``.
@@ -83,12 +106,11 @@ class TracedArray:
                 f"touch({index}) is outside array {self.name!r} "
                 f"of length {self.length}"
             )
-        memory = self._memory
-        line = (self._base + index * self.itemsize) >> memory._line_shift
+        memory = self.memory
         if memory._record:
-            memory._trace.touches.append(line)
-            memory._dirty = True
+            memory._trace.touches.append(self.code + index)
         else:
+            line = (self.base + index * self.itemsize) >> memory._line_shift
             memory._level_counts[memory._hierarchy.access(line)] += 1
 
     def touch_many(self, indices) -> None:
@@ -111,14 +133,13 @@ class TracedArray:
             )
         if idx.shape[0] == 0:
             return
-        memory = self._memory
+        memory = self.memory
         if memory._record:
             # Deferred: conversion, bounds check and line arithmetic
             # all happen vectorised at freeze time (see TraceBuffer).
             memory._trace.record_many(
-                idx, self._base, self.itemsize, self.length, self.name
+                idx, self.base, self.itemsize, self.length, self.name
             )
-            memory._dirty = True
             return
         idx = idx.astype(np.int64, copy=False)
         if int(idx.min()) < 0 or int(idx.max()) >= self.length:
@@ -126,7 +147,7 @@ class TracedArray:
                 f"touch_many indices outside array {self.name!r} "
                 f"of length {self.length}"
             )
-        lines = (self._base + idx * self.itemsize) >> memory._line_shift
+        lines = (self.base + idx * self.itemsize) >> memory._line_shift
         counts = memory._level_counts
         access = memory._hierarchy.access
         for line in lines.tolist():
@@ -154,17 +175,16 @@ class TracedArray:
                 f"touch_run({start}, {count}) is outside array "
                 f"{self.name!r} of length {self.length}"
             )
-        memory = self._memory
+        memory = self.memory
         shift = memory._line_shift
         itemsize = self.itemsize
-        base = self._base
+        base = self.base
         first_line = (base + start * itemsize) >> shift
         last_line = (base + (start + count - 1) * itemsize) >> shift
         if memory._record:
             memory._trace.record_run(
                 first_line, last_line - first_line + 1, count
             )
-            memory._dirty = True
             return
         counts = memory._level_counts
         access = memory._hierarchy.access
@@ -224,15 +244,14 @@ class TracedArray:
                 f"touch_runs spans outside array {self.name!r} "
                 f"of length {self.length}"
             )
-        memory = self._memory
+        memory = self.memory
         if memory._record:
             shift = memory._line_shift
-            first = (self._base + s * self.itemsize) >> np.int64(shift)
+            first = (self.base + s * self.itemsize) >> np.int64(shift)
             last = (
-                self._base + (s + c - 1) * self.itemsize
+                self.base + (s + c - 1) * self.itemsize
             ) >> np.int64(shift)
             memory._trace.record_runs(first, last - first + 1, c)
-            memory._dirty = True
             return
         for start, count in zip(s.tolist(), c.tolist()):
             self.touch_run(start, count)
@@ -254,19 +273,19 @@ class TracedArray:
                 f"of length {self.length}"
             )
         return (
-            self._base + idx * self.itemsize
-        ) >> np.int64(self._memory._line_shift)
+            self.base + idx * self.itemsize
+        ) >> np.int64(self.memory._line_shift)
 
     def line_of(self, index: int) -> int:
         """Cache line id of element ``index`` (for tests)."""
         return (
-            self._base + index * self.itemsize
-        ) >> self._memory._line_shift
+            self.base + index * self.itemsize
+        ) >> self.memory._line_shift
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"TracedArray({self.name}: {self.length} x {self.itemsize} B "
-            f"@ {self._base:#x})"
+            f"@ {self.base:#x})"
         )
 
 
@@ -304,10 +323,14 @@ class Memory:
             and isinstance(self._hierarchy, CacheHierarchy)
             and self._hierarchy.supports_replay
         )
+        #: Declared arrays in slot order (the touch-code decode table).
+        self._slots: list[TracedArray] = []
         self._trace: TraceBuffer | None = (
-            TraceBuffer(self._line_shift) if self._record else None
+            TraceBuffer(self._line_shift, self._slots)
+            if self._record else None
         )
-        self._dirty = False
+        #: ``TraceBuffer.mark`` as of the last replay.
+        self._replayed_at = (0, 0)
         self._level_counts = [0] * (self._hierarchy.num_levels + 1)
         #: Pure-CPU cycles added via :meth:`work`.
         self.extra_work = 0.0
@@ -359,20 +382,50 @@ class Memory:
                 f"itemsize {itemsize} exceeds the cache line size "
                 f"{1 << self._line_shift}; elements must fit one line"
             )
-        if length < 0:
+        if not 0 <= length < INDEX_BIAS:
             raise InvalidParameterError(
-                f"array length must be non-negative, got {length}"
+                f"array length must be in [0, 2**47), got {length}"
             )
         if name in self.arrays:
             raise InvalidParameterError(
                 f"array {name!r} is already declared"
             )
-        array = TracedArray(name, length, itemsize, self._next_base, self)
+        array = TracedArray(
+            name, length, itemsize, self._next_base, self,
+            touch_code(len(self._slots)),
+        )
+        self._slots.append(array)
         line_size = 1 << self._line_shift
         span = max(length * itemsize, 1)
         self._next_base += (span + line_size - 1) // line_size * line_size
         self.arrays[name] = array
         return array
+
+    def touch_sink(self) -> Callable[[int], None]:
+        """One-call recorder for sequential emitters.
+
+        ``emit = memory.touch_sink()``; ``emit(array.code + i)`` models
+        ``array.touch(i)``.  In replay mode this is the trace buffer's
+        bound ``array.append``: no bounds check and no line arithmetic
+        at touch time — both run vectorised in ``freeze()``, raising
+        the same :class:`InvalidParameterError` ``touch`` raises.  In
+        step mode (the oracle) it decodes each code and calls
+        :meth:`TracedArray.touch`, so every touch is stepped and
+        checked eagerly.  A sink is bound to the current trace:
+        fetch a new one after :meth:`reset`.
+        """
+        if self._record:
+            return self._trace.touches.append
+        slots = self._slots
+
+        def step(code: int) -> None:
+            slot = code >> SLOT_SHIFT
+            if not 0 <= slot < len(slots):
+                raise unknown_slot(code)
+            array = slots[slot]
+            array.touch(code - array.code)
+
+        return step
 
     def work(self, cycles: float) -> None:
         """Account pure-CPU work that performs no data reference."""
@@ -409,7 +462,6 @@ class Memory:
             )
         if self._record:
             self._trace.record_block(lines, demand, extra_l1, prefetched)
-            self._dirty = True
             return
         counts = self._level_counts
         access = self._hierarchy.access
@@ -432,8 +484,9 @@ class Memory:
         incremental form) and overwrites the hierarchy counters, which
         keeps mid-run ``stats()`` calls exact.
         """
-        if not self._record or not self._dirty:
+        if not self._record or self._trace.mark == self._replayed_at:
             return
+        mark = self._trace.mark
         trace = self._trace.freeze()
         with obs.span(
             "cache.replay",
@@ -452,7 +505,7 @@ class Memory:
         if obs.enabled():
             obs.inc("cache.replay.runs")
             obs.inc("cache.replay.accesses", trace.num_accesses)
-        self._dirty = False
+        self._replayed_at = mark
 
     @property
     def level_counts(self) -> list[int]:
@@ -503,5 +556,5 @@ class Memory:
         self.extra_work = 0.0
         self._prefetched_refs = 0
         if self._record:
-            self._trace = TraceBuffer(self._line_shift)
-            self._dirty = False
+            self._trace = TraceBuffer(self._line_shift, self._slots)
+            self._replayed_at = (0, 0)

@@ -7,12 +7,13 @@ the same way PR 3's batched kernel removed it from the ordering side:
 record now, compute later, array-wise.
 
 * :class:`TraceBuffer` is the record side.  ``Memory`` (in replay
-  mode) appends single demand touches to a plain Python list (the
-  hottest path), run-compresses sequential scans and stores bulk
-  touch batches *by reference* — index conversion, bounds checking
-  and line arithmetic are all deferred to ``freeze()``, which
-  interleaves everything back into one flat line-id access stream in
-  a handful of numpy passes.  The frontier runtime
+  mode) appends single demand touches as packed int64 *touch codes*
+  (``slot << 48`` plus a bias plus the element index) to one
+  ``array('q')`` (the hottest path), run-compresses sequential scans
+  and stores bulk touch batches *by reference* — code decoding,
+  bounds checking and line arithmetic are all deferred to
+  ``freeze()``, which interleaves everything back into one flat
+  line-id access stream in a handful of numpy passes.  The frontier runtime
   (:mod:`repro.algorithms.runtime`) bypasses even the deferred
   channels: it pre-resolves whole per-iteration access vectors to
   line ids and demand flags and appends them via ``record_block`` —
@@ -61,7 +62,10 @@ scalar stepping for those geometries.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -614,14 +618,40 @@ class CacheTrace:
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
+#: A touch code is ``(slot << SLOT_SHIFT) + INDEX_BIAS + index``: the
+#: slot names the declared array, the biased low 48 bits its element.
+#: The bias keeps a small negative index inside its own slot, so an
+#: off-by-one below zero is caught by the bounds check at decode time.
+SLOT_SHIFT = 48
+INDEX_BIAS = 1 << 47
+
+
+def touch_code(slot: int) -> int:
+    """The touch code of element 0 of the array in ``slot``."""
+    return (slot << SLOT_SHIFT) + INDEX_BIAS
+
+
+def unknown_slot(code: int) -> InvalidParameterError:
+    """The error for a touch code whose slot names no array."""
+    return InvalidParameterError(
+        f"touch code {code} names no declared array "
+        f"(slot {code >> SLOT_SHIFT})"
+    )
+
 
 class TraceBuffer:
     """Growable record of touches, cheap to append and cheap to freeze.
 
     Four channels, interleaved by position at freeze time:
 
-    * ``touches`` — a plain list of single demand line ids
-      (``list.append`` is the hottest record-mode operation);
+    * ``touches`` — one ``array('q')`` of single demand touches, each a
+      packed touch code (see :func:`touch_code`): 8 bytes per touch and
+      no int object kept alive.  ``touches.append`` is the hottest
+      record-mode operation; :meth:`Memory.touch_sink
+      <repro.cache.layout.Memory.touch_sink>` hands it to the
+      sequential emitters directly.  ``slots`` (the declared arrays, in
+      slot order, each with ``name``, ``length``, ``itemsize`` and
+      ``base``) decodes the codes to line ids at freeze time;
     * runs — ``touch_run`` scans, stored as (first line, line count)
       pairs;
     * bulk batches — ``touch_all`` index arrays, stored **by
@@ -640,13 +670,13 @@ class TraceBuffer:
     Each run/batch/block remembers the ``touches`` length at record
     time (its interleave position) and a global sequence number (its
     order relative to other segments at the same position).  Bounds
-    errors in deferred batches surface at ``freeze()`` — that is, when
-    results are first read — rather than at touch time; the exception
-    type matches the scalar path's.
+    errors in touch codes and deferred batches surface at ``freeze()``
+    — that is, when results are first read — rather than at touch
+    time; the exception type matches the scalar path's.
     """
 
     __slots__ = (
-        "touches", "_line_shift",
+        "touches", "slots", "_line_shift",
         "_runs",
         "_many_idx", "_many_meta", "_many_names",
         "_blocks", "_block_meta",
@@ -654,8 +684,11 @@ class TraceBuffer:
         "extra_l1", "prefetched_refs",
     )
 
-    def __init__(self, line_shift: int = 6) -> None:
-        self.touches: list[int] = []
+    def __init__(
+        self, line_shift: int = 6, slots: Sequence[Any] = ()
+    ) -> None:
+        self.touches = array("q")
+        self.slots = slots
         self._line_shift = line_shift
         self._runs: list[tuple[int, int, int, int]] = []
         self._many_idx: list[np.ndarray] = []
@@ -672,6 +705,11 @@ class TraceBuffer:
     def total_refs(self) -> int:
         """Demand element references recorded so far."""
         return len(self.touches) + self._segment_refs
+
+    @property
+    def mark(self) -> tuple[int, int]:
+        """A watermark that moves whenever anything is recorded."""
+        return len(self.touches), self._seq
 
     def record_run(self, line0: int, nlines: int, count: int) -> None:
         """A sequential scan: ``count`` elements spanning ``nlines``
@@ -750,6 +788,37 @@ class TraceBuffer:
         self.prefetched_refs += prefetched
 
     # ------------------------------------------------------------------
+    def _resolve_touches(self) -> np.ndarray:
+        """Decode the touch codes to line ids: one copy out of the
+        ``array('q')``, then a slot lookup, a bounds check and the line
+        arithmetic, all in place where possible."""
+        codes = np.array(self.touches, dtype=np.int64)
+        if not codes.shape[0]:
+            return codes
+        slot = codes >> np.int64(SLOT_SHIFT)
+        bad = (slot < 0) | (slot >= len(self.slots))
+        if bad.any():
+            raise unknown_slot(int(codes[int(np.argmax(bad))]))
+        meta = np.array(
+            [(a.length, a.itemsize, a.base) for a in self.slots],
+            dtype=np.int64,
+        ).reshape(-1, 3)
+        codes -= slot << np.int64(SLOT_SHIFT)
+        codes -= np.int64(INDEX_BIAS)  # now element indices
+        bad = (codes < 0) | (codes >= meta[slot, 0])
+        if bad.any():
+            first = int(np.argmax(bad))
+            owner = self.slots[int(slot[first])]
+            raise InvalidParameterError(
+                f"touch({int(codes[first])}) is outside array "
+                f"{owner.name!r} of length {owner.length}"
+            )
+        codes *= meta[slot, 1]
+        codes += meta[slot, 2]
+        codes >>= np.int64(self._line_shift)
+        return codes
+
+    # ------------------------------------------------------------------
     def _resolve_batches(self) -> tuple[np.ndarray, ...]:
         """Convert deferred batches: one concatenation, one bounds
         check, one line-id computation for every batch at once."""
@@ -777,7 +846,7 @@ class TraceBuffer:
 
     def freeze(self) -> CacheTrace:
         """Interleave all channels into one flat :class:`CacheTrace`."""
-        touches = np.asarray(self.touches, dtype=np.int64)
+        touches = self._resolve_touches()
         num_touches = touches.shape[0]
         if self._runs:
             runs = np.asarray(self._runs, dtype=np.int64)

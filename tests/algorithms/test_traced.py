@@ -5,12 +5,14 @@ implementations while producing a non-trivial, ordering-sensitive
 memory trace.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.algorithms import REGISTRY
 from repro.cache import Memory, scaled_hierarchy
-from repro.graph import from_edges, generators, relabel
+from repro.graph import datasets, from_edges, generators, relabel
 from repro.ordering import gorder_order, random_order
 
 
@@ -116,3 +118,50 @@ class TestTraceSanity:
             gorder_memory.stats().l1_miss_rate
             < random_memory.stats().l1_miss_rate
         )
+
+
+class TestSequentialTracePins:
+    """SHA-256 of the frozen trace (``lines`` and ``demand_idx``) of
+    the sequential emitters on ``wiki``, pinned from the per-call
+    ``TracedArray.touch`` emitters they replaced: the sink must record
+    exactly the same accesses in exactly the same order."""
+
+    PINNED = {
+        "kcore": (
+            "7395a06e64ece29eca691e0e22f9afbc"
+            "1357a0227ad238fa8d2d1a1f880b04ab",
+            "f3a684a4d8b5e82175782c4fdf13e1d4"
+            "c072dc8ad802da1fba92ec82069809d2",
+        ),
+        "scc": (
+            "591cbbb8c96b9d83715c2b92036c84e6"
+            "521096149ebb2fa45224f80f91358c42",
+            "541ec2a67d64ad908b265ec38adfdf5b"
+            "a18782553cf0d0bd022ad9f50130d3e0",
+        ),
+        "dfs": (
+            "a7357db336a0cf5ab5a54ac9b2842390"
+            "b88a8f96443cba5e5e06925b1c317268",
+            "2d2ab88de6be52661e74be359abf1e11"
+            "dbf36c334f220bb3dd0e36c577be137e",
+        ),
+        "ds": (
+            "d67b6f1599e1a63d1a635dbb41e7632c"
+            "48e7b1f2a05754277654f666fa2ed032",
+            "7a3351f8f80910fa145379bdf4577e1f"
+            "1d089636e2955b9f3f39016ce8ddde15",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_wiki_trace_pinned(self, name):
+        memory = Memory()
+        REGISTRY[name].traced(datasets.load("wiki"), memory)
+        trace = memory.recorded_trace()
+        digests = tuple(
+            hashlib.sha256(
+                np.ascontiguousarray(array, dtype=np.int64).tobytes()
+            ).hexdigest()
+            for array in (trace.lines, trace.demand_idx)
+        )
+        assert digests == self.PINNED[name]

@@ -85,11 +85,11 @@ class TestFileContext:
 
 
 class TestRegistry:
-    def test_seven_rules_registered(self):
+    def test_six_rules_registered(self):
         rules = all_rules()
         assert [rule.id for rule in rules] == [
             "REP001", "REP002", "REP003",
-            "REP004", "REP005", "REP006", "REP007",
+            "REP004", "REP005", "REP006",
         ]
 
     def test_every_rule_documents_itself(self):

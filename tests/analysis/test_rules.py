@@ -512,118 +512,6 @@ class TestRep006ForeignException:
         ) == []
 
 
-class TestRep007ScalarTouchLoop:
-    PATH = "src/repro/algorithms/fixture.py"
-
-    def test_touch_in_loop_fires(self):
-        assert rule_ids(
-            """
-            def run(traced, nodes):
-                for u in nodes:
-                    traced.touch(u)
-            """,
-            path=self.PATH,
-        ) == ["REP007"]
-
-    def test_aliased_touch_in_loop_fires(self):
-        assert rule_ids(
-            """
-            def run(traced, nodes):
-                probe = traced.touch
-                while nodes:
-                    probe(nodes.pop())
-            """,
-            path=self.PATH,
-        ) == ["REP007"]
-
-    def test_tuple_unpacked_alias_in_loop_fires(self):
-        """Regression: aliases bound by tuple unpacking were lost."""
-        assert rule_ids(
-            """
-            def run(a, b, nodes):
-                ta, tb = a.touch, b.touch
-                for u in nodes:
-                    ta(u)
-            """,
-            path=self.PATH,
-        ) == ["REP007"]
-
-    def test_nested_tuple_unpacked_alias_fires(self):
-        assert rule_ids(
-            """
-            def run(a, b, nodes):
-                (ta, tb), n = (a.touch, b.touch), len(nodes)
-                while nodes:
-                    tb(nodes.pop())
-            """,
-            path=self.PATH,
-        ) == ["REP007"]
-
-    def test_starred_unpacking_does_not_crash_or_misbind(self):
-        assert rule_ids(
-            """
-            def run(a, rest, nodes):
-                ta, *others = a.touch, rest
-                for u in nodes:
-                    others[0](u)
-            """,
-            path=self.PATH,
-        ) == []
-
-    def test_touch_outside_loop_is_clean(self):
-        assert rule_ids(
-            """
-            def run(traced, source):
-                traced.touch(source)
-            """,
-            path=self.PATH,
-        ) == []
-
-    def test_batch_apis_in_loop_are_clean(self):
-        assert rule_ids(
-            """
-            def run(traced, levels):
-                for level in levels:
-                    traced.touch_many(level)
-                    traced.touch_runs(level, level)
-            """,
-            path=self.PATH,
-        ) == []
-
-    def test_other_modules_are_exempt(self):
-        assert rule_ids(
-            """
-            def run(traced, nodes):
-                for u in nodes:
-                    traced.touch(u)
-            """,
-            path="src/repro/cache/fixture.py",
-        ) == []
-
-    def test_noqa_marks_the_oracle_path(self):
-        assert rule_ids(
-            """
-            def run(traced, nodes):
-                for u in nodes:
-                    traced.touch(u)  # repro: noqa[REP007]
-            """,
-            path=self.PATH,
-        ) == []
-
-    def test_severity_is_warning(self):
-        findings = analyze_source(
-            textwrap.dedent(
-                """
-                def run(traced, nodes):
-                    for u in nodes:
-                        traced.touch(u)
-                """
-            ),
-            path=self.PATH,
-        )
-        assert [f.severity for f in findings] == [Severity.WARNING]
-
-
 class TestNoqaSuppression:
     def test_bare_noqa_suppresses_everything_on_the_line(self):
         assert rule_ids(

@@ -199,6 +199,104 @@ def small_replay_memory():
     )
 
 
+class TestTouchSink:
+    """``Memory.touch_sink``: ``emit(array.code + i)`` is
+    ``array.touch(i)`` — same counters under both backends, same
+    bounds errors (deferred to the first read in replay mode, eager
+    in step mode)."""
+
+    CODES = [(0, 3), (1, 0), (0, 3), (1, 7), (0, 0), (0, 15)]
+
+    def emit_all(self, memory):
+        arrays = [memory.array("a", 16, 8), memory.array("b", 8, 4)]
+        emit = memory.touch_sink()
+        for which, index in self.CODES:
+            emit(arrays[which].code + index)
+        return memory
+
+    @pytest.mark.parametrize("make", [small_memory, small_replay_memory])
+    def test_matches_scalar_touches(self, make):
+        scalar = make()
+        arrays = [scalar.array("a", 16, 8), scalar.array("b", 8, 4)]
+        for which, index in self.CODES:
+            arrays[which].touch(index)
+        sunk = self.emit_all(make())
+        assert sunk.level_counts == scalar.level_counts
+        assert sunk.total_refs == scalar.total_refs == len(self.CODES)
+
+    def test_replay_matches_step(self):
+        step = self.emit_all(small_memory())
+        replay = self.emit_all(small_replay_memory())
+        assert replay.level_counts == step.level_counts
+        assert replay.stats() == step.stats()
+
+    def test_codes_number_arrays_in_declaration_order(self):
+        memory = small_memory()
+        a = memory.array("a", 4, 4)
+        b = memory.array("b", 4, 4)
+        assert a.code == 2**47
+        assert b.code == (1 << 48) + 2**47
+
+    def bad_codes(self, array):
+        return {
+            "below": array.code - 1,
+            "at-length": array.code + array.length,
+            "unknown-slot": array.code + (1 << 48),
+        }
+
+    @pytest.mark.parametrize("case", ["below", "at-length", "unknown-slot"])
+    def test_bounds_deferred_to_first_read_in_replay(self, case):
+        memory = small_replay_memory()
+        array = memory.array("ranks", 8, 4)
+        emit = memory.touch_sink()
+        emit(array.code + 7)
+        emit(self.bad_codes(array)[case])  # recorded, not yet checked
+        match = "no declared array" if case == "unknown-slot" else (
+            "'ranks' of length 8"
+        )
+        with pytest.raises(InvalidParameterError, match=match):
+            memory.level_counts
+        # A failed replay is not a replay: the next read raises again
+        # instead of returning stale counters.
+        with pytest.raises(InvalidParameterError, match=match):
+            memory.level_counts
+
+    @pytest.mark.parametrize("case", ["below", "at-length", "unknown-slot"])
+    def test_bounds_eager_in_step_mode(self, case):
+        memory = small_memory()
+        array = memory.array("ranks", 8, 4)
+        emit = memory.touch_sink()
+        match = "no declared array" if case == "unknown-slot" else (
+            "'ranks' of length 8"
+        )
+        with pytest.raises(InvalidParameterError, match=match):
+            emit(self.bad_codes(array)[case])
+        assert memory.total_refs == 0
+
+    def test_results_follow_touches_made_after_a_read(self):
+        """The replay watermark, not a flag set when the sink was
+        fetched, decides staleness: touches recorded after one read
+        show up in the next."""
+        memory = small_replay_memory()
+        array = memory.array("a", 64, 64)  # one element per line
+        emit = memory.touch_sink()
+        emit(array.code + 0)
+        assert sum(memory.level_counts) == 1
+        emit(array.code + 0)
+        emit(array.code + 1)
+        assert memory.level_counts == [2, 1, 0, 0]
+        assert memory.total_refs == 3
+
+    def test_sink_after_reset_records_into_the_new_trace(self):
+        memory = small_replay_memory()
+        array = memory.array("a", 8, 4)
+        memory.touch_sink()(array.code + 1)
+        memory.reset()
+        assert memory.level_counts == [0, 0, 0, 0]
+        memory.touch_sink()(array.code + 2)
+        assert memory.level_counts == [1, 0, 0, 0]
+
+
 class TestBatchTouchApis:
     """The frontier runtime's batch APIs: ``touch_many``,
     ``touch_runs``, ``element_lines`` and ``touch_block`` must stay

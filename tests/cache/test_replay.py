@@ -6,6 +6,8 @@ scalar step path — same hit/miss verdicts, same counters, same costs —
 for every all-LRU geometry, and degrade gracefully everywhere else.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from repro.cache.replay import (
     hit_mask,
     lru_hit_mask,
     stack_distances,
+    touch_code,
 )
 from repro.cache.reuse import (
     RecordingHierarchy,
@@ -200,15 +203,18 @@ class TestHierarchyReplay:
 
 class TestTraceBuffer:
     def test_interleaves_all_three_channels(self):
-        buffer = TraceBuffer(line_shift=6)
-        buffer.touches.append(10)
+        # One declared slot whose 64-byte elements start at line 10.
+        slot = SimpleNamespace(name="l", length=4, itemsize=64, base=640)
+        code = touch_code(0)
+        buffer = TraceBuffer(line_shift=6, slots=[slot])
+        buffer.touches.append(code + 0)
         buffer.record_run(20, nlines=3, count=5)
-        buffer.touches.append(11)
+        buffer.touches.append(code + 1)
         buffer.record_many(
             np.array([0, 16]), base=0, itemsize=4, length=32,
             name="a",
         )
-        buffer.touches.append(12)
+        buffer.touches.append(code + 2)
         trace = buffer.freeze()
         assert trace.lines.tolist() == [10, 20, 21, 22, 11, 0, 1, 12]
         # Prefetched run fills (21, 22) are not demand accesses.
