@@ -13,7 +13,6 @@ REP005    telemetry discipline (spans as context managers, one
           registry, greppable counter names)
 REP006    builtin exceptions raised instead of ``ReproError``
 REP008    lock-guarded attribute mutated without its lock *
-REP009    config knob missing from a required surface *
 REP010    reference oracle transitively impure *
 ========  ==========================================================
 

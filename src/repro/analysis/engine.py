@@ -247,7 +247,7 @@ def run_project_lint(
     rules: list[Rule] | None = None,
     project_rules: list | None = None,
 ) -> LintReport:
-    """Whole-program lint: per-file rules plus REP008/REP009/REP010.
+    """Whole-program lint: per-file rules plus REP008/REP010.
 
     Parses (or cache-loads, when ``cache_path`` is given) every file
     under ``paths`` into project facts, replays the cached per-file

@@ -2,9 +2,8 @@
 
 The per-file engine (:mod:`repro.analysis.engine`) sees one module at
 a time; the invariants that actually bite — a mutation missing the
-lock every *other* method takes, a config knob plumbed through four
-of its five surfaces, an oracle that transitively calls the RNG —
-span modules.  This layer parses all of ``src/repro`` once into:
+lock every *other* method takes, an oracle that transitively calls
+the RNG — span modules.  This layer parses all of ``src/repro`` once into:
 
 * a **project symbol table** (qualified classes/functions per module),
 * an **import graph** (top-level edges for cycle detection, deferred
@@ -50,7 +49,7 @@ from repro.ioutil import atomic_write_text
 
 #: Version of the fact-extraction schema below.  Bumped whenever
 #: :class:`FileFacts` gains/changes fields, invalidating disk caches.
-FACTS_VERSION = 1
+FACTS_VERSION = 2
 
 #: Conventional on-disk cache location at the repo root.
 DEFAULT_PROJECT_CACHE = ".repro-lint-cache.json"
@@ -66,10 +65,6 @@ MUTATING_METHODS = frozenset({
     "remove", "discard", "pop", "popleft", "popitem", "clear",
     "update", "setdefault", "move_to_end", "add", "sort", "reverse",
 })
-
-#: Maximum string-constant length recorded as a scope token.
-_TOKEN_MAX_LEN = 80
-
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -132,7 +127,7 @@ class SelfCall:
 
 @dataclass
 class ClassFacts:
-    """Everything REP008/REP009 need to know about one class."""
+    """Everything REP008 needs to know about one class."""
 
     name: str
     line: int
@@ -141,8 +136,6 @@ class ClassFacts:
     lock_attrs: list[str] = field(default_factory=list)
     #: Lock aliases: ``Condition(self._lock)`` guards ``_lock`` too.
     lock_aliases: dict[str, str] = field(default_factory=dict)
-    #: Dataclass-style annotated fields declared in the class body.
-    fields: list[dict] = field(default_factory=list)
     mutations: list[MutationSite] = field(default_factory=list)
     self_calls: list[SelfCall] = field(default_factory=list)
     methods: list[str] = field(default_factory=list)
@@ -173,8 +166,6 @@ class FileFacts:
     calls: dict[str, list[str]] = field(default_factory=dict)
     purity: dict[str, list[PuritySite]] = field(default_factory=dict)
     oracle_roots: list[str] = field(default_factory=list)
-    #: Scope qualname ('' = whole module) -> sorted token list.
-    scope_tokens: dict[str, list[str]] = field(default_factory=dict)
     #: 1-based line (as str, JSON keys) -> suppressed rule ids.
     noqa: dict[str, list[str]] = field(default_factory=dict)
     #: Per-file rule findings (already noqa-filtered), as dicts.
@@ -202,7 +193,6 @@ class FileFacts:
                 snippet=raw["snippet"],
                 lock_attrs=list(raw.get("lock_attrs", [])),
                 lock_aliases=dict(raw.get("lock_aliases", {})),
-                fields=list(raw.get("fields", [])),
                 methods=list(raw.get("methods", [])),
             )
             cf.mutations = [
@@ -222,10 +212,6 @@ class FileFacts:
             for name, sites in payload.get("purity", {}).items()
         }
         facts.oracle_roots = list(payload.get("oracle_roots", []))
-        facts.scope_tokens = {
-            name: list(tokens)
-            for name, tokens in payload.get("scope_tokens", {}).items()
-        }
         facts.noqa = {
             line: list(rules)
             for line, rules in payload.get("noqa", {}).items()
@@ -234,10 +220,6 @@ class FileFacts:
         return facts
 
     # -- queries -------------------------------------------------------
-    def tokens(self, scope: str) -> frozenset[str]:
-        """Token set of ``scope`` ('' = the whole module)."""
-        return frozenset(self.scope_tokens.get(scope, ()))
-
     def noqa_rules(self, line: int) -> frozenset[str]:
         return frozenset(self.noqa.get(str(line), ()))
 
@@ -350,21 +332,8 @@ class _FactExtractor(ast.NodeVisitor):
             snippet=self._snippet(node),
         )
         self.facts.classes[qualname] = cls
-        # Annotated class-body targets = dataclass-style fields.
-        for stmt in node.body:
-            if isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
-            ):
-                cls.fields.append(
-                    {
-                        "name": stmt.target.id,
-                        "line": stmt.lineno,
-                        "snippet": self.ctx.snippet(stmt.lineno),
-                    }
-                )
         self._scopes.append(("class", node.name))
         self._class_stack.append(cls)
-        self._collect_scope_tokens(node, qualname)
         self.generic_visit(node)
         self._class_stack.pop()
         self._scopes.pop()
@@ -384,7 +353,6 @@ class _FactExtractor(ast.NodeVisitor):
         self._function_depth += 1
         guards = self._guards
         self._guards = []  # guards never span function boundaries
-        self._collect_scope_tokens(node, qualname)
         self.generic_visit(node)
         self._guards = guards
         self._function_depth -= 1
@@ -656,25 +624,6 @@ class _FactExtractor(ast.NodeVisitor):
             )
         )
 
-    # -- tokens --------------------------------------------------------
-    def _collect_scope_tokens(self, node: ast.AST, scope: str) -> None:
-        tokens: set[str] = set()
-        for child in ast.walk(node):
-            if isinstance(child, ast.Name):
-                tokens.add(child.id)
-            elif isinstance(child, ast.Attribute):
-                tokens.add(child.attr)
-            elif isinstance(child, ast.keyword) and child.arg:
-                tokens.add(child.arg)
-            elif isinstance(child, ast.arg):
-                tokens.add(child.arg)
-            elif isinstance(child, ast.Constant) and isinstance(
-                child.value, str
-            ):
-                if 0 < len(child.value) <= _TOKEN_MAX_LEN:
-                    tokens.add(child.value)
-        self.facts.scope_tokens[scope] = sorted(tokens)
-
 
 def extract_facts(
     ctx: FileContext,
@@ -688,7 +637,6 @@ def extract_facts(
     replay their findings without re-parsing.
     """
     extractor = _FactExtractor(ctx, module)
-    extractor._collect_scope_tokens(ctx.tree, "")
     extractor.visit(ctx.tree)
     facts = extractor.facts
     facts.sha = sha

@@ -1,4 +1,4 @@
-"""Cross-module rules: lock-guard races, knob plumbing, oracle purity.
+"""Cross-module rules: lock-guard races and oracle purity.
 
 These rules run over a :class:`~repro.analysis.project.ProjectAnalysis`
 rather than a single file — each encodes an invariant that spans
@@ -8,9 +8,6 @@ modules:
 REP008 A ``self`` attribute mutated under ``with self._lock:``
        somewhere must be guarded everywhere (lock-held helpers are
        inferred from their call sites).
-REP009 Every config knob (``Profile``/``OrderRequest``/``RunRequest``
-       field) is registered in :mod:`repro.analysis.knobs` and its
-       declared surface tokens all resolve.
 REP010 Reference/traced-scalar oracles are transitively free of RNG,
        I/O, telemetry mutation, and numpy in-place ops.
 ====== ==============================================================
@@ -21,7 +18,6 @@ from __future__ import annotations
 from collections import deque
 
 from repro.analysis.core import Finding, Severity
-from repro.analysis.knobs import KNOB_CLASSES, KNOBS, Knob
 from repro.analysis.project import (
     ClassFacts,
     FileFacts,
@@ -152,140 +148,6 @@ class LockGuardRule(ProjectRule):
                     )
                 )
         return findings
-
-
-# ----------------------------------------------------------------------
-# REP009 — knob-plumbing completeness
-# ----------------------------------------------------------------------
-@register_project
-class KnobPlumbingRule(ProjectRule):
-    """Every config knob registered, every surface token present.
-
-    Checks three directions against :data:`repro.analysis.knobs.KNOBS`:
-    an unregistered dataclass field of a knob class, a registered
-    surface whose token is missing from its scope, and a registry
-    entry whose declaring field no longer exists.  Classes whose
-    module is outside the analysed tree are skipped, so partial-path
-    lints do not fabricate findings.
-    """
-
-    id = "REP009"
-    title = "config knob missing from a required surface"
-    severity = Severity.ERROR
-    version = 1
-    rationale = (
-        "Each knob must travel through runner memo key, sweep "
-        "engine, CLI, serve protocol, and archive metadata in "
-        "lockstep; a missed surface silently aliases results "
-        "across configurations (PR 8's algo_backend missed three)."
-    )
-
-    def __init__(
-        self,
-        registry: tuple[Knob, ...] | None = None,
-        classes: tuple[str, ...] | None = None,
-    ) -> None:
-        self.registry = KNOBS if registry is None else registry
-        self.classes = KNOB_CLASSES if classes is None else classes
-
-    def check_project(self, project: ProjectAnalysis) -> list[Finding]:
-        findings: list[Finding] = []
-        for declared_in in self.classes:
-            module, _, class_name = declared_in.rpartition(".")
-            facts = project.module(module)
-            if facts is None:
-                continue
-            cls = facts.classes.get(class_name)
-            if cls is None:
-                findings.append(
-                    self.project_finding(
-                        facts.path,
-                        1,
-                        "",
-                        f"knob class {declared_in} not found; update "
-                        f"KNOB_CLASSES in repro.analysis.knobs",
-                    )
-                )
-                continue
-            findings.extend(
-                self._check_class(project, facts, cls, declared_in)
-            )
-        return findings
-
-    def _check_class(
-        self,
-        project: ProjectAnalysis,
-        facts: FileFacts,
-        cls: ClassFacts,
-        declared_in: str,
-    ) -> list[Finding]:
-        findings = []
-        registered = {
-            knob.name: knob
-            for knob in self.registry
-            if knob.declared_in == declared_in
-        }
-        fields = {entry["name"]: entry for entry in cls.fields}
-        for name in sorted(set(fields) - set(registered)):
-            entry = fields[name]
-            findings.append(
-                self.project_finding(
-                    facts.path,
-                    entry["line"],
-                    entry["snippet"],
-                    f"field {name!r} of {declared_in} has no entry in "
-                    f"the knob registry (repro.analysis.knobs); "
-                    f"declare its surfaces, or register it with no "
-                    f"surfaces if it is structural",
-                )
-            )
-        for name in sorted(set(registered) - set(fields)):
-            findings.append(
-                self.project_finding(
-                    facts.path,
-                    cls.line,
-                    cls.snippet,
-                    f"knob {name!r} is registered for {declared_in} "
-                    f"but the field no longer exists; remove the "
-                    f"stale registry entry",
-                )
-            )
-        for name in sorted(set(registered) & set(fields)):
-            knob = registered[name]
-            entry = fields[name]
-            for surface in knob.surfaces:
-                problem = self._check_surface(project, surface)
-                if problem is None:
-                    continue
-                findings.append(
-                    self.project_finding(
-                        facts.path,
-                        entry["line"],
-                        entry["snippet"],
-                        f"knob {name!r} ({declared_in}) does not "
-                        f"reach surface {surface.name!r}: {problem}",
-                    )
-                )
-        return findings
-
-    def _check_surface(
-        self, project: ProjectAnalysis, surface
-    ) -> str | None:
-        facts = project.module(surface.module)
-        if facts is None:
-            return None  # surface module outside the analysed paths
-        if surface.scope and surface.scope not in facts.scope_tokens:
-            return (
-                f"scope {surface.scope!r} not found in "
-                f"{surface.module}"
-            )
-        if surface.token not in facts.tokens(surface.scope):
-            where = surface.scope or "module scope"
-            return (
-                f"token {surface.token!r} not found in "
-                f"{surface.module}:{where}"
-            )
-        return None
 
 
 # ----------------------------------------------------------------------

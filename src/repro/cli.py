@@ -37,10 +37,12 @@ and ``--log-json PATH`` (machine-readable JSONL trace; see
 
 Commands that compute orderings accept ``--workers N`` (process pool
 for the partitioned Gorder) and ``--query-volume Q`` (amortisation for
-``--ordering auto``).  Commands that simulate always run the vectorised
-trace replay over the frontier runtime's traces; the scalar oracles
-(cache stepping, per-touch emitters) are reached only by the
-differential tests and ``bench --suite cache|algos`` (see
+``--ordering auto``).  ``order`` and ``run`` reject a flag their
+``--ordering`` does not declare; the profile-wide commands apply each
+flag to the orderings that declare it.  Commands that simulate always
+run the vectorised trace replay over the frontier runtime's traces;
+the scalar oracles (cache stepping, per-touch emitters) are reached
+only by the differential tests and ``bench --suite cache|algos`` (see
 ``docs/performance.md``).
 
 The matrix commands (``speedup``, ``ranking``, ``sweep run``) run
@@ -67,6 +69,7 @@ from repro.graph.csr import CSRGraph
 from repro.ordering import (
     ALL_ORDERING_NAMES,
     ORDERING_NAMES,
+    OrderingConfig,
     compute_ordering,
 )
 from repro.perf import report
@@ -79,13 +82,9 @@ def _load_graph(args: argparse.Namespace) -> CSRGraph:
 
 
 def _ordering_params(args: argparse.Namespace) -> dict:
-    """The ordering knobs given on the command line, as kwargs.
-
-    Forwarded through the signature-filtered
-    :func:`repro.ordering.compute_ordering`, so each knob only reaches
-    the orderings that declare it (``workers`` → the partitioned
-    Gorder, ``query_volume`` → the ``auto`` selector).
-    """
+    """The ordering knobs given on the command line, as kwargs
+    (``workers`` → the partitioned Gorder, ``query_volume`` → the
+    ``auto`` selector)."""
     params: dict = {}
     workers = getattr(args, "workers", None)
     if workers is not None:
@@ -107,6 +106,18 @@ def _profile_from_args(args: argparse.Namespace) -> "perf.Profile":
     return profile
 
 
+def _ordering_config(args: argparse.Namespace, seed: int) -> OrderingConfig:
+    """The one permutation ``order``/``run`` compute.
+
+    Strict, like the serve wire: a knob ``--ordering`` does not
+    declare is an error naming the accepted parameters, not a flag
+    silently ignored.
+    """
+    return OrderingConfig.strict(
+        args.ordering, seed, _ordering_params(args)
+    )
+
+
 def _cmd_datasets(args: argparse.Namespace) -> int:
     rows = perf.dataset_table()
     print(
@@ -120,10 +131,9 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
 
 
 def _cmd_order(args: argparse.Namespace) -> int:
+    config = _ordering_config(args, args.seed)
     graph = _load_graph(args)
-    perm = compute_ordering(
-        args.ordering, graph, seed=args.seed, **_ordering_params(args)
-    )
+    perm = config.compute(graph)
     if args.output:
         from repro.graph.io import save_permutation
 
@@ -137,17 +147,16 @@ def _cmd_order(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    profile = perf.get_profile(args.profile)
+    config = _ordering_config(args, profile.seed)
     graph = _load_graph(args)
-    profile = _profile_from_args(args)
     params = perf.algorithm_params(args.algorithm, graph, profile)
-    result = perf.run_cell(
+    result = perf.simulate(
         graph,
         args.algorithm,
-        args.ordering,
-        seed=profile.seed,
+        config,
         params=params,
         hierarchy=profile.hierarchy(),
-        ordering_params=_ordering_params(args),
     )
     stats = result.stats
     print(f"dataset     : {result.dataset}")
@@ -863,8 +872,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="alias for --log-level info",
     )
-    # Ordering flags (forwarded signature-filtered, so they only
-    # reach the orderings that declare them).
+    # Ordering flags (strict for `order`/`run`; the profile-wide
+    # commands apply each to the orderings that declare it).
     ordering_flags = argparse.ArgumentParser(add_help=False)
     group = ordering_flags.add_argument_group("ordering")
     group.add_argument(

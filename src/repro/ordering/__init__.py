@@ -4,6 +4,7 @@ from repro.ordering.base import (
     ALL_ORDERING_NAMES,
     ORDERING_NAMES,
     REGISTRY,
+    OrderingConfig,
     OrderingSpec,
     accepted_params,
     compute_ordering,
@@ -30,10 +31,6 @@ from repro.ordering.gorder import (
     gorder_sequence_reference,
     window_scores,
     window_scores_reference,
-)
-from repro.ordering.gorder_lazy import (
-    gorder_order_lazy,
-    gorder_sequence_lazy,
 )
 from repro.ordering.incremental import append_identity, gorder_extend
 from repro.ordering.ldg import ldg_order
@@ -90,6 +87,7 @@ __all__ = [
     "ALL_ORDERING_NAMES",
     "ORDERING_NAMES",
     "REGISTRY",
+    "OrderingConfig",
     "OrderingSpec",
     "spec",
     "compute_ordering",
@@ -118,8 +116,6 @@ __all__ = [
     "dbg_classes",
     "dbg_classes_reference",
     "boba_order",
-    "gorder_order_lazy",
-    "gorder_sequence_lazy",
     "gorder_partitioned",
     "partition_nodes",
     "gorder_extend",

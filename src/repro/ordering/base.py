@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import functools
 import inspect
+import typing
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from repro.errors import UnknownOrderingError
+from repro.errors import InvalidParameterError, UnknownOrderingError
 from repro.graph.csr import CSRGraph
 from repro.ordering.bisect import bisection_order
 from repro.ordering.gorder import gorder_order
-from repro.ordering.gorder_lazy import gorder_order_lazy
 from repro.ordering.ldg import ldg_order
 from repro.ordering.lightweight import (
     boba_order,
@@ -56,9 +56,9 @@ def _auto_order(
     Imported lazily: :mod:`repro.ordering.select` needs this registry
     to probe its candidates, so importing it at module scope would be
     circular.  The keyword signature mirrors
-    :func:`~repro.ordering.select.auto_order` so the registry's
-    signature filter applies to ``auto`` like any other ordering;
-    ``None`` leaves a knob at the selector's default.
+    :func:`~repro.ordering.select.auto_order` so
+    :class:`OrderingConfig` sees ``auto``'s parameters like any other
+    ordering's; ``None`` leaves a knob at the selector's default.
     """
     from repro.ordering.select import auto_order
 
@@ -153,11 +153,7 @@ REGISTRY: dict[str, OrderingSpec] = {
             "boba", "BOBA", boba_order,
             deterministic=True, headline=False,
         ),
-        # Alternative Gorder variants — extensions for ablations.
-        OrderingSpec(
-            "gorder-lazy", "Gorder(lazy-pq)", gorder_order_lazy,
-            deterministic=True, headline=False,
-        ),
+        # Alternative Gorder variant — an extension for ablations.
         OrderingSpec(
             "gorder-part", "Gorder(partitioned)", gorder_partitioned,
             deterministic=True, headline=False,
@@ -194,11 +190,122 @@ def spec(name: str) -> OrderingSpec:
 
 
 @functools.cache
+def _declared_types(name: str) -> dict[str, tuple[type, ...]]:
+    """Keyword parameters ordering ``name`` declares besides ``graph``
+    and ``seed``, each with the types its annotation admits."""
+    parameters = inspect.signature(
+        spec(name).compute, eval_str=True
+    ).parameters
+    return {
+        key: typing.get_args(parameter.annotation)
+        or (parameter.annotation,)
+        for key, parameter in parameters.items()
+        if key not in ("graph", "seed")
+    }
+
+
 def accepted_params(name: str) -> frozenset[str]:
     """Keyword parameters ordering ``name`` declares besides
     ``graph`` and ``seed``."""
-    parameters = inspect.signature(spec(name).compute).parameters
-    return frozenset(parameters) - {"graph", "seed"}
+    return frozenset(_declared_types(name))
+
+
+def _check_param_type(
+    ordering: str, key: str, value: object, types: tuple[type, ...]
+) -> None:
+    """Reject a value its declared annotation does not admit.
+
+    A bool is not an int here (JSON ``true`` is no window size), and
+    an int is a float, as in Python's numeric tower.
+    """
+    admitted = types + ((int,) if float in types else ())
+    if (isinstance(value, bool) and bool not in types) or not isinstance(
+        value, admitted
+    ):
+        names = " or ".join(
+            kind.__name__ for kind in types if kind is not type(None)
+        )
+        raise InvalidParameterError(
+            f"ordering {ordering!r} parameter {key!r} must be {names}, "
+            f"got {type(value).__name__}"
+        )
+
+
+@dataclass(frozen=True)
+class OrderingConfig:
+    """The name of one permutation: ordering, seed and parameters.
+
+    The constructor is the one place ordering parameters are
+    normalised.  ``ordering`` becomes its registry name; ``params``
+    (a mapping or ``(name, value)`` pairs) keeps only the names the
+    ordering declares, drops ``None`` values (every optional
+    parameter defaults to ``None``), and is stored sorted.  Configs
+    that compute the same permutation are therefore equal, and
+    :meth:`key` is the memo key of the runner cache and the serve
+    store alike.  This lenient form lets a sweep-wide parameter such
+    as ``query_volume`` apply to the orderings that declare it;
+    :meth:`strict` is the form for user input.
+    """
+
+    ordering: str
+    seed: int = 0
+    params: tuple[tuple[str, object], ...] | dict | None = ()
+
+    def __post_init__(self) -> None:
+        ordering = spec(self.ordering).name
+        declared = _declared_types(ordering)
+        params = tuple(
+            sorted(
+                (key, value)
+                for key, value in dict(self.params or ()).items()
+                if key in declared and value is not None
+            )
+        )
+        object.__setattr__(self, "ordering", ordering)
+        object.__setattr__(self, "params", params)
+
+    @classmethod
+    def strict(
+        cls, ordering: str, seed: int = 0, params: dict | None = None
+    ) -> "OrderingConfig":
+        """A config from user input (the CLI, the serve wire).
+
+        Raises :class:`~repro.errors.InvalidParameterError` for a
+        parameter the ordering does not declare, or a value whose type
+        its annotation does not admit, instead of dropping it.
+        """
+        name = spec(ordering).name
+        declared = _declared_types(name)
+        params = dict(params or {})
+        unknown = sorted(set(params) - set(declared))
+        if unknown:
+            raise InvalidParameterError(
+                f"ordering {name!r} does not accept parameter(s) "
+                f"{', '.join(unknown)}; accepted: "
+                f"{', '.join(sorted(declared)) or 'none'}"
+            )
+        for key, value in params.items():
+            if value is not None:
+                _check_param_type(name, key, value, declared[key])
+        return cls(name, seed, params)
+
+    def key(self) -> tuple[str, int, tuple[tuple[str, object], ...]]:
+        """Hashable ``(ordering, seed, params)`` memo key."""
+        return (self.ordering, self.seed, self.params)
+
+    def as_json(self) -> dict:
+        """JSON form, as spill metadata records it."""
+        return {
+            "ordering": self.ordering,
+            "seed": self.seed,
+            "params": [[key, value] for key, value in self.params],
+        }
+
+    def compute(self, graph: CSRGraph) -> np.ndarray:
+        """The arrangement of ``graph`` this config names."""
+        return compute_ordering(
+            self.ordering, graph, seed=self.seed, **dict(self.params)
+        )
 
 
 def compute_ordering(
@@ -206,18 +313,13 @@ def compute_ordering(
 ) -> np.ndarray:
     """Compute the arrangement for ``graph`` by ordering name.
 
-    Extra ``params`` are forwarded to the ordering function, filtered
-    against :func:`accepted_params`: parameters an ordering does not
-    declare are silently dropped.  This lets sweep-wide knobs
-    (``workers``, ``window``, ``query_volume``) apply to the orderings
-    they concern without every ordering having to accept every knob.
+    ``params`` are normalised by :class:`OrderingConfig`: parameters
+    the ordering does not declare are dropped, so a sweep-wide knob
+    (``workers``, ``window``, ``query_volume``) applies to the
+    orderings it concerns without every ordering accepting every
+    knob.
     """
-    ordering = spec(name)
-    if params:
-        accepted = accepted_params(ordering.name)
-        params = {
-            key: value
-            for key, value in params.items()
-            if key in accepted
-        }
-    return ordering.compute(graph, seed=seed, **params)
+    config = OrderingConfig(name, seed, params)
+    return spec(config.ordering).compute(
+        graph, seed=seed, **dict(config.params)
+    )

@@ -57,7 +57,7 @@ DEFAULT_QUERY_VOLUME = 100_000
 
 #: Orderings whose cost is large enough to deserve a predictor gate.
 HEAVYWEIGHT_ORDERINGS = frozenset(
-    {"gorder", "gorder-lazy", "gorder-part", "minla", "minloga"}
+    {"gorder", "gorder-part", "minla", "minloga"}
 )
 
 #: A heavyweight ordering costs at least this multiple of the

@@ -52,7 +52,7 @@ from repro.perf.runner import (
     GLOBAL_ORDERING_CACHE,
     OrderingCache,
     RunResult,
-    run_cell,
+    simulate,
 )
 from repro.perf.store import (
     CellFailure,
@@ -408,16 +408,14 @@ def _execute_cell_body(
     )
     graph = datasets.load(cell.dataset)
     params = algorithm_params(cell.algorithm, graph, profile)
-    return run_cell(
+    return simulate(
         graph,
         cell.algorithm,
-        cell.ordering,
-        seed=cell.seed,
+        profile.ordering_config(cell.ordering, cell.seed),
         params=params,
         hierarchy=profile.hierarchy(),
         cache=cache,
         dataset_name=cell.dataset,
-        ordering_params=dict(profile.ordering_params),
         cache_backend=profile.cache_backend,
         algo_backend=profile.algo_backend,
     )

@@ -27,14 +27,14 @@ from repro.cache import CacheHierarchy, scaled_hierarchy
 from repro.errors import InvalidParameterError
 from repro.graph import datasets
 from repro.graph.csr import CSRGraph
-from repro.ordering import ORDERING_NAMES
+from repro.ordering import ORDERING_NAMES, OrderingConfig
 from repro.ordering.metrics import minla_energy, minloga_energy
 from repro.ordering.minla import minla_order, minloga_order
 from repro.perf.runner import (
     GLOBAL_ORDERING_CACHE,
     OrderingCache,
     RunResult,
-    run_cell,
+    simulate,
     time_ordering,
 )
 
@@ -54,12 +54,14 @@ class Profile:
     #: minloga); the run with median cycles represents the cell, the
     #: replication's repetition-with-median methodology.
     random_seeds: tuple[int, ...] = (7,)
-    #: Keyword arguments forwarded to every ordering computation
-    #: (signature-filtered per ordering), as sorted (name, value)
-    #: pairs so the profile stays hashable and JSON-roundtrippable.
-    #: The CLI's ``--workers``/``--query-volume`` flags land here.
+    #: Keyword arguments for every ordering computation, as sorted
+    #: (name, value) pairs so the profile stays hashable and
+    #: JSON-roundtrippable; each ordering keeps the ones it declares
+    #: (see :meth:`ordering_config`).  The CLI's
+    #: ``--workers``/``--query-volume`` flags land here.
     ordering_params: tuple[tuple[str, object], ...] = ()
-    #: Simulator path for every cell, forwarded to :func:`run_cell`.
+    #: Simulator path for every cell, forwarded to
+    #: :func:`~repro.perf.runner.simulate`.
     #: Always the production pair (vectorised replay, frontier
     #: runtime); no entry point sets them.  They remain only because
     #: the end-to-end benchmark's spec test reads them.
@@ -69,6 +71,11 @@ class Profile:
     def hierarchy(self) -> CacheHierarchy:
         """A fresh cache hierarchy for one run."""
         return scaled_hierarchy()
+
+    def ordering_config(self, ordering: str, seed: int) -> OrderingConfig:
+        """The permutation this profile's cell ``(ordering, seed)``
+        uses: :attr:`ordering_params` normalised for ``ordering``."""
+        return OrderingConfig(ordering, seed, self.ordering_params)
 
 
 PROFILES: dict[str, Profile] = {
@@ -214,16 +221,14 @@ def _representative_run(
         (profile.seed,) if deterministic else profile.random_seeds
     )
     runs = [
-        run_cell(
+        simulate(
             graph,
             algorithm,
-            ordering,
-            seed=seed,
+            profile.ordering_config(ordering, seed),
             params=params,
             hierarchy=profile.hierarchy(),
             cache=cache,
             dataset_name=dataset_name,
-            ordering_params=dict(profile.ordering_params),
             cache_backend=profile.cache_backend,
             algo_backend=profile.algo_backend,
         )
@@ -289,11 +294,10 @@ def cache_stall_split(
     for algorithm in profile.algorithms:
         params = algorithm_params(algorithm, graph, profile)
         for ordering in orderings:
-            results[(algorithm, ordering)] = run_cell(
+            results[(algorithm, ordering)] = simulate(
                 graph,
                 algorithm,
-                ordering,
-                seed=profile.seed,
+                profile.ordering_config(ordering, profile.seed),
                 params=params,
                 hierarchy=profile.hierarchy(),
                 dataset_name=dataset_name,
@@ -317,10 +321,8 @@ def ordering_times(
             for ordering in profile.orderings:
                 times[(ordering, dataset_name)] = time_ordering(
                     graph,
-                    ordering,
-                    seed=profile.seed,
+                    profile.ordering_config(ordering, profile.seed),
                     repeats=repeats,
-                    ordering_params=dict(profile.ordering_params),
                 )
                 obs.progress(
                     "ordering_time.cell",
@@ -341,11 +343,10 @@ def cache_stats_table(
     graph = datasets.load(dataset_name)
     params = algorithm_params("pr", graph, profile)
     return {
-        ordering: run_cell(
+        ordering: simulate(
             graph,
             "pr",
-            ordering,
-            seed=profile.seed,
+            profile.ordering_config(ordering, profile.seed),
             params=params,
             hierarchy=profile.hierarchy(),
             dataset_name=dataset_name,
@@ -366,8 +367,8 @@ def window_sweep(
 ) -> dict[int, RunResult]:
     """Replication Figure 4: PR cycles per Gorder window size.
 
-    Each window is one :func:`run_cell` (the same simulator path as
-    every other experiment) through a sweep-local one-entry
+    Each window is one :func:`~repro.perf.runner.simulate` (the same
+    simulator path as every other experiment) through a sweep-local one-entry
     :class:`OrderingCache`, so the windows' arrangements do not crowd
     the shared memo.
     """
@@ -376,16 +377,14 @@ def window_sweep(
     cache = OrderingCache(max_entries=1)
     results: dict[int, RunResult] = {}
     for window in windows:
-        result = run_cell(
+        result = simulate(
             graph,
             "pr",
-            "gorder",
-            seed=profile.seed,
+            OrderingConfig("gorder", profile.seed, {"window": window}),
             params=params,
             hierarchy=profile.hierarchy(),
             cache=cache,
             dataset_name=dataset_name,
-            ordering_params={"window": window},
             cache_backend=profile.cache_backend,
             algo_backend=profile.algo_backend,
         )

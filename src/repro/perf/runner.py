@@ -7,8 +7,9 @@ algorithm.  The result bundles the simulated cycle cost (the paper's
 the wall-clock time of the ordering computation (its Table 9 / the
 replication's Table 2).
 
-Orderings and relabeled graphs are memoised per (graph, ordering,
-seed) because the big experiments revisit the same cell many times.
+Orderings and relabeled graphs are memoised per graph and
+:class:`~repro.ordering.OrderingConfig` because the big experiments
+revisit the same cell many times.
 The memo is a bounded LRU (entry and byte caps) so unattended
 full-profile sweeps cannot grow memory without limit.
 """
@@ -38,7 +39,7 @@ from repro.cache import (
 from repro.errors import InvalidParameterError
 from repro.graph.csr import CSRGraph
 from repro.graph.permute import relabel
-from repro.ordering import base as orderings
+from repro.ordering.base import OrderingConfig
 
 
 @dataclass(frozen=True)
@@ -61,18 +62,9 @@ class RunResult:
         return self.cost.total_cycles
 
 
-def _params_key(
-    params: dict | None,
-) -> tuple[tuple[str, object], ...]:
-    """Canonical, hashable form of an ordering-parameter dict."""
-    if not params:
-        return ()
-    return tuple(sorted(params.items()))
-
-
 @dataclass
 class _CacheEntry:
-    """One memoised (graph, ordering, seed, params) cell."""
+    """One memoised (graph, ordering config) cell."""
 
     perm: np.ndarray
     seconds: float
@@ -100,7 +92,7 @@ class OrderingCache:
     any cache entry for it lives (a classic stale-memoisation hazard).
 
     The cache is a bounded LRU: ``max_entries`` caps the number of
-    memoised (graph, ordering, seed) triples and ``max_bytes`` caps
+    memoised (graph, ordering config) pairs and ``max_bytes`` caps
     the approximate array bytes held, so a full-profile sweep cannot
     grow memory without limit.  Evictions only cost a recompute and
     are counted on the ``runner.ordering_cache_evictions`` telemetry
@@ -198,11 +190,19 @@ class OrderingCache:
     ) -> tuple[np.ndarray, float]:
         """The arrangement for (graph, ordering, seed, params) + time.
 
-        ``params`` are ordering keyword arguments (e.g. ``backend``,
-        ``workers``); they are part of the memo key so runs with
-        different knobs never share a cached arrangement.
+        ``params`` are ordering keyword arguments (e.g. ``window``),
+        normalised by :class:`~repro.ordering.OrderingConfig`: runs
+        with different declared parameters never share a cached
+        arrangement, and parameters the ordering does not declare do
+        not split the memo.
         """
-        key = (id(graph), ordering, seed, _params_key(params))
+        return self.get(graph, OrderingConfig(ordering, seed, params))
+
+    def get(
+        self, graph: CSRGraph, config: OrderingConfig
+    ) -> tuple[np.ndarray, float]:
+        """The arrangement ``config`` names for ``graph`` + time."""
+        key = (id(graph), *config.key())
         with self._lock:
             entry = self._lookup(key)
         if entry is not None:
@@ -211,15 +211,13 @@ class OrderingCache:
         obs.inc("runner.ordering_memo_misses")
         with obs.span(
             "ordering.compute",
-            ordering=ordering,
+            ordering=config.ordering,
             dataset=graph.name,
             n=graph.num_nodes,
-            seed=seed,
+            seed=config.seed,
         ):
             start = time.perf_counter()
-            perm = orderings.compute_ordering(
-                ordering, graph, seed=seed, **(params or {})
-            )
+            perm = config.compute(graph)
             seconds = time.perf_counter() - start
         entry = _CacheEntry(perm=perm, seconds=seconds)
         with self._lock:
@@ -236,20 +234,18 @@ class OrderingCache:
     def insert(
         self,
         graph: CSRGraph,
-        ordering: str,
-        seed: int,
+        config: OrderingConfig,
         perm: np.ndarray,
         seconds: float,
-        params: dict | None = None,
     ) -> None:
         """Pre-seed the memo with an externally computed arrangement.
 
         The serve daemon's shared :class:`~repro.serve.store.\
 OrderingStore` computes (or disk-loads) orderings once per logical
-        key; inserting them here lets :func:`run_cell` reuse them
+        key; inserting them here lets :func:`simulate` reuse them
         without recomputing.  An existing entry is kept.
         """
-        key = (id(graph), ordering, seed, _params_key(params))
+        key = (id(graph), *config.key())
         with self._lock:
             if key in self._entries:
                 return
@@ -260,15 +256,11 @@ OrderingStore` computes (or disk-loads) orderings once per logical
             self._evict_over_caps()
 
     def relabeled(
-        self,
-        graph: CSRGraph,
-        ordering: str,
-        seed: int,
-        params: dict | None = None,
+        self, graph: CSRGraph, config: OrderingConfig
     ) -> tuple[CSRGraph, np.ndarray, float]:
         """Relabeled graph, arrangement and ordering compute time."""
-        key = (id(graph), ordering, seed, _params_key(params))
-        perm, seconds = self.permutation(graph, ordering, seed, params)
+        key = (id(graph), *config.key())
+        perm, seconds = self.get(graph, config)
         with self._lock:
             entry = self._entries.get(key)
             cached = entry.graph if entry is not None else None
@@ -319,13 +311,45 @@ def run_cell(
 ) -> RunResult:
     """Execute one experiment cell and return its :class:`RunResult`.
 
+    The ordering is named by ``ordering``, ``seed`` and
+    ``ordering_params``, normalised into one
+    :class:`~repro.ordering.OrderingConfig`; see :func:`simulate`
+    for the other arguments.
+    """
+    return simulate(
+        graph,
+        algorithm,
+        OrderingConfig(ordering, seed, ordering_params),
+        params=params,
+        hierarchy=hierarchy,
+        cost_model=cost_model,
+        cache=cache,
+        dataset_name=dataset_name,
+        cache_backend=cache_backend,
+        algo_backend=algo_backend,
+        cancel_check=cancel_check,
+    )
+
+
+def simulate(
+    graph: CSRGraph,
+    algorithm: str,
+    config: OrderingConfig,
+    params: dict | None = None,
+    hierarchy: CacheHierarchy | None = None,
+    cost_model: CostModel = DEFAULT_COST_MODEL,
+    cache: OrderingCache | None = None,
+    dataset_name: str | None = None,
+    cache_backend: str = "replay",
+    algo_backend: str = "runtime",
+    cancel_check: Callable[[], None] | None = None,
+) -> RunResult:
+    """Run ``algorithm`` on ``graph`` arranged by ``config``.
+
     ``params`` are forwarded to the traced algorithm; any parameter
     named in the algorithm's ``source_params`` is interpreted as
     *logical* node ids on the original graph and mapped through the
     ordering's permutation, so every ordering does identical work.
-    ``ordering_params`` are forwarded to the ordering computation
-    (signature-filtered, see
-    :func:`repro.ordering.base.compute_ordering`).
     ``cache_backend``/``algo_backend`` only forward
     :class:`~repro.perf.experiments.Profile`'s fields to the simulator
     (:class:`~repro.cache.Memory`, :func:`repro.algorithms.traced_fn`);
@@ -343,9 +367,7 @@ def run_cell(
     traced = algorithms.traced_fn(algorithm_spec, algo_backend)
     if cancel_check is not None:
         cancel_check()
-    relabeled, perm, ordering_seconds = cache.relabeled(
-        graph, ordering, seed, ordering_params
-    )
+    relabeled, perm, ordering_seconds = cache.relabeled(graph, config)
     if cancel_check is not None:
         cancel_check()
     run_params = dict(params or {})
@@ -366,8 +388,8 @@ def run_cell(
         "run.simulate",
         dataset=dataset_name or graph.name,
         algorithm=algorithm_spec.name,
-        ordering=orderings.spec(ordering).name,
-        seed=seed,
+        ordering=config.ordering,
+        seed=config.seed,
         cache_backend=cache_backend,
         algo_backend=algo_backend,
     ):
@@ -382,7 +404,7 @@ def run_cell(
     return RunResult(
         dataset=dataset_name or graph.name,
         algorithm=algorithm_spec.name,
-        ordering=orderings.spec(ordering).name,
+        ordering=config.ordering,
         cost=cost,
         stats=stats,
         ordering_seconds=ordering_seconds,
@@ -391,11 +413,7 @@ def run_cell(
 
 
 def time_ordering(
-    graph: CSRGraph,
-    ordering: str,
-    seed: int = 0,
-    repeats: int = 1,
-    ordering_params: dict | None = None,
+    graph: CSRGraph, config: OrderingConfig, repeats: int = 1
 ) -> float:
     """Wall-clock seconds to compute an ordering (no memoisation).
 
@@ -406,14 +424,12 @@ def time_ordering(
     for _ in range(max(repeats, 1)):
         with obs.span(
             "ordering.compute",
-            ordering=ordering,
+            ordering=config.ordering,
             dataset=graph.name,
             n=graph.num_nodes,
-            seed=seed,
+            seed=config.seed,
         ):
             start = time.perf_counter()
-            orderings.compute_ordering(
-                ordering, graph, seed=seed, **(ordering_params or {})
-            )
+            config.compute(graph)
             best = min(best, time.perf_counter() - start)
     return best

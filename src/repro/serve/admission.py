@@ -10,7 +10,7 @@ the door, not discovered by timeout.
 Deadlines are **cooperative**.  Each request carries a
 :class:`RequestContext` whose :meth:`~RequestContext.checkpoint`
 method is called at phase boundaries inside the ordering/run paths
-(see :func:`repro.perf.runner.run_cell`'s ``cancel_check``); an
+(see :func:`repro.perf.runner.simulate`'s ``cancel_check``); an
 expired deadline or a cancellation raises there, so a worker abandons
 doomed work at the next checkpoint instead of computing a result
 nobody will read.

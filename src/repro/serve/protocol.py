@@ -11,7 +11,8 @@ Status-code semantics (documented in ``docs/serving.md``):
 
 * ``400`` — malformed request (unknown dataset/ordering/field type,
   a top-level field the endpoint does not accept, or
-  ``ordering_params`` the ordering does not declare)
+  ``ordering_params`` the ordering does not declare or of a type its
+  annotation does not admit)
 * ``404`` — unknown endpoint
 * ``429`` — admission queue full; ``Retry-After`` header set
 * ``503`` — draining (shutdown in progress); ``Retry-After`` set
@@ -21,12 +22,13 @@ Status-code semantics (documented in ``docs/serving.md``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Any
 
 from repro.algorithms import ALGORITHM_NAMES
 from repro.errors import ReproError
-from repro.ordering import ALL_ORDERING_NAMES, accepted_params
+from repro.ordering import ALL_ORDERING_NAMES, OrderingConfig
+from repro.perf.experiments import get_profile
 from repro.perf.runner import RunResult
 
 #: Protocol version reported by ``/health`` and spill metadata.
@@ -146,13 +148,21 @@ def _optional_bool(payload: dict, key: str, default: bool) -> bool:
     return value
 
 
+#: Wire fields that name the permutation; each request holds them as
+#: one :class:`~repro.ordering.OrderingConfig` in its ``config``.
+_CONFIG_FIELDS = ("ordering", "seed", "ordering_params")
+
+
 def _reject_unknown_fields(payload: dict, request_type: type) -> None:
     """400 for top-level fields ``request_type`` does not declare.
 
     Silently ignoring them would hide a client's typo or a retired
     field behind a default.
     """
-    accepted = sorted(item.name for item in fields(request_type))
+    accepted = sorted(
+        {item.name for item in fields(request_type)} - {"config"}
+        | set(_CONFIG_FIELDS)
+    )
     unknown = sorted(set(payload) - set(accepted))
     if unknown:
         raise BadRequestError(
@@ -161,29 +171,27 @@ def _reject_unknown_fields(payload: dict, request_type: type) -> None:
         )
 
 
-def _ordering_params(payload: dict, ordering: str) -> dict:
-    """The request's ordering keywords, each declared by ``ordering``.
+def _ordering_config(payload: dict, seed: int) -> OrderingConfig:
+    """The request's permutation, through the strict constructor.
 
-    Rejecting undeclared names (rather than letting the registry's
-    signature filter drop them) keeps one store key per permutation.
+    Rejecting undeclared or mistyped ``ordering_params`` (rather than
+    letting the lenient constructor drop them) names the client's
+    mistake and keeps one store key per permutation.
     """
-    value = payload.get("ordering_params") or {}
-    if not isinstance(value, dict) or not all(
-        isinstance(key, str) for key in value
-    ):
+    ordering = _require_str(
+        payload, "ordering", "gorder", ALL_ORDERING_NAMES
+    )
+    params = payload.get("ordering_params") or {}
+    if not isinstance(params, dict):
         raise BadRequestError(
-            "field 'ordering_params' must be an object with "
-            "string keys"
+            "field 'ordering_params' must be an object"
         )
-    accepted = accepted_params(ordering)
-    unknown = sorted(set(value) - accepted)
-    if unknown:
+    try:
+        return OrderingConfig.strict(ordering, seed, params)
+    except ReproError as exc:
         raise BadRequestError(
-            f"ordering {ordering!r} does not accept ordering_params "
-            f"{', '.join(unknown)}; accepted: "
-            f"{', '.join(sorted(accepted)) or 'none'}"
-        )
-    return dict(value)
+            f"field 'ordering_params': {exc}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -191,9 +199,7 @@ class OrderRequest:
     """A validated ``POST /order`` body."""
 
     dataset: str
-    ordering: str = "gorder"
-    seed: int = 0
-    ordering_params: dict = field(default_factory=dict)
+    config: OrderingConfig
     include_permutation: bool = False
     deadline_seconds: float | None = None
 
@@ -203,14 +209,11 @@ class OrderRequest:
             raise BadRequestError("request body must be a JSON object")
         _reject_unknown_fields(payload, cls)
         dataset = _require_str(payload, "dataset")
-        ordering = _require_str(
-            payload, "ordering", "gorder", ALL_ORDERING_NAMES
-        )
         return cls(
             dataset=dataset,
-            ordering=ordering,
-            seed=_optional_int(payload, "seed", 0),
-            ordering_params=_ordering_params(payload, ordering),
+            config=_ordering_config(
+                payload, _optional_int(payload, "seed", 0)
+            ),
             include_permutation=_optional_bool(
                 payload, "include_permutation", False
             ),
@@ -222,13 +225,15 @@ class OrderRequest:
 
 @dataclass(frozen=True)
 class RunRequest:
-    """A validated ``POST /run`` body."""
+    """A validated ``POST /run`` body.
+
+    An omitted ``seed`` is the named profile's seed, resolved here so
+    ``config`` names the exact permutation the run uses.
+    """
 
     dataset: str
     algorithm: str
-    ordering: str = "gorder"
-    seed: int | None = None
-    ordering_params: dict = field(default_factory=dict)
+    config: OrderingConfig
     profile: str = "quick"
     deadline_seconds: float | None = None
 
@@ -246,16 +251,14 @@ class RunRequest:
         algorithm = _require_str(
             payload, "algorithm", None, ALGORITHM_NAMES
         )
-        ordering = _require_str(
-            payload, "ordering", "gorder", ALL_ORDERING_NAMES
-        )
+        profile = _require_str(payload, "profile", "quick")
+        if seed is None:
+            seed = get_profile(profile).seed
         return cls(
             dataset=dataset,
             algorithm=algorithm,
-            ordering=ordering,
-            seed=seed,
-            ordering_params=_ordering_params(payload, ordering),
-            profile=_require_str(payload, "profile", "quick"),
+            config=_ordering_config(payload, seed),
+            profile=profile,
             deadline_seconds=_optional_number(
                 payload, "deadline_seconds"
             ),

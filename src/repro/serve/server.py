@@ -35,7 +35,7 @@ from repro.errors import ReproError
 from repro.graph import datasets
 from repro.graph.csr import CSRGraph
 from repro.perf.faults import FaultPlan
-from repro.perf.runner import OrderingCache, run_cell
+from repro.perf.runner import OrderingCache, simulate
 from repro.serve.admission import (
     AdmissionQueue,
     Deadline,
@@ -158,26 +158,13 @@ class OrderingService:
         self,
         graph: CSRGraph,
         request: OrderRequest | RunRequest,
-        seed: int,
         ctx: RequestContext,
     ):
         """Fetch/compute the ordering through the shared store."""
-        from repro.ordering import compute_ordering
-
-        def compute():
-            return compute_ordering(
-                request.ordering,
-                graph,
-                seed=seed,
-                **request.ordering_params,
-            )
-
         return self.store.get_or_compute(
             request.dataset,
-            request.ordering,
-            seed,
-            request.ordering_params,
-            compute,
+            request.config,
+            lambda: request.config.compute(graph),
             ctx=ctx,
         )
 
@@ -186,6 +173,7 @@ class OrderingService:
         self, request: OrderRequest, ctx: RequestContext
     ) -> dict:
         datasets.spec(request.dataset)  # reject before admission
+        config = request.config
 
         def job(job_ctx: RequestContext, attempt: int) -> dict:
             with obs.span(
@@ -193,27 +181,25 @@ class OrderingService:
                 op="order",
                 request_id=job_ctx.request_id,
                 dataset=request.dataset,
-                ordering=request.ordering,
+                ordering=config.ordering,
             ):
                 self.config.plan.apply_in_cell(
                     request.dataset,
                     "order",
-                    request.ordering,
-                    request.seed,
+                    config.ordering,
+                    config.seed,
                     attempt,
                     cancel_check=job_ctx.check,
                 )
                 graph = self._graph(request.dataset)
                 job_ctx.checkpoint("graph_loaded")
-                entry = self._ordering_entry(
-                    graph, request, request.seed, job_ctx
-                )
+                entry = self._ordering_entry(graph, request, job_ctx)
                 job_ctx.checkpoint("ordered")
                 payload = {
                     "request_id": job_ctx.request_id,
                     "dataset": request.dataset,
-                    "ordering": request.ordering,
-                    "seed": request.seed,
+                    "ordering": config.ordering,
+                    "seed": config.seed,
                     "nodes": graph.num_nodes,
                     "ordering_seconds": entry.seconds,
                     "source": entry.source,
@@ -231,7 +217,7 @@ class OrderingService:
     ) -> dict:
         datasets.spec(request.dataset)  # reject before admission
         profile = perf.get_profile(request.profile)
-        seed = profile.seed if request.seed is None else request.seed
+        config = request.config
 
         def job(job_ctx: RequestContext, attempt: int) -> dict:
             with obs.span(
@@ -240,52 +226,43 @@ class OrderingService:
                 request_id=job_ctx.request_id,
                 dataset=request.dataset,
                 algorithm=request.algorithm,
-                ordering=request.ordering,
+                ordering=config.ordering,
             ):
                 self.config.plan.apply_in_cell(
                     request.dataset,
                     request.algorithm,
-                    request.ordering,
-                    seed,
+                    config.ordering,
+                    config.seed,
                     attempt,
                     cancel_check=job_ctx.check,
                 )
                 graph = self._graph(request.dataset)
                 job_ctx.checkpoint("graph_loaded")
-                entry = self._ordering_entry(
-                    graph, request, seed, job_ctx
-                )
+                entry = self._ordering_entry(graph, request, job_ctx)
                 # Wire the shared store into the run path: the memo
-                # is pre-seeded so run_cell never recomputes what the
+                # is pre-seeded so simulate never recomputes what the
                 # store already holds.
                 self.cache.insert(
-                    graph,
-                    request.ordering,
-                    seed,
-                    entry.perm,
-                    entry.seconds,
-                    request.ordering_params,
+                    graph, config, entry.perm, entry.seconds
                 )
                 job_ctx.checkpoint("ordered")
                 params = perf.algorithm_params(
                     request.algorithm, graph, profile
                 )
-                result = run_cell(
+                result = simulate(
                     graph,
                     request.algorithm,
-                    request.ordering,
-                    seed=seed,
+                    config,
                     params=params,
                     hierarchy=profile.hierarchy(),
                     cache=self.cache,
                     dataset_name=request.dataset,
-                    ordering_params=request.ordering_params,
                     cancel_check=job_ctx.check,
                 )
                 job_ctx.checkpoint("simulated")
                 payload = run_result_payload(result)
                 payload["request_id"] = job_ctx.request_id
-                payload["seed"] = seed
+                payload["seed"] = config.seed
                 return payload
 
         return self._execute(ctx, job)

@@ -4,9 +4,9 @@ The store replaces direct :data:`~repro.perf.runner.GLOBAL_ORDERING_CACHE`
 use inside the service.  It differs from the in-process memo in three
 service-shaped ways:
 
-* **Keys are logical** — ``(dataset, ordering, seed, params)`` names,
-  not ``id(graph)`` — so entries survive process restarts and can be
-  rebuilt from disk.
+* **Keys are logical** — a dataset name plus the
+  :class:`~repro.ordering.OrderingConfig` key, not ``id(graph)`` — so
+  entries survive process restarts and can be rebuilt from disk.
 * **Sharded locking** — the key space is hashed across independent
   shards, each with its own lock and LRU, so concurrent workers
   rarely contend.
@@ -40,6 +40,7 @@ import numpy as np
 from repro import obs
 from repro.errors import InvalidParameterError
 from repro.ioutil import atomic_open
+from repro.ordering import OrderingConfig
 from repro.serve.admission import (
     RequestContext,
     ServiceCounters,
@@ -53,12 +54,6 @@ SPILL_VERSION = 1
 QUARANTINE_SUFFIX = ".quarantined"
 
 _SAFE_NAME = re.compile(r"[^A-Za-z0-9_.-]")
-
-
-def _params_key(params: dict | None) -> tuple[tuple[str, object], ...]:
-    if not params:
-        return ()
-    return tuple(sorted(params.items()))
 
 
 @dataclass
@@ -141,22 +136,18 @@ class OrderingStore:
         return self._shards[digest[0] % len(self._shards)]
 
     def spill_path(
-        self,
-        dataset: str,
-        ordering: str,
-        seed: int,
-        params: dict | None = None,
+        self, dataset: str, config: OrderingConfig
     ) -> Path | None:
         """The spill file a key persists to (``None`` when disabled)."""
         if self.root is None:
             return None
         params_json = json.dumps(
-            _params_key(params), sort_keys=True, default=str
+            config.params, sort_keys=True, default=str
         )
         digest = hashlib.sha256(params_json.encode()).hexdigest()[:10]
         safe = "--".join(
             _SAFE_NAME.sub("_", part)
-            for part in (dataset, ordering, f"s{seed}")
+            for part in (dataset, config.ordering, f"s{config.seed}")
         )
         return self.root / f"{safe}--{digest}.npz"
 
@@ -164,9 +155,7 @@ class OrderingStore:
     def get_or_compute(
         self,
         dataset: str,
-        ordering: str,
-        seed: int,
-        params: dict | None,
+        config: OrderingConfig,
         compute: Callable[[], np.ndarray],
         ctx: RequestContext | None = None,
     ) -> StoreEntry:
@@ -175,7 +164,7 @@ class OrderingStore:
         ``compute`` runs at most once per concurrent key (single
         flight); ``ctx`` bounds a follower's wait by its deadline.
         """
-        key = (dataset, ordering, seed, _params_key(params))
+        key = (dataset, *config.key())
         shard = self._shard(key)
         entry = shard.get(key)
         if entry is not None:
@@ -184,7 +173,7 @@ class OrderingStore:
             return StoreEntry(entry.perm, entry.seconds, "memory")
 
         def miss() -> StoreEntry:
-            loaded = self._load_spill(dataset, ordering, seed, params)
+            loaded = self._load_spill(dataset, config)
             if loaded is not None:
                 shard.put(key, loaded)
                 self.counters.inc("serve.store_disk_hits")
@@ -199,33 +188,23 @@ class OrderingStore:
             shard.put(key, fresh)
             self.counters.inc("serve.store_computed")
             obs.inc("serve.store_computed")
-            self._spill(dataset, ordering, seed, params, fresh)
+            self._spill(dataset, config, fresh)
             return fresh
 
         return self._flights.do(key, miss, ctx)
 
     # -- spill / load / quarantine -------------------------------------
     def _spill(
-        self,
-        dataset: str,
-        ordering: str,
-        seed: int,
-        params: dict | None,
-        entry: StoreEntry,
+        self, dataset: str, config: OrderingConfig, entry: StoreEntry
     ) -> None:
-        path = self.spill_path(dataset, ordering, seed, params)
+        path = self.spill_path(dataset, config)
         if path is None:
             return
         meta = json.dumps(
             {
                 "version": SPILL_VERSION,
                 "dataset": dataset,
-                "ordering": ordering,
-                "seed": seed,
-                "params": [
-                    [key, value]
-                    for key, value in _params_key(params)
-                ],
+                **config.as_json(),
                 "seconds": entry.seconds,
             },
             default=str,
@@ -238,25 +217,26 @@ class OrderingStore:
         obs.inc("serve.store_spills")
 
     def _load_spill(
-        self,
-        dataset: str,
-        ordering: str,
-        seed: int,
-        params: dict | None,
+        self, dataset: str, config: OrderingConfig
     ) -> StoreEntry | None:
-        path = self.spill_path(dataset, ordering, seed, params)
+        path = self.spill_path(dataset, config)
         if path is None or not path.exists():
             return None
         parsed = self._read_spill(path)
         if parsed is None:
             return None
-        perm, meta = parsed
+        perm, meta, _ = parsed
         return StoreEntry(perm, float(meta.get("seconds", 0.0)), "disk")
 
     def _read_spill(
         self, path: Path
-    ) -> tuple[np.ndarray, dict] | None:
-        """Parse one spill file; quarantine instead of raising."""
+    ) -> tuple[np.ndarray, dict, OrderingConfig] | None:
+        """Parse one spill file; quarantine instead of raising.
+
+        A file whose metadata names no valid config (an ordering
+        since removed, an undeclared parameter) is quarantined like a
+        torn one.
+        """
         try:
             with np.load(path, allow_pickle=False) as data:
                 perm = np.asarray(data["perm"])
@@ -272,7 +252,12 @@ class OrderingStore:
                     f"spill version {meta.get('version')!r} != "
                     f"{SPILL_VERSION}"
                 )
-            return perm, meta
+            config = OrderingConfig.strict(
+                meta["ordering"],
+                meta["seed"],
+                dict(meta.get("params", ())),
+            )
+            return perm, meta, config
         # quarantine() records a warning event naming path + reason.
         except Exception as exc:  # repro: noqa[REP003] — quarantined
             self.quarantine(path, repr(exc))
@@ -316,16 +301,8 @@ class OrderingStore:
             parsed = self._read_spill(path)
             if parsed is None:
                 continue
-            perm, meta = parsed
-            key = (
-                meta.get("dataset"),
-                meta.get("ordering"),
-                meta.get("seed"),
-                tuple(
-                    (pair[0], pair[1])
-                    for pair in meta.get("params", ())
-                ),
-            )
+            perm, meta, config = parsed
+            key = (meta.get("dataset"), *config.key())
             entry = StoreEntry(
                 perm, float(meta.get("seconds", 0.0)), "disk"
             )

@@ -1,4 +1,4 @@
-"""Cross-module rules REP008/REP009/REP010 and the acceptance
+"""Cross-module rules REP008/REP010 and the acceptance
 mutations: fixtures run against synthetic mini-packages; the
 acceptance tests mutate a copy of the real tree and expect the gate
 to fail."""
@@ -14,12 +14,7 @@ from repro.analysis import (
     rule_versions,
     run_project_lint,
 )
-from repro.analysis.knobs import Knob, KnobSurface
-from repro.analysis.project_rules import (
-    KnobPlumbingRule,
-    LockGuardRule,
-    OraclePurityRule,
-)
+from repro.analysis.project_rules import LockGuardRule, OraclePurityRule
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -287,131 +282,6 @@ class TestLockGuard:
 
 
 # ----------------------------------------------------------------------
-# REP009 — knob-plumbing completeness (synthetic registry)
-# ----------------------------------------------------------------------
-CFG_TREE = {
-    "cfg/__init__.py": "",
-    "cfg/profile.py": """
-        from dataclasses import dataclass
-
-        @dataclass
-        class Profile:
-            depth: int = 3
-            width: int = 1
-    """,
-    "cfg/runner.py": """
-        def run(depth=None):
-            return depth
-    """,
-}
-
-
-def cfg_rule(registry, classes=("cfg.profile.Profile",)):
-    return KnobPlumbingRule(registry=registry, classes=classes)
-
-
-def surface(token, scope="run", module="cfg.runner"):
-    return KnobSurface(
-        name="runner", module=module, scope=scope, token=token
-    )
-
-
-class TestKnobPlumbing:
-    REGISTRY = (
-        Knob(
-            name="depth",
-            declared_in="cfg.profile.Profile",
-            surfaces=(surface("depth"),),
-        ),
-        Knob(name="width", declared_in="cfg.profile.Profile"),
-    )
-
-    def test_complete_plumbing_is_clean(self, make_tree):
-        make_tree(CFG_TREE)
-        assert check(cfg_rule(self.REGISTRY), paths=("cfg",)) == []
-
-    def test_missing_surface_token_fires(self, make_tree):
-        make_tree(CFG_TREE)
-        registry = (
-            Knob(
-                name="depth",
-                declared_in="cfg.profile.Profile",
-                surfaces=(surface("breadth"),),
-            ),
-            Knob(name="width", declared_in="cfg.profile.Profile"),
-        )
-        findings = check(cfg_rule(registry), paths=("cfg",))
-        assert len(findings) == 1
-        assert "'breadth' not found" in findings[0].message
-        assert findings[0].path == "cfg/profile.py"
-
-    def test_missing_scope_fires(self, make_tree):
-        make_tree(CFG_TREE)
-        registry = (
-            Knob(
-                name="depth",
-                declared_in="cfg.profile.Profile",
-                surfaces=(surface("depth", scope="walk"),),
-            ),
-            Knob(name="width", declared_in="cfg.profile.Profile"),
-        )
-        findings = check(cfg_rule(registry), paths=("cfg",))
-        assert len(findings) == 1
-        assert "scope 'walk' not found" in findings[0].message
-
-    def test_unregistered_field_fires(self, make_tree):
-        make_tree(CFG_TREE)
-        registry = (
-            Knob(name="depth", declared_in="cfg.profile.Profile"),
-        )
-        findings = check(cfg_rule(registry), paths=("cfg",))
-        assert len(findings) == 1
-        assert "'width'" in findings[0].message
-        assert "no entry in" in findings[0].message
-
-    def test_stale_registry_entry_fires(self, make_tree):
-        make_tree(CFG_TREE)
-        registry = self.REGISTRY + (
-            Knob(name="ghost", declared_in="cfg.profile.Profile"),
-        )
-        findings = check(cfg_rule(registry), paths=("cfg",))
-        assert len(findings) == 1
-        assert "'ghost'" in findings[0].message
-        assert "no longer exists" in findings[0].message
-
-    def test_missing_knob_class_fires(self, make_tree):
-        make_tree(CFG_TREE)
-        rule = cfg_rule(
-            self.REGISTRY,
-            classes=("cfg.profile.Profile", "cfg.profile.Extra"),
-        )
-        findings = check(rule, paths=("cfg",))
-        assert len(findings) == 1
-        assert "cfg.profile.Extra not found" in findings[0].message
-
-    def test_surface_outside_analysed_paths_is_skipped(
-        self, make_tree
-    ):
-        """Partial-path lints must not fabricate findings."""
-        make_tree(CFG_TREE)
-        registry = (
-            Knob(
-                name="depth",
-                declared_in="cfg.profile.Profile",
-                surfaces=(surface("depth", module="cfg.elsewhere"),),
-            ),
-            Knob(name="width", declared_in="cfg.profile.Profile"),
-        )
-        assert check(cfg_rule(registry), paths=("cfg",)) == []
-
-    def test_class_module_outside_analysed_paths_is_skipped(
-        self, make_tree
-    ):
-        make_tree({"other/__init__.py": "", "other/mod.py": "x = 1\n"})
-        assert check(cfg_rule(self.REGISTRY), paths=("other",)) == []
-
-
-# ----------------------------------------------------------------------
 # REP010 — oracle purity
 # ----------------------------------------------------------------------
 class TestOraclePurity:
@@ -626,22 +496,5 @@ class TestAcceptanceMutations:
         assert rules == {"REP008"}
         assert any(
             f.path == "src/repro/serve/store.py"
-            for f in report.findings
-        )
-
-    def test_dropping_memo_key_plumbing_fails_the_gate(self, tree):
-        self.mutate(
-            tree,
-            "src/repro/perf/engine.py",
-            "        ordering_params=dict(profile.ordering_params),\n",
-            "",
-        )
-        report = run_project_lint(["src/repro"])
-        assert report.exit_code() == 1
-        rules = {f.rule for f in report.findings}
-        assert rules == {"REP009"}
-        assert any(
-            "'ordering_params'" in f.message
-            and "sweep-engine cell" in f.message
             for f in report.findings
         )

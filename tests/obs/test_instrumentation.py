@@ -5,7 +5,6 @@ import pytest
 from repro import obs
 from repro.graph import from_edges
 from repro.ordering.gorder import gorder_sequence
-from repro.ordering.gorder_lazy import gorder_sequence_lazy
 from repro.perf.runner import OrderingCache, run_cell
 
 
@@ -49,32 +48,6 @@ class TestGorderCounters:
         assert len(ends) == 1
         assert ends[0]["attrs"]["n"] == 4
         assert ends[0]["attrs"]["backend"] == "batched"
-
-
-class TestGorderLazyCounters:
-    def test_pops_and_pushes(self, cycle4):
-        obs.configure()
-        gorder_sequence_lazy(cycle4)
-        counters = obs.counters()
-        assert counters["gorder_lazy.heap_pops"] == 3
-        # Every live update pushes one fresh entry; the 4-cycle fires
-        # 8 update events of which those at placed nodes are dropped.
-        assert 0 < counters["gorder_lazy.heap_pushes"] <= 8
-        assert counters["gorder_lazy.lazy_discards"] >= 0
-
-    def test_instrumented_lazy_is_still_a_permutation(self, cycle4):
-        obs.configure()
-        lazy = gorder_sequence_lazy(cycle4)
-        assert sorted(lazy.tolist()) == [0, 1, 2, 3]
-
-    def test_greedy_span_backend_attribute(self, cycle4):
-        obs.configure(capture=True)
-        gorder_sequence_lazy(cycle4)
-        ends = [
-            e for e in obs.captured()
-            if e["kind"] == "span_end" and e["name"] == "gorder.greedy"
-        ]
-        assert ends[0]["attrs"]["backend"] == "lazy_heap"
 
 
 class TestRunCellCounters:

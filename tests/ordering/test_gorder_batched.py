@@ -21,7 +21,6 @@ from repro.ordering import (
     gorder_naive,
     gorder_partitioned,
     gorder_sequence,
-    gorder_sequence_lazy,
     gorder_sequence_reference,
     window_scores,
     window_scores_reference,
@@ -59,14 +58,6 @@ class TestBackendEquivalence:
         batched = gorder_sequence(graph, window=window)
         oracle = invert_permutation(gorder_naive(graph, window=window))
         assert np.array_equal(batched, oracle)
-
-    @pytest.mark.parametrize("window", WINDOWS)
-    def test_batched_matches_lazy(self, graphs, window):
-        """The lazy-PQ variant shares the smallest-id tie-break."""
-        for graph in graphs:
-            batched = gorder_sequence(graph, window=window)
-            lazy = gorder_sequence_lazy(graph, window=window)
-            assert np.array_equal(batched, lazy), graph.name
 
     @pytest.mark.parametrize("hub_threshold", [0, 2, 5])
     def test_hub_threshold_equivalence(self, graphs, hub_threshold):

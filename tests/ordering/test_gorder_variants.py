@@ -1,4 +1,4 @@
-"""Tests for the alternative Gorder backends (lazy PQ, partitioned)."""
+"""Tests for the partitioned Gorder variant."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,10 @@ from repro.errors import InvalidParameterError
 from repro.graph import from_edges, generators
 from repro.ordering import (
     gorder_order,
-    gorder_order_lazy,
     gorder_partitioned,
     gorder_score,
-    gorder_sequence_lazy,
     partition_nodes,
-    window_scores,
 )
-from repro.ordering.metrics import pair_score
 
 from tests.conftest import assert_valid_permutation
 
@@ -22,62 +18,6 @@ from tests.conftest import assert_valid_permutation
 @pytest.fixture(scope="module")
 def graph():
     return generators.social_graph(120, edges_per_node=5, seed=31)
-
-
-class TestLazyBackend:
-    def test_valid(self, graph):
-        assert_valid_permutation(
-            gorder_order_lazy(graph), graph.num_nodes
-        )
-
-    def test_window_validation(self, graph):
-        with pytest.raises(InvalidParameterError):
-            gorder_order_lazy(graph, window=0)
-        with pytest.raises(InvalidParameterError):
-            gorder_order_lazy(graph, hub_threshold=-2)
-
-    def test_empty_graph(self):
-        assert gorder_order_lazy(from_edges([], num_nodes=0)).size == 0
-
-    def test_greedy_invariant(self):
-        small = generators.social_graph(40, edges_per_node=4, seed=9)
-        window = 3
-        sequence = gorder_sequence_lazy(small, window=window)
-        placed = [int(sequence[0])]
-        remaining = set(range(small.num_nodes)) - {placed[0]}
-        for i in range(1, small.num_nodes):
-            window_nodes = placed[-window:]
-            chosen = int(sequence[i])
-
-            def score(v):
-                return sum(
-                    pair_score(small, u, v) for u in window_nodes
-                )
-
-            assert score(chosen) == max(score(v) for v in remaining)
-            placed.append(chosen)
-            remaining.discard(chosen)
-
-    def test_matches_unit_heap_quality(self, graph):
-        """Same greedy, different tie-breaks: the objective values are
-        close (identical up to tie-break noise)."""
-        fast = gorder_score(graph, gorder_order(graph))
-        lazy = gorder_score(graph, gorder_order_lazy(graph))
-        assert lazy == pytest.approx(fast, rel=0.1)
-
-    def test_step_scores_match_unit_heap(self, graph):
-        from repro.graph import invert_permutation
-
-        window = 5
-        fast_scores = window_scores(
-            graph, invert_permutation(gorder_order(graph)), window
-        )
-        lazy_scores = window_scores(
-            graph, gorder_sequence_lazy(graph, window=window), window
-        )
-        assert int(fast_scores.sum()) == pytest.approx(
-            int(lazy_scores.sum()), rel=0.1
-        )
 
 
 class TestPartitioned:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import InvalidParameterError
 from repro.graph import generators
+from repro.ordering import OrderingConfig
 from repro.perf import OrderingCache, run_cell, time_ordering
 
 
@@ -80,8 +81,8 @@ class TestOrderingCache:
 
     def test_relabeled_graph_memoised(self, graph):
         cache = OrderingCache()
-        graph_a, _, _ = cache.relabeled(graph, "rcm", 0)
-        graph_b, _, _ = cache.relabeled(graph, "rcm", 0)
+        graph_a, _, _ = cache.relabeled(graph, OrderingConfig("rcm"))
+        graph_b, _, _ = cache.relabeled(graph, OrderingConfig("rcm"))
         assert graph_a is graph_b
 
     def test_clear(self, graph):
@@ -118,6 +119,14 @@ class TestOrderingCache:
         assert a is b
         assert len(cache) == 1
 
+    def test_undeclared_params_do_not_split_the_memo(self, graph):
+        """Gorder does not declare ``workers``: one entry, one compute."""
+        cache = OrderingCache()
+        a, _ = cache.permutation(graph, "gorder", 0, {"workers": 2})
+        b, _ = cache.permutation(graph, "gorder", 0)
+        assert len(cache) == 1
+        assert a is b
+
     def test_empty_params_same_as_none(self, graph):
         cache = OrderingCache()
         a, _ = cache.permutation(graph, "gorder", 0)
@@ -148,8 +157,8 @@ class TestCacheBounds:
 
     def test_byte_cap(self, graph):
         cache = OrderingCache(max_entries=None, max_bytes=1)
-        cache.relabeled(graph, "original", 0)
-        cache.relabeled(graph, "indegsort", 0)
+        cache.relabeled(graph, OrderingConfig("original"))
+        cache.relabeled(graph, OrderingConfig("indegsort"))
         # Over the byte cap, only the newest entry is retained.
         assert len(cache) == 1
         assert cache.nbytes() > 0
@@ -270,7 +279,7 @@ class TestCacheContention:
     def test_insert_preseeds_the_memo(self, graph):
         cache = OrderingCache(max_entries=4)
         perm = np.arange(graph.num_nodes, dtype=np.int64)
-        cache.insert(graph, "original", 0, perm, 0.125)
+        cache.insert(graph, OrderingConfig("original"), perm, 0.125)
         got, seconds = cache.permutation(graph, "original", 0)
         assert got is perm
         assert seconds == 0.125
@@ -280,8 +289,7 @@ class TestCacheContention:
         first, _ = cache.permutation(graph, "original", 0)
         cache.insert(
             graph,
-            "original",
-            0,
+            OrderingConfig("original"),
             np.zeros(graph.num_nodes, dtype=np.int64),
             9.0,
         )
@@ -291,10 +299,11 @@ class TestCacheContention:
 
 class TestTimeOrdering:
     def test_positive(self, graph):
-        assert time_ordering(graph, "indegsort") > 0
+        assert time_ordering(graph, OrderingConfig("indegsort")) > 0
 
     def test_repeats_take_minimum(self, graph):
-        assert time_ordering(graph, "indegsort", repeats=2) > 0
+        config = OrderingConfig("indegsort")
+        assert time_ordering(graph, config, repeats=2) > 0
 
 
 class TestCachePinning:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.ordering import OrderingConfig
 from repro.serve.protocol import (
     BadRequestError,
     DeadlineExceededError,
@@ -20,8 +21,7 @@ class TestOrderRequest:
     def test_minimal(self):
         request = OrderRequest.from_payload({"dataset": "epinion"})
         assert request.dataset == "epinion"
-        assert request.ordering == "gorder"
-        assert request.seed == 0
+        assert request.config == OrderingConfig("gorder", 0)
         assert request.deadline_seconds is None
         assert not request.include_permutation
 
@@ -36,9 +36,7 @@ class TestOrderRequest:
                 "deadline_seconds": 2.5,
             }
         )
-        assert request.ordering == "ldg"
-        assert request.seed == 3
-        assert request.ordering_params == {"bin_size": 32}
+        assert request.config == OrderingConfig("ldg", 3, {"bin_size": 32})
         assert request.include_permutation
         assert request.deadline_seconds == 2.5
 
@@ -52,8 +50,9 @@ class TestOrderRequest:
                 "ordering_params": {"query_volume": 5000},
             }
         )
-        assert request.ordering == "auto"
-        assert request.ordering_params == {"query_volume": 5000}
+        assert request.config == OrderingConfig(
+            "auto", 0, {"query_volume": 5000}
+        )
 
     def test_undeclared_ordering_params_rejected(self):
         """A knob the ordering does not declare would be dropped by
@@ -109,8 +108,9 @@ class TestRunRequest:
             {"dataset": "epinion", "algorithm": "pr"}
         )
         assert request.algorithm == "pr"
-        assert request.seed is None
         assert request.profile == "quick"
+        # An omitted seed is the profile's, resolved at parse time.
+        assert request.config == OrderingConfig("gorder", 7)
 
     def test_algorithm_required(self):
         with pytest.raises(BadRequestError):
@@ -136,7 +136,9 @@ class TestRunRequest:
                 "ordering_params": {"workers": 2, "num_parts": 3},
             }
         )
-        assert request.ordering_params == {"workers": 2, "num_parts": 3}
+        assert request.config.params == (
+            ("num_parts", 3), ("workers", 2)
+        )
 
     def test_bad_cache_backend(self):
         with pytest.raises(BadRequestError):
@@ -209,7 +211,7 @@ class TestUnknownFields:
                 "deadline_seconds": 5,
             }
         )
-        assert request.ordering_params == {"window": 4}
+        assert request.config == OrderingConfig("gorder", 3, {"window": 4})
         order = OrderRequest.from_payload(
             {
                 "dataset": "epinion",

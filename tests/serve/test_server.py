@@ -134,6 +134,43 @@ class TestEndpoints:
         _, stats, _ = harness.get("/stats")
         assert "serve.admitted" not in stats["counters"]
 
+    @pytest.mark.parametrize("value", [[1, 2], "abc", True])
+    def test_mistyped_ordering_params_are_400(self, harness, value):
+        """A value its parameter's annotation does not admit is the
+        client's mistake: 400 naming the field, never a traceback, and
+        the kept-alive connection serves the next request."""
+        client = harness.connect()
+        for path in ("/order", "/run"):
+            status, payload, _ = client.post(
+                path,
+                {
+                    "dataset": "epinion",
+                    "algorithm": "pr",
+                    "ordering_params": {"window": value},
+                }
+                if path == "/run"
+                else {
+                    "dataset": "epinion",
+                    "ordering_params": {"window": value},
+                },
+            )
+            assert status == 400
+            assert payload["error"] == "bad_request"
+            assert "'window' must be int" in payload["message"]
+        status, payload, _ = client.post(
+            "/order",
+            {"dataset": "epinion", "ordering_params": {"window": 3}},
+        )
+        assert status == 200
+        assert payload["source"] == "computed"
+
+    def test_removed_ordering_is_400(self, harness):
+        status, payload, _ = harness.post(
+            "/order", {"dataset": "epinion", "ordering": "gorder-lazy"}
+        )
+        assert status == 400
+        assert "unknown ordering 'gorder-lazy'" in payload["message"]
+
     def test_invalid_json_is_400(self, harness):
         import urllib.error
         import urllib.request

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import threading
 
 import numpy as np
 import pytest
 
+from repro.ordering import OrderingConfig
 from repro.serve.admission import Deadline, RequestContext
 from repro.serve.store import (
     QUARANTINE_SUFFIX,
@@ -29,10 +31,10 @@ class TestMemoryPath:
             return perm_of(8)
 
         first = store.get_or_compute(
-            "epinion", "gorder", 0, None, compute
+            "epinion", OrderingConfig("gorder", 0), compute
         )
         second = store.get_or_compute(
-            "epinion", "gorder", 0, None, compute
+            "epinion", OrderingConfig("gorder", 0), compute
         )
         assert len(calls) == 1
         assert first.source == "computed"
@@ -48,17 +50,19 @@ class TestMemoryPath:
             return perm_of(4)
 
         store.get_or_compute(
-            "epinion", "gorder", 0, {"window": 3}, compute
+            "epinion", OrderingConfig("gorder", 0, {"window": 3}),
+            compute,
         )
         store.get_or_compute(
-            "epinion", "gorder", 0, {"window": 5}, compute
+            "epinion", OrderingConfig("gorder", 0, {"window": 5}),
+            compute,
         )
         assert len(calls) == 2
 
     def test_memory_only_store(self):
         store = OrderingStore(root=None)
         entry = store.get_or_compute(
-            "epinion", "gorder", 0, None, lambda: perm_of(4)
+            "epinion", OrderingConfig("gorder", 0), lambda: perm_of(4)
         )
         assert entry.source == "computed"
         assert store.stats()["spill_root"] is None
@@ -69,7 +73,7 @@ class TestMemoryPath:
         )
         for seed in range(5):
             store.get_or_compute(
-                "epinion", "gorder", seed, None,
+                "epinion", OrderingConfig("gorder", seed),
                 lambda: perm_of(4),
             )
         assert store.stats()["entries"] == 2
@@ -89,7 +93,8 @@ class TestMemoryPath:
             ctx = RequestContext("r", Deadline(None))
             results.append(
                 store.get_or_compute(
-                    "epinion", "gorder", 0, None, compute, ctx=ctx
+                    "epinion", OrderingConfig("gorder", 0), compute,
+                    ctx=ctx,
                 )
             )
 
@@ -112,21 +117,23 @@ class TestSpillAndWarm:
     def test_spill_written_atomically(self, tmp_path):
         store = OrderingStore(root=tmp_path)
         store.get_or_compute(
-            "epinion", "gorder", 0, {"window": 3},
+            "epinion", OrderingConfig("gorder", 0, {"window": 3}),
             lambda: perm_of(8),
         )
-        path = store.spill_path("epinion", "gorder", 0, {"window": 3})
+        path = store.spill_path(
+            "epinion", OrderingConfig("gorder", 0, {"window": 3})
+        )
         assert path.exists()
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_restart_loads_from_disk(self, tmp_path):
         first = OrderingStore(root=tmp_path)
         original = first.get_or_compute(
-            "epinion", "gorder", 7, None, lambda: perm_of(8)
+            "epinion", OrderingConfig("gorder", 7), lambda: perm_of(8)
         )
         fresh = OrderingStore(root=tmp_path)
         reloaded = fresh.get_or_compute(
-            "epinion", "gorder", 7, None,
+            "epinion", OrderingConfig("gorder", 7),
             lambda: pytest.fail("must not recompute"),
         )
         assert reloaded.source == "disk"
@@ -136,14 +143,14 @@ class TestSpillAndWarm:
         first = OrderingStore(root=tmp_path)
         for seed in (0, 1, 2):
             first.get_or_compute(
-                "epinion", "gorder", seed, {"window": 4},
+                "epinion", OrderingConfig("gorder", seed, {"window": 4}),
                 lambda: perm_of(6),
             )
         fresh = OrderingStore(root=tmp_path)
         assert fresh.warm() == 3
         assert fresh.stats()["entries"] == 3
         entry = fresh.get_or_compute(
-            "epinion", "gorder", 1, {"window": 4},
+            "epinion", OrderingConfig("gorder", 1, {"window": 4}),
             lambda: pytest.fail("must not recompute"),
         )
         assert entry.source == "memory"
@@ -153,17 +160,57 @@ class TestSpillAndWarm:
             root=tmp_path, shards=1, max_entries_per_shard=1
         )
         store.get_or_compute(
-            "epinion", "gorder", 0, None, lambda: perm_of(4)
+            "epinion", OrderingConfig("gorder", 0), lambda: perm_of(4)
         )
         store.get_or_compute(
-            "epinion", "gorder", 1, None, lambda: perm_of(4)
+            "epinion", OrderingConfig("gorder", 1), lambda: perm_of(4)
         )
         # Seed 0 was evicted from memory but kept on disk.
         entry = store.get_or_compute(
-            "epinion", "gorder", 0, None,
+            "epinion", OrderingConfig("gorder", 0),
             lambda: pytest.fail("must not recompute"),
         )
         assert entry.source == "disk"
+
+
+class TestSpillNames:
+    def test_spill_file_names_are_stable(self, tmp_path):
+        """File names pinned before the store keyed on OrderingConfig:
+        a daemon restarted on an existing spill directory finds its
+        files."""
+        store = OrderingStore(root=tmp_path)
+        keys = [
+            ("epinion", "gorder", 7, {"window": 3, "hub_threshold": 10}),
+            ("epinion", "gorder", 0, None),
+            ("wiki", "auto", 3, {"query_volume": 2.5}),
+        ]
+        names = [
+            store.spill_path(
+                dataset, OrderingConfig(ordering, seed, params)
+            ).name
+            for dataset, ordering, seed, params in keys
+        ]
+        assert names == [
+            "epinion--gorder--s7--d194b8a5b6.npz",
+            "epinion--gorder--s0--4f53cda18c.npz",
+            "wiki--auto--s3--49c37608fb.npz",
+        ]
+
+    def test_spill_of_a_removed_ordering_is_quarantined(self, tmp_path):
+        store = OrderingStore(root=tmp_path)
+        config = OrderingConfig("gorder", 0)
+        store.get_or_compute("epinion", config, lambda: perm_of(4))
+        path = store.spill_path("epinion", config)
+        with np.load(path) as data:
+            perm = data["perm"]
+            meta = json.loads(str(data["meta"]))
+        meta["ordering"] = "gorder-lazy"
+        np.savez_compressed(
+            path, perm=perm, meta=np.array(json.dumps(meta))
+        )
+        fresh = OrderingStore(root=tmp_path)
+        assert fresh.warm() == 0
+        assert path.with_name(path.name + QUARANTINE_SUFFIX).exists()
 
 
 class TestCrashSafety:
@@ -178,10 +225,10 @@ class TestCrashSafety:
         """
         store = OrderingStore(root=tmp_path)
         store.get_or_compute(
-            "epinion", "gorder", 0, None, lambda: perm_of(8)
+            "epinion", OrderingConfig("gorder", 0), lambda: perm_of(8)
         )
-        good = store.spill_path("epinion", "gorder", 0, None)
-        torn = store.spill_path("epinion", "gorder", 1, None)
+        good = store.spill_path("epinion", OrderingConfig("gorder", 0))
+        torn = store.spill_path("epinion", OrderingConfig("gorder", 1))
         torn.write_bytes(good.read_bytes()[:17])  # truncated npz
         (tmp_path / "half-written.npz.tmp").write_bytes(b"\x00\x01")
 
@@ -196,7 +243,7 @@ class TestCrashSafety:
         assert not list(tmp_path.glob("*.tmp"))
         # The good entry is served from the warm set.
         entry = fresh.get_or_compute(
-            "epinion", "gorder", 0, None,
+            "epinion", OrderingConfig("gorder", 0),
             lambda: pytest.fail("must not recompute"),
         )
         assert entry.source == "memory"
@@ -204,15 +251,15 @@ class TestCrashSafety:
     def test_corrupt_spill_on_lookup_recomputes(self, tmp_path):
         store = OrderingStore(root=tmp_path)
         store.get_or_compute(
-            "epinion", "gorder", 0, None, lambda: perm_of(8)
+            "epinion", OrderingConfig("gorder", 0), lambda: perm_of(8)
         )
-        path = store.spill_path("epinion", "gorder", 0, None)
+        path = store.spill_path("epinion", OrderingConfig("gorder", 0))
         path.write_bytes(b"not an npz at all")
         fresh = OrderingStore(root=tmp_path)
         # warm() quarantines it; the next lookup recomputes cleanly.
         fresh.warm()
         entry = fresh.get_or_compute(
-            "epinion", "gorder", 0, None, lambda: perm_of(8)
+            "epinion", OrderingConfig("gorder", 0), lambda: perm_of(8)
         )
         assert entry.source == "computed"
         assert (

@@ -1,5 +1,7 @@
 """Smoke tests for the command-line interface."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,60 @@ class TestParser:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "unrecognized arguments: --ordering-backend loop" in err
+
+
+    def test_removed_ordering_is_unknown(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["order", "--ordering", "gorder-lazy"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'gorder-lazy'" in capsys.readouterr().err
+
+
+class TestOrderingFlags:
+    """``order``/``run`` reject a knob their ordering does not
+    declare, as serve does; the profile-wide commands apply each knob
+    to the orderings that declare it."""
+
+    @pytest.mark.parametrize("command", ["order", "run"])
+    def test_undeclared_flag_is_an_error(self, command, capsys):
+        assert main(
+            [command, "--dataset", "epinion", "--ordering", "gorder",
+             "--workers", "2"]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "does not accept parameter(s) workers" in err
+        assert "accepted: hub_threshold, window" in err
+
+    def test_profile_wide_flag_reaches_declaring_orderings(
+        self, monkeypatch, capsys
+    ):
+        from repro.perf import experiments
+
+        seen = []
+        real = experiments.time_ordering
+
+        def spy(graph, config, repeats=1):
+            seen.append(config)
+            return real(graph, config, repeats)
+
+        monkeypatch.setenv("REPRO_DATASETS", "epinion")
+        monkeypatch.setattr(experiments, "time_ordering", spy)
+        monkeypatch.setitem(
+            experiments.PROFILES,
+            "quick",
+            replace(
+                experiments.PROFILES["quick"],
+                orderings=("rcm", "gorder-part"),
+            ),
+        )
+        assert main(
+            ["ordering-time", "--profile", "quick", "--workers", "1"]
+        ) == 0
+        assert {c.ordering: c.params for c in seen} == {
+            "rcm": (),
+            "gorder-part": (("workers", 1),),
+        }
 
 
 class TestCommands:
