@@ -46,7 +46,7 @@ class LockGuardRule(ProjectRule):
     lock-held if it is called at least once within the class and
     every intra-class call site runs under the lock (directly or
     from another lock-held method).  This keeps the
-    ``OrderingCache._lookup``/``_evict_over_caps`` idiom — private
+    ``OrderingCache._hit``/``_evict_over_caps`` idiom — private
     helpers whose callers hold the lock — free of false positives.
     """
 

@@ -15,6 +15,7 @@ in-CSR built lazily on first use.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterator
 
 import numpy as np
@@ -49,7 +50,7 @@ class CSRGraph:
 
     __slots__ = (
         "_n", "_offsets", "_adjacency", "_in_csr",
-        "_out_degrees", "_in_degrees", "name",
+        "_out_degrees", "_in_degrees", "_fingerprint", "name",
     )
 
     def __init__(
@@ -70,6 +71,7 @@ class CSRGraph:
         self._in_csr: tuple[np.ndarray, np.ndarray] | None = None
         self._out_degrees: np.ndarray | None = None
         self._in_degrees: np.ndarray | None = None
+        self._fingerprint: str | None = None
         self.name = name
         self._offsets.setflags(write=False)
         self._adjacency.setflags(write=False)
@@ -96,6 +98,20 @@ class CSRGraph:
     def adjacency(self) -> np.ndarray:
         """The read-only shared out-neighbour array (length *m*)."""
         return self._adjacency
+
+    @property
+    def fingerprint(self) -> str:
+        """Hex blake2b digest of ``num_nodes``, ``offsets`` and
+        ``adjacency``: graphs with equal content share it, whatever
+        their name or identity.  Computed once (the graph is
+        immutable)."""
+        if self._fingerprint is None:
+            digest = hashlib.blake2b(digest_size=16)
+            digest.update(self._n.to_bytes(8, "little"))
+            digest.update(memoryview(self._offsets))
+            digest.update(memoryview(self._adjacency))
+            self._fingerprint = digest.hexdigest()
+        return self._fingerprint
 
     def __len__(self) -> int:
         return self._n

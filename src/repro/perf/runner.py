@@ -7,21 +7,28 @@ algorithm.  The result bundles the simulated cycle cost (the paper's
 the wall-clock time of the ordering computation (its Table 9 / the
 replication's Table 2).
 
-Orderings and relabeled graphs are memoised per graph and
-:class:`~repro.ordering.OrderingConfig` because the big experiments
-revisit the same cell many times.
-The memo is a bounded LRU (entry and byte caps) so unattended
-full-profile sweeps cannot grow memory without limit.
+Orderings and relabeled graphs are memoised per graph content and
+:class:`~repro.ordering.OrderingConfig`, because the big experiments
+revisit the same cell many times and an ordering pays off only when
+its cost is spread over many runs.  The memo is a bounded LRU (entry
+and byte caps), so unattended full-profile sweeps cannot grow memory
+without limit, with an optional crash-safe spill directory that the
+serve daemon uses to keep orderings across restarts.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
+import re
 import threading
 import time
 from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -39,7 +46,17 @@ from repro.cache import (
 from repro.errors import InvalidParameterError
 from repro.graph.csr import CSRGraph
 from repro.graph.permute import relabel
+from repro.ioutil import atomic_open
 from repro.ordering.base import OrderingConfig
+
+#: Spill file schema version (bumped on incompatible layout changes;
+#: 2 records the graph fingerprint).
+SPILL_VERSION = 2
+
+#: Suffix appended to a quarantined spill file.
+QUARANTINE_SUFFIX = ".quarantined"
+
+_SAFE_NAME = re.compile(r"[^A-Za-z0-9_.-]")
 
 
 @dataclass(frozen=True)
@@ -51,7 +68,8 @@ class RunResult:
     ordering: str
     cost: RunCost
     stats: CacheStats
-    #: Wall-clock seconds to compute the ordering (0 when memoised).
+    #: Wall-clock seconds to compute the ordering; a memoised
+    #: ordering reports the time its computation took.
     ordering_seconds: float
     #: Wall-clock seconds spent simulating (diagnostic only).
     simulation_seconds: float
@@ -64,7 +82,7 @@ class RunResult:
 
 @dataclass
 class _CacheEntry:
-    """One memoised (graph, ordering config) cell."""
+    """One memoised (graph content, ordering config) cell."""
 
     perm: np.ndarray
     seconds: float
@@ -84,34 +102,108 @@ def _env_int(name: str) -> int | None:
     return int(value) if value else None
 
 
+class _Flight:
+    """State shared by the leader and followers of one key."""
+
+    __slots__ = ("done", "result", "error")
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.result: Any = None
+        self.error: BaseException | None = None
+
+
+class SingleFlight:
+    """Deduplicate concurrent calls for the same key.
+
+    The first caller for a key becomes the *leader* and runs the
+    function; callers arriving while it runs become *followers* and
+    wait for its result.  Each caller's ``cancel_check`` runs before
+    it joins a flight and while it waits as a follower, and raises to
+    abandon the call.  A leader starts the function as soon as it
+    joins, so only an error of the function reaches the followers,
+    never the leader's own cancellation or deadline; they can retry
+    with a fresh flight.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._flights: dict[Any, _Flight] = {}
+        #: Calls that waited on another caller's flight.
+        self.shared = 0
+
+    def do(
+        self,
+        key: Any,
+        fn: Callable[[], Any],
+        cancel_check: Callable[[], None] | None = None,
+    ) -> Any:
+        """Run ``fn`` once per concurrent ``key``; share the result."""
+        if cancel_check is not None:
+            cancel_check()
+        with self._lock:
+            flight = self._flights.get(key)
+            leader = flight is None
+            if leader:
+                flight = self._flights[key] = _Flight()
+            else:
+                self.shared += 1
+        if leader:
+            try:
+                flight.result = fn()
+            except BaseException as exc:
+                flight.error = exc
+                raise
+            finally:
+                with self._lock:
+                    self._flights.pop(key, None)
+                flight.done.set()
+            return flight.result
+        while not flight.done.wait(timeout=0.02):
+            if cancel_check is not None:
+                cancel_check()
+        if flight.error is not None:
+            raise flight.error
+        return flight.result
+
+
 class OrderingCache:
-    """Memoises permutations and relabeled graphs per graph object.
+    """Memoises permutations and relabeled graphs by graph content.
 
-    Keys include ``id(graph)``; the keyed graph object is pinned in
-    ``_pinned`` so its id cannot be recycled by the allocator while
-    any cache entry for it lives (a classic stale-memoisation hazard).
+    Entries are keyed by ``(graph.fingerprint, *config.key())``: graph
+    objects with equal content share an entry, and a freed graph
+    leaves no key behind that a new graph could alias.  The cache
+    holds no reference to the graphs it was asked about.
 
-    The cache is a bounded LRU: ``max_entries`` caps the number of
-    memoised (graph, ordering config) pairs and ``max_bytes`` caps
-    the approximate array bytes held, so a full-profile sweep cannot
-    grow memory without limit.  Evictions only cost a recompute and
-    are counted on the ``runner.ordering_cache_evictions`` telemetry
-    counter.  Either cap may be ``None`` (unbounded).
+    Memory is a bounded LRU: ``max_entries`` caps the number of
+    memoised (graph, ordering config) pairs and ``max_bytes`` the
+    approximate array bytes held, so a full-profile sweep cannot grow
+    memory without limit.  Evictions only cost a recompute (or a disk
+    load) and are counted as ``cache_evictions``.  Either cap may be
+    ``None`` (unbounded).
 
-    The cache is **thread-safe**: every structural mutation (insert,
-    LRU move-to-end, eviction, pin bookkeeping, clear) happens under
-    one reentrant lock, so the serve daemon's worker threads can
-    share :data:`GLOBAL_ORDERING_CACHE` without corrupting the LRU
-    order or double-evicting pins.  Ordering computation and graph
-    relabeling run *outside* the lock — two threads missing on the
-    same key may both compute, and the first insert wins; that costs
-    a duplicate compute, never a corrupted cache.
+    ``spill_root`` adds a disk tier.  Every computed ordering is
+    spilled to an ``.npz`` file through the atomic
+    :mod:`repro.ioutil` layer (temp file + fsync + rename + directory
+    fsync), so a ``kill -9`` mid-spill leaves at worst a stray
+    ``*.tmp``.  An ordering evicted from memory reloads from disk
+    instead of recomputing, and :meth:`warm` rebuilds the memory set
+    after a restart.  A corrupt, torn or out-of-date spill file is
+    **quarantined** (renamed aside with a warning), never a crash; a
+    spill written for a graph of other content is a miss, recomputed
+    and overwritten.
+
+    The cache is **thread-safe**: structural mutation happens under
+    one reentrant lock, while computation, disk I/O and relabeling
+    run outside it.  Concurrent misses on one key share one
+    computation through :class:`SingleFlight`.
     """
 
     def __init__(
         self,
         max_entries: int | None = 128,
         max_bytes: int | None = None,
+        spill_root: str | Path | None = None,
     ) -> None:
         if max_entries is not None and max_entries < 1:
             raise InvalidParameterError(
@@ -121,12 +213,13 @@ class OrderingCache:
             raise InvalidParameterError("max_bytes must be >= 1 or None")
         self.max_entries = max_entries
         self.max_bytes = max_bytes
+        self.spill_root = Path(spill_root) if spill_root else None
+        if self.spill_root is not None:
+            self.spill_root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
-        self._entries: OrderedDict[
-            tuple[int, str, int, tuple], _CacheEntry
-        ] = OrderedDict()
-        self._pinned: dict[int, CSRGraph] = {}
-        self._pin_counts: dict[int, int] = {}
+        self._entries: OrderedDict[tuple, _CacheEntry] = OrderedDict()
+        self._counts: dict[str, int] = {}
+        self._flights = SingleFlight()
 
     def __len__(self) -> int:
         with self._lock:
@@ -139,20 +232,21 @@ class OrderingCache:
                 entry.nbytes for entry in self._entries.values()
             )
 
-    def _pin(self, graph: CSRGraph) -> None:
-        graph_id = id(graph)
-        self._pinned[graph_id] = graph
-        self._pin_counts[graph_id] = (
-            self._pin_counts.get(graph_id, 0) + 1
-        )
+    def counts(self) -> dict[str, int]:
+        """Memo events so far, by name (each present once nonzero):
+        ``memo_hits``, ``memo_misses``, ``disk_hits``, ``computed``,
+        ``cache_evictions``, ``spills``, ``quarantined``, ``warmed``,
+        ``stray_tmp`` and ``singleflight_shared``."""
+        with self._lock:
+            counts = dict(self._counts)
+        if self._flights.shared:
+            counts["singleflight_shared"] = self._flights.shared
+        return counts
 
-    def _unpin(self, graph_id: int) -> None:
-        remaining = self._pin_counts.get(graph_id, 0) - 1
-        if remaining <= 0:
-            self._pin_counts.pop(graph_id, None)
-            self._pinned.pop(graph_id, None)
-        else:
-            self._pin_counts[graph_id] = remaining
+    def _count(self, name: str, amount: int = 1) -> None:
+        with self._lock:
+            self._counts[name] = self._counts.get(name, 0) + amount
+        obs.inc(f"runner.ordering_{name}", amount)
 
     def _evict_over_caps(self) -> None:
         def over() -> bool:
@@ -169,17 +263,21 @@ class OrderingCache:
         # Keep at least the newest entry so the current lookup's
         # result is always returned memoised.
         while len(self._entries) > 1 and over():
-            key, _ = self._entries.popitem(last=False)
-            self._unpin(key[0])
-            obs.inc("runner.ordering_cache_evictions")
+            self._entries.popitem(last=False)
+            self._count("cache_evictions")
 
-    def _lookup(
-        self, key: tuple[int, str, int, tuple]
-    ) -> _CacheEntry | None:
+    def _hit(self, key: tuple) -> _CacheEntry | None:
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
+            self._count("memo_hits")
         return entry
+
+    def _insert(self, key: tuple, entry: _CacheEntry) -> None:
+        with self._lock:
+            self._entries[key] = entry
+            self._entries.move_to_end(key)
+            self._evict_over_caps()
 
     def permutation(
         self,
@@ -196,19 +294,57 @@ class OrderingCache:
         arrangement, and parameters the ordering does not declare do
         not split the memo.
         """
-        return self.get(graph, OrderingConfig(ordering, seed, params))
+        perm, seconds, _ = self.get(
+            graph, OrderingConfig(ordering, seed, params)
+        )
+        return perm, seconds
 
     def get(
-        self, graph: CSRGraph, config: OrderingConfig
-    ) -> tuple[np.ndarray, float]:
-        """The arrangement ``config`` names for ``graph`` + time."""
-        key = (id(graph), *config.key())
+        self,
+        graph: CSRGraph,
+        config: OrderingConfig,
+        cancel_check: Callable[[], None] | None = None,
+    ) -> tuple[np.ndarray, float, str]:
+        """The arrangement ``config`` names for ``graph``, its compute
+        time, and where it came from: ``memory``, ``disk`` or
+        ``computed``.
+
+        ``cancel_check`` bounds a wait on another caller's
+        computation of the same key, and stops this caller before it
+        starts one; it raises to abandon the lookup.
+        """
+        entry, source = self._fetch(graph, config, cancel_check)
+        return entry.perm, entry.seconds, source
+
+    def _fetch(
+        self,
+        graph: CSRGraph,
+        config: OrderingConfig,
+        cancel_check: Callable[[], None] | None,
+    ) -> tuple[_CacheEntry, str]:
+        key = (graph.fingerprint, *config.key())
         with self._lock:
-            entry = self._lookup(key)
+            entry = self._hit(key)
         if entry is not None:
-            obs.inc("runner.ordering_memo_hits")
-            return entry.perm, entry.seconds
-        obs.inc("runner.ordering_memo_misses")
+            return entry, "memory"
+        return self._flights.do(
+            key, lambda: self._miss(key, graph, config), cancel_check
+        )
+
+    def _miss(
+        self, key: tuple, graph: CSRGraph, config: OrderingConfig
+    ) -> tuple[_CacheEntry, str]:
+        with self._lock:
+            # A flight on this key may have landed since the lookup.
+            entry = self._hit(key)
+        if entry is not None:
+            return entry, "memory"
+        self._count("memo_misses")
+        entry = self._load_spill(key, graph, config)
+        if entry is not None:
+            self._insert(key, entry)
+            self._count("disk_hits")
+            return entry, "disk"
         with obs.span(
             "ordering.compute",
             ordering=config.ordering,
@@ -220,69 +356,158 @@ class OrderingCache:
             perm = config.compute(graph)
             seconds = time.perf_counter() - start
         entry = _CacheEntry(perm=perm, seconds=seconds)
-        with self._lock:
-            existing = self._lookup(key)
-            if existing is not None:
-                # Another thread computed and inserted first; its
-                # entry (and pin) stands, ours is discarded.
-                return existing.perm, existing.seconds
-            self._entries[key] = entry
-            self._pin(graph)
-            self._evict_over_caps()
-        return entry.perm, entry.seconds
+        self._insert(key, entry)
+        self._count("computed")
+        self._spill(graph, config, entry)
+        return entry, "computed"
 
-    def insert(
+    def relabeled(
         self,
         graph: CSRGraph,
         config: OrderingConfig,
-        perm: np.ndarray,
-        seconds: float,
-    ) -> None:
-        """Pre-seed the memo with an externally computed arrangement.
-
-        The serve daemon's shared :class:`~repro.serve.store.\
-OrderingStore` computes (or disk-loads) orderings once per logical
-        key; inserting them here lets :func:`simulate` reuse them
-        without recomputing.  An existing entry is kept.
-        """
-        key = (id(graph), *config.key())
-        with self._lock:
-            if key in self._entries:
-                return
-            self._entries[key] = _CacheEntry(
-                perm=perm, seconds=seconds
-            )
-            self._pin(graph)
-            self._evict_over_caps()
-
-    def relabeled(
-        self, graph: CSRGraph, config: OrderingConfig
+        cancel_check: Callable[[], None] | None = None,
     ) -> tuple[CSRGraph, np.ndarray, float]:
         """Relabeled graph, arrangement and ordering compute time."""
-        key = (id(graph), *config.key())
-        perm, seconds = self.get(graph, config)
-        with self._lock:
-            entry = self._entries.get(key)
-            cached = entry.graph if entry is not None else None
-        if cached is not None:
-            return cached, perm, seconds
-        relabeled = relabel(graph, perm)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                # Evicted while relabeling: return the fresh graph
-                # uncached rather than resurrect the entry.
-                return relabeled, perm, seconds
-            if entry.graph is None:
-                entry.graph = relabeled
-                self._evict_over_caps()
-            return entry.graph, perm, seconds
+        entry, _ = self._fetch(graph, config, cancel_check)
+        if entry.graph is None:
+            fresh = relabel(graph, entry.perm)
+            with self._lock:
+                if entry.graph is None:
+                    entry.graph = fresh
+                    self._evict_over_caps()
+        return entry.graph, entry.perm, entry.seconds
 
     def clear(self) -> None:
+        """Drop every memoised entry (spill files stay on disk)."""
         with self._lock:
             self._entries.clear()
-            self._pinned.clear()
-            self._pin_counts.clear()
+
+    # -- the spill tier ------------------------------------------------
+    def spill_path(
+        self, name: str, config: OrderingConfig
+    ) -> Path | None:
+        """The spill file of ``config`` for a graph named ``name``
+        (``None`` without a spill root)."""
+        if self.spill_root is None:
+            return None
+        params_json = json.dumps(
+            config.params, sort_keys=True, default=str
+        )
+        digest = hashlib.sha256(params_json.encode()).hexdigest()[:10]
+        safe = "--".join(
+            _SAFE_NAME.sub("_", part)
+            for part in (name, config.ordering, f"s{config.seed}")
+        )
+        return self.spill_root / f"{safe}--{digest}.npz"
+
+    def _spill(
+        self, graph: CSRGraph, config: OrderingConfig, entry: _CacheEntry
+    ) -> None:
+        path = self.spill_path(graph.name, config)
+        if path is None:
+            return
+        meta = json.dumps(
+            {
+                "version": SPILL_VERSION,
+                "graph": graph.name,
+                "fingerprint": graph.fingerprint,
+                **config.as_json(),
+                "seconds": entry.seconds,
+            },
+            default=str,
+        )
+        with atomic_open(path, "wb") as handle:
+            np.savez_compressed(
+                handle, perm=entry.perm, meta=np.array(meta)
+            )
+        self._count("spills")
+
+    def _load_spill(
+        self, key: tuple, graph: CSRGraph, config: OrderingConfig
+    ) -> _CacheEntry | None:
+        path = self.spill_path(graph.name, config)
+        if path is None or not path.exists():
+            return None
+        parsed = self._read_spill(path)
+        # A spill written for another graph of this name is a miss;
+        # the recompute overwrites it.
+        if parsed is None or parsed[0] != key:
+            return None
+        return parsed[1]
+
+    def _read_spill(
+        self, path: Path
+    ) -> tuple[tuple, _CacheEntry] | None:
+        """Parse one spill file into its memo key and entry.
+
+        A file that is torn, of another :data:`SPILL_VERSION`, or
+        whose metadata names no valid config (an ordering since
+        removed, an undeclared parameter) is quarantined, not raised.
+        """
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                perm = np.asarray(data["perm"])
+                meta = json.loads(str(data["meta"]))
+            if perm.ndim != 1 or not np.issubdtype(
+                perm.dtype, np.integer
+            ):
+                raise InvalidParameterError(
+                    "spill permutation is not a 1-D integer array"
+                )
+            if meta.get("version") != SPILL_VERSION:
+                raise InvalidParameterError(
+                    f"spill version {meta.get('version')!r} != "
+                    f"{SPILL_VERSION}"
+                )
+            config = OrderingConfig.strict(
+                meta["ordering"],
+                meta["seed"],
+                dict(meta.get("params", ())),
+            )
+            key = (str(meta["fingerprint"]), *config.key())
+            return key, _CacheEntry(perm, float(meta.get("seconds", 0.0)))
+        # _quarantine() records a warning event naming path + reason.
+        except Exception as exc:  # repro: noqa[REP003] — quarantined
+            self._quarantine(path, repr(exc))
+            return None
+
+    def _quarantine(self, path: Path, reason: str) -> None:
+        """Move a corrupt spill file aside; never raise."""
+        try:
+            path.replace(path.with_name(path.name + QUARANTINE_SUFFIX))
+        except OSError:
+            # The file vanished or the rename failed; removing it is
+            # the next-best containment.
+            path.unlink(missing_ok=True)
+        self._count("quarantined")
+        obs.event(
+            "runner.ordering_spill_quarantine",
+            level="warning",
+            path=str(path),
+            reason=reason,
+        )
+
+    def warm(self) -> int:
+        """Rebuild the memory set from the spill directory.
+
+        Stray ``*.tmp`` files (a kill mid-spill) are removed; corrupt
+        spill files are quarantined with a warning.  Returns the
+        number of orderings loaded.
+        """
+        if self.spill_root is None:
+            return 0
+        for stray in sorted(self.spill_root.glob("*.tmp")):
+            stray.unlink(missing_ok=True)
+            self._count("stray_tmp")
+        loaded = 0
+        for path in sorted(self.spill_root.glob("*.npz")):
+            parsed = self._read_spill(path)
+            if parsed is not None:
+                self._insert(*parsed)
+                loaded += 1
+        if loaded:
+            self._count("warmed", loaded)
+        return loaded
 
 
 #: Default shared cache (cleared freely; it is only a memoisation).
@@ -358,8 +583,9 @@ def simulate(
     ``cancel_check`` is a cooperative cancellation hook (the serve
     daemon's deadline enforcement): it is invoked at the phase
     boundaries of the run — before the ordering is computed, after
-    relabeling, and before the simulation — and should raise to
-    abandon the run.
+    relabeling, and before the simulation — and while the run waits
+    on another caller's computation of the same ordering; it should
+    raise to abandon the run.
     """
     # None check, not truthiness: an empty OrderingCache is falsy.
     cache = GLOBAL_ORDERING_CACHE if cache is None else cache
@@ -367,7 +593,9 @@ def simulate(
     traced = algorithms.traced_fn(algorithm_spec, algo_backend)
     if cancel_check is not None:
         cancel_check()
-    relabeled, perm, ordering_seconds = cache.relabeled(graph, config)
+    relabeled, perm, ordering_seconds = cache.relabeled(
+        graph, config, cancel_check
+    )
     if cancel_check is not None:
         cancel_check()
     run_params = dict(params or {})

@@ -15,18 +15,18 @@ orderings in memory and answers concurrent HTTP/JSON requests:
 Robustness is the headline: a bounded admission queue with explicit
 backpressure (429 + ``Retry-After``), per-request deadlines with
 cooperative cancellation checkpoints (504 + partial-progress
-telemetry), single-flight deduplication of identical computations,
-retry/backoff on transient worker failures, a crash-safe sharded
-:class:`~repro.serve.store.OrderingStore` that spills to disk through
-the atomic :mod:`repro.ioutil` layer and quarantines corrupt spill
-files, and graceful drain on SIGTERM/SIGINT.  See ``docs/serving.md``.
+telemetry), retry/backoff on transient worker failures, and graceful
+drain on SIGTERM/SIGINT.  Orderings live in one
+:class:`~repro.perf.runner.OrderingCache` keyed by graph content: it
+deduplicates concurrent identical computations and spills to disk
+through the atomic :mod:`repro.ioutil` layer, quarantining corrupt
+spill files.  See ``docs/serving.md``.
 """
 
 from repro.serve.admission import (
     AdmissionQueue,
     Deadline,
     RequestContext,
-    SingleFlight,
 )
 from repro.serve.protocol import (
     BadRequestError,
@@ -44,7 +44,6 @@ from repro.serve.server import (
     ServeConfig,
     serve,
 )
-from repro.serve.store import OrderingStore, StoreEntry
 
 __all__ = [
     "AdmissionQueue",
@@ -55,14 +54,11 @@ __all__ = [
     "NotFoundError",
     "OrderRequest",
     "OrderingService",
-    "OrderingStore",
     "QueueFullError",
     "RequestCancelledError",
     "RequestContext",
     "RunRequest",
     "ServeConfig",
     "ServeError",
-    "SingleFlight",
-    "StoreEntry",
     "serve",
 ]

@@ -1,4 +1,4 @@
-"""Admission control: bounded queue, deadlines, cancellation, dedup.
+"""Admission control: bounded queue, deadlines, cancellation.
 
 The daemon separates *accepting* a request (the HTTP handler thread)
 from *executing* it (a small fixed worker pool fed by a bounded
@@ -14,9 +14,6 @@ method is called at phase boundaries inside the ordering/run paths
 expired deadline or a cancellation raises there, so a worker abandons
 doomed work at the next checkpoint instead of computing a result
 nobody will read.
-
-:class:`SingleFlight` deduplicates concurrent identical computations:
-the first requester computes, everyone else waits on the same result.
 """
 
 from __future__ import annotations
@@ -399,75 +396,3 @@ class AdmissionQueue:
             "cancelled_inflight": len(cancelled),
             "unfinished": leftover,
         }
-
-
-class _Flight:
-    """State shared by the leader and followers of one key."""
-
-    __slots__ = ("done", "result", "error", "followers")
-
-    def __init__(self) -> None:
-        self.done = threading.Event()
-        self.result: Any = None
-        self.error: BaseException | None = None
-        self.followers = 0
-
-
-class SingleFlight:
-    """Deduplicate concurrent calls for the same key.
-
-    The first caller for a key becomes the *leader* and runs the
-    function; callers arriving while it runs become *followers* and
-    wait for the leader's result (bounded by their own deadline).  A
-    leader's failure propagates to its followers — they can retry with
-    a fresh flight.
-    """
-
-    def __init__(self, counters: ServiceCounters | None = None) -> None:
-        self._lock = threading.Lock()
-        self._flights: dict[Any, _Flight] = {}
-        self.counters = counters or ServiceCounters()
-
-    def do(
-        self,
-        key: Any,
-        fn: Callable[[], Any],
-        ctx: RequestContext | None = None,
-    ) -> Any:
-        """Run ``fn`` once per concurrent ``key``; share the result."""
-        with self._lock:
-            flight = self._flights.get(key)
-            if flight is None:
-                flight = _Flight()
-                self._flights[key] = flight
-                leader = True
-            else:
-                flight.followers += 1
-                leader = False
-        if leader:
-            try:
-                flight.result = fn()
-            except BaseException as exc:
-                flight.error = exc
-                raise
-            finally:
-                with self._lock:
-                    self._flights.pop(key, None)
-                flight.done.set()
-        else:
-            self.counters.inc("serve.singleflight_shared")
-            obs.inc("serve.singleflight_shared")
-            self._wait(flight, ctx)
-            if flight.error is not None:
-                raise flight.error
-        return flight.result
-
-    @staticmethod
-    def _wait(flight: _Flight, ctx: RequestContext | None) -> None:
-        if ctx is None:
-            flight.done.wait()
-            return
-        while True:
-            ctx.check()
-            if flight.done.wait(timeout=0.02):
-                return

@@ -2,10 +2,10 @@
 
 Layering (transport is disposable, the service is the product):
 
-* :class:`OrderingService` owns the loaded graphs, the crash-safe
-  :class:`~repro.serve.store.OrderingStore`, the in-process
-  :class:`~repro.perf.runner.OrderingCache` used by the run path, and
-  the :class:`~repro.serve.admission.AdmissionQueue`.  It is fully
+* :class:`OrderingService` owns the loaded graphs, one
+  :class:`~repro.perf.runner.OrderingCache` that both endpoints read
+  (its spill directory keeps orderings across restarts), and the
+  :class:`~repro.serve.admission.AdmissionQueue`.  It is fully
   testable without sockets.
 * :class:`_Handler` maps HTTP requests onto service calls and
   :class:`~repro.serve.protocol.ServeError` subclasses onto status
@@ -54,7 +54,6 @@ from repro.serve.protocol import (
     error_payload,
     run_result_payload,
 )
-from repro.serve.store import OrderingStore
 
 #: Extra handler-side wait beyond the request deadline, covering the
 #: gap between a worker's cooperative checkpoints.
@@ -62,6 +61,18 @@ DEADLINE_GRACE_SECONDS = 0.25
 
 #: Largest request body accepted (these are small JSON commands).
 MAX_BODY_BYTES = 1 << 20
+
+#: The ``/stats`` counter each ordering-memo count is reported as.
+STORE_COUNTERS = {
+    "memo_hits": "serve.store_memory_hits",
+    "disk_hits": "serve.store_disk_hits",
+    "computed": "serve.store_computed",
+    "spills": "serve.store_spills",
+    "quarantined": "serve.store_quarantined",
+    "warmed": "serve.store_warmed",
+    "stray_tmp": "serve.store_stray_tmp",
+    "singleflight_shared": "serve.singleflight_shared",
+}
 
 
 @dataclass
@@ -80,10 +91,8 @@ class ServeConfig:
     max_deadline_seconds: float = 300.0
     retries: int = 1
     backoff_seconds: float = 0.05
-    #: Spill directory for the ordering store (``None`` = memory only).
+    #: Spill directory for the ordering memo (``None`` = memory only).
     store_root: str | None = None
-    store_shards: int = 8
-    store_entries_per_shard: int = 64
     #: Seconds the drain waits for in-flight work before cancelling.
     drain_timeout_seconds: float = 5.0
     #: Suggested client wait on 429/503 responses.
@@ -100,13 +109,12 @@ class OrderingService:
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
         self.counters = ServiceCounters()
-        self.store = OrderingStore(
-            root=config.store_root,
-            shards=config.store_shards,
-            max_entries_per_shard=config.store_entries_per_shard,
-            counters=self.counters,
+        #: The daemon's own ordering memo (not the global one, so one
+        #: daemon's memory is its own), shared by every worker.
+        self.cache = OrderingCache(
+            max_entries=256, spill_root=config.store_root
         )
-        self.warmed = self.store.warm()
+        self.warmed = self.cache.warm()
         self.queue = AdmissionQueue(
             capacity=config.queue_capacity,
             workers=config.workers,
@@ -115,9 +123,6 @@ class OrderingService:
             counters=self.counters,
             retry_after=config.retry_after_seconds,
         )
-        #: Private memo for the simulate path (not the global one, so
-        #: one daemon's memory is its own).  Thread-safe since PR 7.
-        self.cache = OrderingCache(max_entries=256)
         self._graphs: dict[str, CSRGraph] = {}
         self._graphs_lock = threading.Lock()
         self._started = time.monotonic()
@@ -154,20 +159,6 @@ class OrderingService:
         obs.inc("serve.requests")
         return ctx
 
-    def _ordering_entry(
-        self,
-        graph: CSRGraph,
-        request: OrderRequest | RunRequest,
-        ctx: RequestContext,
-    ):
-        """Fetch/compute the ordering through the shared store."""
-        return self.store.get_or_compute(
-            request.dataset,
-            request.config,
-            lambda: request.config.compute(graph),
-            ctx=ctx,
-        )
-
     # -- endpoint bodies (run on worker threads) -----------------------
     def handle_order(
         self, request: OrderRequest, ctx: RequestContext
@@ -193,7 +184,9 @@ class OrderingService:
                 )
                 graph = self._graph(request.dataset)
                 job_ctx.checkpoint("graph_loaded")
-                entry = self._ordering_entry(graph, request, job_ctx)
+                perm, seconds, source = self.cache.get(
+                    graph, config, job_ctx.check
+                )
                 job_ctx.checkpoint("ordered")
                 payload = {
                     "request_id": job_ctx.request_id,
@@ -201,12 +194,12 @@ class OrderingService:
                     "ordering": config.ordering,
                     "seed": config.seed,
                     "nodes": graph.num_nodes,
-                    "ordering_seconds": entry.seconds,
-                    "source": entry.source,
+                    "ordering_seconds": seconds,
+                    "source": source,
                 }
                 if request.include_permutation:
                     payload["permutation"] = [
-                        int(value) for value in entry.perm
+                        int(value) for value in perm
                     ]
                 return payload
 
@@ -238,14 +231,6 @@ class OrderingService:
                 )
                 graph = self._graph(request.dataset)
                 job_ctx.checkpoint("graph_loaded")
-                entry = self._ordering_entry(graph, request, job_ctx)
-                # Wire the shared store into the run path: the memo
-                # is pre-seeded so simulate never recomputes what the
-                # store already holds.
-                self.cache.insert(
-                    graph, config, entry.perm, entry.seconds
-                )
-                job_ctx.checkpoint("ordered")
                 params = perf.algorithm_params(
                     request.algorithm, graph, profile
                 )
@@ -337,12 +322,21 @@ class OrderingService:
     def stats(self) -> dict:
         with self._graphs_lock:
             graphs = sorted(self._graphs)
+        counters = self.counters.snapshot()
+        for name, value in self.cache.counts().items():
+            if name in STORE_COUNTERS:
+                counters[STORE_COUNTERS[name]] = value
+        spill_root = self.cache.spill_root
         return {
             "uptime_seconds": time.monotonic() - self._started,
             "queue": self.queue.stats(),
-            "store": self.store.stats(),
+            "store": {
+                "entries": len(self.cache),
+                "nbytes": self.cache.nbytes(),
+                "spill_root": str(spill_root) if spill_root else None,
+            },
             "graphs": graphs,
-            "counters": self.counters.snapshot(),
+            "counters": counters,
         }
 
     # -- lifecycle -----------------------------------------------------

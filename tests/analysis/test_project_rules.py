@@ -484,10 +484,10 @@ class TestAcceptanceMutations:
     def test_deleting_a_lock_guard_fails_the_gate(self, tree):
         self.mutate(
             tree,
-            "src/repro/serve/store.py",
-            "    def put(self, key: tuple, entry: StoreEntry) -> None:"
-            "\n        with self.lock:",
-            "    def put(self, key: tuple, entry: StoreEntry) -> None:"
+            "src/repro/perf/runner.py",
+            "    def _insert(self, key: tuple, entry: _CacheEntry) -> None:"
+            "\n        with self._lock:",
+            "    def _insert(self, key: tuple, entry: _CacheEntry) -> None:"
             "\n        if True:",
         )
         report = run_project_lint(["src/repro"])
@@ -495,6 +495,6 @@ class TestAcceptanceMutations:
         rules = {f.rule for f in report.findings}
         assert rules == {"REP008"}
         assert any(
-            f.path == "src/repro/serve/store.py"
+            f.path == "src/repro/perf/runner.py"
             for f in report.findings
         )

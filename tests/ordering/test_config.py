@@ -16,7 +16,6 @@ from repro.graph import generators
 from repro.ordering import OrderingConfig, compute_ordering
 from repro.perf import OrderingCache, get_profile
 from repro.serve.protocol import OrderRequest, RunRequest
-from repro.serve.store import OrderingStore
 
 
 class TestNormalisation:
@@ -151,19 +150,15 @@ class TestOneKeyPerPermutation:
         assert all(perm is perms[0] for perm in perms)
 
     def test_one_store_entry(self, configs, tmp_path):
-        store = OrderingStore(root=tmp_path)
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return np.arange(4, dtype=np.int64)
-
+        graph = generators.social_graph(
+            60, edges_per_node=4, seed=3, name="epinion"
+        )
+        cache = OrderingCache(spill_root=tmp_path)
         sources = [
-            store.get_or_compute("epinion", config, compute).source
-            for config in configs.values()
+            cache.get(graph, config)[2] for config in configs.values()
         ]
-        assert calls == [1]
         assert sources == ["computed", "memory", "memory", "memory"]
         assert len(
-            {store.spill_path("epinion", c) for c in configs.values()}
+            {cache.spill_path("epinion", c) for c in configs.values()}
         ) == 1
+        assert len(list(tmp_path.glob("*.npz"))) == 1

@@ -1,14 +1,20 @@
 """Unit tests for the experiment runner."""
 
+import gc
+import sys
 import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError
 from repro.graph import generators
+from repro.graph.csr import CSRGraph
 from repro.ordering import OrderingConfig
 from repro.perf import OrderingCache, run_cell, time_ordering
+from repro.perf.runner import SingleFlight
 
 
 @pytest.fixture(scope="module")
@@ -183,14 +189,6 @@ class TestCacheBounds:
         finally:
             obs.reset()
 
-    def test_eviction_releases_pin(self, graph):
-        cache = OrderingCache(max_entries=1)
-        cache.permutation(graph, "original", 0)
-        cache.permutation(graph, "indegsort", 0)
-        # One entry left -> exactly one pin on the keyed graph.
-        assert list(cache._pinned) == [id(graph)]
-        assert cache._pin_counts[id(graph)] == 1
-
     def test_invalid_caps_rejected(self):
         with pytest.raises(InvalidParameterError):
             OrderingCache(max_entries=0)
@@ -207,10 +205,9 @@ class TestCacheContention:
     """Regression tests for thread-safety under eviction pressure.
 
     Before the lock, concurrent workers could corrupt the LRU dict
-    mid-eviction (RuntimeError from a mutated OrderedDict) or strand
-    pins after a double-evict.  These tests hammer a tiny cache from
-    many threads; they must never raise and must leave the pin
-    bookkeeping consistent with the surviving entries.
+    mid-eviction (RuntimeError from a mutated OrderedDict).  These
+    tests hammer a tiny cache from many threads; they must never
+    raise and must leave the entry count within its cap.
     """
 
     ORDERINGS = ("original", "indegsort", "hubsort", "random")
@@ -247,12 +244,56 @@ class TestCacheContention:
             thread.join(timeout=60)
         assert errors == []
         assert len(cache) <= 2
-        # Pin accounting matches the surviving entries exactly.
-        assert sum(cache._pin_counts.values()) == len(cache)
+        assert cache.counts()["cache_evictions"] > 0
+
+    def test_counts_add_up_under_contention(self, graph):
+        """Single flight and the counts hold with frequent thread
+        switches: each key computes once, and every lookup is exactly
+        one memory hit, one shared flight or one miss."""
+        cache = OrderingCache(max_entries=None)
+        lookups = 16 * 20
+        errors: list[BaseException] = []
+        barrier = threading.Barrier(16)
+
+        def worker(index: int) -> None:
+            try:
+                barrier.wait(timeout=10)
+                for step in range(20):
+                    ordering = self.ORDERINGS[
+                        (index + step) % len(self.ORDERINGS)
+                    ]
+                    cache.permutation(graph, ordering, seed=0)
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(index,))
+                for index in range(16)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        counts = cache.counts()
+        assert counts["computed"] == len(self.ORDERINGS)
+        assert counts["memo_misses"] == len(self.ORDERINGS)
+        assert (
+            counts["memo_hits"]
+            + counts.get("singleflight_shared", 0)
+            + counts["memo_misses"]
+            == lookups
+        )
 
     def test_concurrent_same_key_converges(self, graph):
-        """Racing misses on one key may compute twice but must agree
-        and leave exactly one entry (first insert wins)."""
+        """Racing misses on one key share one computation and leave
+        exactly one entry."""
         cache = OrderingCache(max_entries=8)
         barrier = threading.Barrier(6)
         results = []
@@ -275,26 +316,7 @@ class TestCacheContention:
         for perm in results[1:]:
             assert (perm == first).all()
         assert len(cache) == 1
-
-    def test_insert_preseeds_the_memo(self, graph):
-        cache = OrderingCache(max_entries=4)
-        perm = np.arange(graph.num_nodes, dtype=np.int64)
-        cache.insert(graph, OrderingConfig("original"), perm, 0.125)
-        got, seconds = cache.permutation(graph, "original", 0)
-        assert got is perm
-        assert seconds == 0.125
-
-    def test_insert_never_clobbers(self, graph):
-        cache = OrderingCache(max_entries=4)
-        first, _ = cache.permutation(graph, "original", 0)
-        cache.insert(
-            graph,
-            OrderingConfig("original"),
-            np.zeros(graph.num_nodes, dtype=np.int64),
-            9.0,
-        )
-        again, _ = cache.permutation(graph, "original", 0)
-        assert again is first
+        assert cache.counts()["computed"] == 1
 
 
 class TestTimeOrdering:
@@ -331,6 +353,232 @@ class TestCachePinning:
 
             expected = indegsort_order(kept)
             assert (perm == expected).all()
+
+
+class _WeakGraph(CSRGraph):
+    """A CSRGraph that can be weakly referenced (the base has slots)."""
+
+
+def copy_of(graph: CSRGraph, cls: type = CSRGraph) -> CSRGraph:
+    return cls(
+        graph.num_nodes, graph.offsets.copy(), graph.adjacency.copy(),
+        name=graph.name,
+    )
+
+
+class TestContentKey:
+    def test_keyed_graph_is_not_kept_alive(self, graph):
+        transient = copy_of(graph, _WeakGraph)
+        cache = OrderingCache()
+        cache.relabeled(transient, OrderingConfig("indegsort"))
+        alive = weakref.ref(transient)
+        del transient
+        gc.collect()
+        assert alive() is None
+        assert len(cache) == 1
+
+    def test_equal_content_shares_one_entry(self, graph):
+        cache = OrderingCache()
+        first, _ = cache.permutation(graph, "rcm", 0)
+        twin = copy_of(graph)
+        twin.name = "another-name"
+        second, _ = cache.permutation(twin, "rcm", 0)
+        assert second is first
+        assert len(cache) == 1
+        assert twin.fingerprint == graph.fingerprint
+
+    def test_one_edge_apart_do_not_share(self):
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
+        from repro.graph.builder import from_edges
+
+        square = from_edges(edges, num_nodes=5, name="g")
+        extra = from_edges(edges + [(3, 4)], num_nodes=5, name="g")
+        assert square.fingerprint != extra.fingerprint
+        cache = OrderingCache()
+        cache.permutation(square, "rcm", 0)
+        cache.permutation(extra, "rcm", 0)
+        assert len(cache) == 2
+        assert cache.counts()["computed"] == 2
+
+
+def deadline_check(seconds: float):
+    """A cancel_check that raises once ``seconds`` have passed."""
+    end = time.monotonic() + seconds
+
+    def check() -> None:
+        if time.monotonic() >= end:
+            raise TimeoutError("deadline passed")
+
+    return check
+
+
+def raises(error: BaseException):
+    def check() -> None:
+        raise error
+
+    return check
+
+
+class TestSingleFlight:
+    def test_shares_one_computation(self):
+        flights = SingleFlight()
+        calls = []
+        gate = threading.Event()
+        results = []
+
+        def compute():
+            calls.append(1)
+            gate.wait(timeout=5)
+            return "value"
+
+        def runner():
+            results.append(flights.do("key", compute, lambda: None))
+
+        threads = [
+            threading.Thread(target=runner) for _ in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        time.sleep(0.05)  # let followers pile onto the flight
+        gate.set()
+        for thread in threads:
+            thread.join(timeout=5)
+        assert len(calls) == 1
+        assert results == ["value"] * 4
+        assert flights.shared == 3
+
+    def test_sequential_calls_compute_each_time(self):
+        flights = SingleFlight()
+        calls = []
+        flights.do("key", lambda: calls.append(1))
+        flights.do("key", lambda: calls.append(1))
+        assert len(calls) == 2
+
+    def test_leader_failure_propagates_to_followers(self):
+        flights = SingleFlight()
+        gate = threading.Event()
+        errors = []
+
+        def compute():
+            gate.wait(timeout=5)
+            raise ValueError("leader failed")
+
+        def leader():
+            try:
+                flights.do("key", compute)
+            except ValueError as exc:
+                errors.append(("leader", str(exc)))
+
+        def follower():
+            try:
+                flights.do("key", compute, lambda: None)
+            except ValueError as exc:
+                errors.append(("follower", str(exc)))
+
+        leader_thread = threading.Thread(target=leader)
+        leader_thread.start()
+        time.sleep(0.05)
+        follower_thread = threading.Thread(target=follower)
+        follower_thread.start()
+        time.sleep(0.05)
+        gate.set()
+        leader_thread.join(timeout=5)
+        follower_thread.join(timeout=5)
+        assert sorted(role for role, _ in errors) == [
+            "follower", "leader",
+        ]
+
+    def test_follower_bounded_by_deadline(self):
+        flights = SingleFlight()
+        gate = threading.Event()
+
+        def slow():
+            gate.wait(timeout=5)
+            return "late"
+
+        leader = threading.Thread(
+            target=lambda: flights.do("key", slow)
+        )
+        leader.start()
+        time.sleep(0.02)
+        with pytest.raises(TimeoutError):
+            flights.do("key", slow, deadline_check(0.05))
+        gate.set()
+        leader.join(timeout=5)
+
+    def test_leader_cancellation_is_not_shared(self):
+        """Only an error of the computation reaches the followers: a
+        leader cancelled while it computes still hands its result
+        over."""
+        flights = SingleFlight()
+        gate = threading.Event()
+        cancelled = threading.Event()
+        results = []
+
+        def leader_check():
+            if cancelled.is_set():
+                raise TimeoutError("leader cancelled")
+
+        def compute():
+            gate.wait(timeout=5)
+            return "value"
+
+        leader = threading.Thread(
+            target=lambda: results.append(
+                flights.do("key", compute, leader_check)
+            )
+        )
+        leader.start()
+        time.sleep(0.02)
+        cancelled.set()
+        follower = threading.Thread(
+            target=lambda: results.append(
+                flights.do("key", compute, lambda: None)
+            )
+        )
+        follower.start()
+        time.sleep(0.05)
+        gate.set()
+        leader.join(timeout=5)
+        follower.join(timeout=5)
+        assert results == ["value", "value"]
+        assert flights.shared == 1
+
+
+class TestLeaderCancellation:
+    @pytest.mark.parametrize(
+        "error",
+        [TimeoutError("deadline"), RuntimeError("cancelled")],
+        ids=["deadline", "cancel"],
+    )
+    def test_follower_survives_a_cancelled_leader(self, graph, error):
+        """A caller with time to spare gets the ordering when another
+        caller of the same key is cancelled or runs out of time."""
+        cache = OrderingCache()
+        config = OrderingConfig("indegsort")
+        joined = threading.Event()
+        outcome = {}
+
+        def leader_check():
+            joined.wait(timeout=5)
+            time.sleep(0.05)
+            raise error
+
+        def leader():
+            try:
+                cache.get(graph, config, leader_check)
+            except type(error) as exc:
+                outcome["leader"] = exc
+
+        thread = threading.Thread(target=leader)
+        thread.start()
+        time.sleep(0.02)
+        joined.set()
+        perm, _, source = cache.get(graph, config, deadline_check(30))
+        thread.join(timeout=5)
+        assert outcome["leader"] is error
+        assert source == "computed"
+        assert sorted(perm) == list(range(graph.num_nodes))
 
 
 class TestRunnerConfiguration:

@@ -1,4 +1,4 @@
-"""Admission queue, deadlines, retries and single-flight semantics."""
+"""Admission queue, deadlines and retries."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.serve.admission import (
     Deadline,
     RequestContext,
     ServiceCounters,
-    SingleFlight,
 )
 from repro.serve.protocol import (
     DeadlineExceededError,
@@ -226,94 +225,3 @@ class TestAdmissionQueue:
         outcome = queue.drain(timeout=1.0)
         assert outcome["cancelled_inflight"] == 0
         assert outcome["unfinished"] == 0
-
-
-class TestSingleFlight:
-    def test_shares_one_computation(self):
-        flights = SingleFlight()
-        calls = []
-        gate = threading.Event()
-        results = []
-
-        def compute():
-            calls.append(1)
-            gate.wait(timeout=5)
-            return "value"
-
-        def runner():
-            results.append(
-                flights.do("key", compute, make_ctx(None))
-            )
-
-        threads = [
-            threading.Thread(target=runner) for _ in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        time.sleep(0.05)  # let followers pile onto the flight
-        gate.set()
-        for thread in threads:
-            thread.join(timeout=5)
-        assert len(calls) == 1
-        assert results == ["value"] * 4
-        snapshot = flights.counters.snapshot()
-        assert snapshot["serve.singleflight_shared"] == 3
-
-    def test_sequential_calls_compute_each_time(self):
-        flights = SingleFlight()
-        calls = []
-        flights.do("key", lambda: calls.append(1))
-        flights.do("key", lambda: calls.append(1))
-        assert len(calls) == 2
-
-    def test_leader_failure_propagates_to_followers(self):
-        flights = SingleFlight()
-        gate = threading.Event()
-        errors = []
-
-        def compute():
-            gate.wait(timeout=5)
-            raise InjectedFault("leader failed")
-
-        def leader():
-            try:
-                flights.do("key", compute)
-            except InjectedFault as exc:
-                errors.append(("leader", str(exc)))
-
-        def follower():
-            try:
-                flights.do("key", compute, make_ctx(None))
-            except InjectedFault as exc:
-                errors.append(("follower", str(exc)))
-
-        leader_thread = threading.Thread(target=leader)
-        leader_thread.start()
-        time.sleep(0.05)
-        follower_thread = threading.Thread(target=follower)
-        follower_thread.start()
-        time.sleep(0.05)
-        gate.set()
-        leader_thread.join(timeout=5)
-        follower_thread.join(timeout=5)
-        assert sorted(role for role, _ in errors) == [
-            "follower", "leader",
-        ]
-
-    def test_follower_bounded_by_deadline(self):
-        flights = SingleFlight()
-        gate = threading.Event()
-
-        def slow():
-            gate.wait(timeout=5)
-            return "late"
-
-        leader = threading.Thread(
-            target=lambda: flights.do("key", slow)
-        )
-        leader.start()
-        time.sleep(0.02)
-        with pytest.raises(DeadlineExceededError):
-            flights.do("key", slow, make_ctx(0.05))
-        gate.set()
-        leader.join(timeout=5)

@@ -95,6 +95,37 @@ class TestEndpoints:
         # computed — via memory or disk, never a second compute.
         assert stats["counters"]["serve.store_computed"] == 1
 
+    def test_order_then_run_computes_and_relabels_once(
+        self, harness, monkeypatch
+    ):
+        """One memo serves both endpoints: ``/run`` finds the ordering
+        ``/order`` computed and relabels the graph once."""
+        from repro.perf import runner
+
+        relabels = []
+        relabel = runner.relabel
+
+        def counting_relabel(graph, perm, *args, **kwargs):
+            relabels.append(graph.name)
+            return relabel(graph, perm, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "relabel", counting_relabel)
+        body = {"dataset": "epinion", "ordering": "rcm", "seed": 0}
+        status, ordered, _ = harness.post("/order", body)
+        assert (status, ordered["source"]) == (200, "computed")
+        for algorithm in ("pr", "bfs"):
+            status, _, _ = harness.post(
+                "/run", {**body, "algorithm": algorithm}
+            )
+            assert status == 200
+        _, stats, _ = harness.get("/stats")
+        counters = stats["counters"]
+        assert counters["serve.store_computed"] == 1
+        assert counters["serve.store_memory_hits"] == 2
+        assert relabels == ["epinion"]
+        assert stats["store"]["entries"] == 1
+        assert stats["store"]["spill_root"] is None
+
     def test_run_rejects_retired_backend_fields(self, harness):
         for field in ("cache_backend", "algo_backend"):
             status, payload, _ = harness.post(

@@ -1,100 +1,82 @@
-"""OrderingStore: shards, spill, warm rebuild, quarantine, crash."""
+"""The daemon's ordering store: OrderingCache with a spill directory.
+
+Memory hits, spill, warm rebuild, quarantine and crash recovery of
+the one ordering memo the serve daemon reads for both endpoints.
+"""
 
 from __future__ import annotations
 
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.graph import generators
 from repro.ordering import OrderingConfig
-from repro.serve.admission import Deadline, RequestContext
-from repro.serve.store import (
-    QUARANTINE_SUFFIX,
-    OrderingStore,
-    StoreEntry,
-)
+from repro.perf.runner import QUARANTINE_SUFFIX, OrderingCache
 
 
-def perm_of(n: int) -> np.ndarray:
-    return np.arange(n, dtype=np.int64)[::-1].copy()
+def graph_named(name: str = "epinion", n: int = 12, seed: int = 0):
+    return generators.erdos_renyi(n, 3 * n, seed=seed, name=name)
+
+
+@pytest.fixture
+def graph():
+    return graph_named()
+
+
+def must_not_compute(monkeypatch):
+    def fail(config, graph):
+        pytest.fail("must not recompute")
+
+    monkeypatch.setattr(OrderingConfig, "compute", fail)
 
 
 class TestMemoryPath:
-    def test_compute_then_memory_hit(self, tmp_path):
-        store = OrderingStore(root=tmp_path)
-        calls = []
+    def test_compute_then_memory_hit(self, graph, tmp_path):
+        cache = OrderingCache(spill_root=tmp_path)
+        first = cache.get(graph, OrderingConfig("gorder", 0))
+        second = cache.get(graph, OrderingConfig("gorder", 0))
+        assert cache.counts()["computed"] == 1
+        assert first[2] == "computed"
+        assert second[2] == "memory"
+        assert second[0] is first[0]
 
-        def compute():
-            calls.append(1)
-            return perm_of(8)
+    def test_params_are_part_of_the_key(self, graph, tmp_path):
+        cache = OrderingCache(spill_root=tmp_path)
+        cache.get(graph, OrderingConfig("gorder", 0, {"window": 3}))
+        cache.get(graph, OrderingConfig("gorder", 0, {"window": 5}))
+        assert cache.counts()["computed"] == 2
 
-        first = store.get_or_compute(
-            "epinion", OrderingConfig("gorder", 0), compute
-        )
-        second = store.get_or_compute(
-            "epinion", OrderingConfig("gorder", 0), compute
-        )
-        assert len(calls) == 1
-        assert first.source == "computed"
-        assert second.source == "memory"
-        np.testing.assert_array_equal(first.perm, second.perm)
+    def test_memory_only_store(self, graph):
+        cache = OrderingCache()
+        _, _, source = cache.get(graph, OrderingConfig("gorder", 0))
+        assert source == "computed"
+        assert cache.spill_root is None
+        assert cache.spill_path(graph.name, OrderingConfig("gorder")) is None
+        assert "spills" not in cache.counts()
 
-    def test_params_are_part_of_the_key(self, tmp_path):
-        store = OrderingStore(root=tmp_path)
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return perm_of(4)
-
-        store.get_or_compute(
-            "epinion", OrderingConfig("gorder", 0, {"window": 3}),
-            compute,
-        )
-        store.get_or_compute(
-            "epinion", OrderingConfig("gorder", 0, {"window": 5}),
-            compute,
-        )
-        assert len(calls) == 2
-
-    def test_memory_only_store(self):
-        store = OrderingStore(root=None)
-        entry = store.get_or_compute(
-            "epinion", OrderingConfig("gorder", 0), lambda: perm_of(4)
-        )
-        assert entry.source == "computed"
-        assert store.stats()["spill_root"] is None
-
-    def test_eviction_bounded_per_shard(self, tmp_path):
-        store = OrderingStore(
-            root=None, shards=1, max_entries_per_shard=2
-        )
-        for seed in range(5):
-            store.get_or_compute(
-                "epinion", OrderingConfig("gorder", seed),
-                lambda: perm_of(4),
-            )
-        assert store.stats()["entries"] == 2
-
-    def test_concurrent_same_key_computes_once(self, tmp_path):
-        store = OrderingStore(root=tmp_path)
+    def test_concurrent_same_key_computes_once(
+        self, graph, tmp_path, monkeypatch
+    ):
+        cache = OrderingCache(spill_root=tmp_path)
         gate = threading.Event()
         calls = []
         results = []
 
-        def compute():
+        def compute(config, graph):
             calls.append(1)
             gate.wait(timeout=5)
-            return perm_of(16)
+            return np.arange(graph.num_nodes, dtype=np.int64)
+
+        monkeypatch.setattr(OrderingConfig, "compute", compute)
 
         def fetch():
-            ctx = RequestContext("r", Deadline(None))
             results.append(
-                store.get_or_compute(
-                    "epinion", OrderingConfig("gorder", 0), compute,
-                    ctx=ctx,
+                cache.get(
+                    graph, OrderingConfig("gorder", 0), lambda: None
                 )
             )
 
@@ -103,74 +85,59 @@ class TestMemoryPath:
         ]
         for thread in threads:
             thread.start()
-        import time
-
         time.sleep(0.05)
         gate.set()
         for thread in threads:
             thread.join(timeout=5)
         assert len(calls) == 1
         assert len(results) == 4
+        assert cache.counts()["singleflight_shared"] == 3
 
 
 class TestSpillAndWarm:
-    def test_spill_written_atomically(self, tmp_path):
-        store = OrderingStore(root=tmp_path)
-        store.get_or_compute(
-            "epinion", OrderingConfig("gorder", 0, {"window": 3}),
-            lambda: perm_of(8),
-        )
-        path = store.spill_path(
-            "epinion", OrderingConfig("gorder", 0, {"window": 3})
-        )
-        assert path.exists()
+    def test_spill_written_atomically(self, graph, tmp_path):
+        cache = OrderingCache(spill_root=tmp_path)
+        config = OrderingConfig("gorder", 0, {"window": 3})
+        cache.get(graph, config)
+        assert cache.spill_path(graph.name, config).exists()
         assert not list(tmp_path.glob("*.tmp"))
 
-    def test_restart_loads_from_disk(self, tmp_path):
-        first = OrderingStore(root=tmp_path)
-        original = first.get_or_compute(
-            "epinion", OrderingConfig("gorder", 7), lambda: perm_of(8)
+    def test_restart_loads_from_disk(self, graph, tmp_path, monkeypatch):
+        first = OrderingCache(spill_root=tmp_path)
+        original, _, _ = first.get(graph, OrderingConfig("gorder", 7))
+        must_not_compute(monkeypatch)
+        fresh = OrderingCache(spill_root=tmp_path)
+        reloaded, _, source = fresh.get(
+            graph, OrderingConfig("gorder", 7)
         )
-        fresh = OrderingStore(root=tmp_path)
-        reloaded = fresh.get_or_compute(
-            "epinion", OrderingConfig("gorder", 7),
-            lambda: pytest.fail("must not recompute"),
-        )
-        assert reloaded.source == "disk"
-        np.testing.assert_array_equal(reloaded.perm, original.perm)
+        assert source == "disk"
+        np.testing.assert_array_equal(reloaded, original)
 
-    def test_warm_rebuilds_memory_set(self, tmp_path):
-        first = OrderingStore(root=tmp_path)
+    def test_warm_rebuilds_memory_set(self, graph, tmp_path, monkeypatch):
+        first = OrderingCache(spill_root=tmp_path)
         for seed in (0, 1, 2):
-            first.get_or_compute(
-                "epinion", OrderingConfig("gorder", seed, {"window": 4}),
-                lambda: perm_of(6),
+            first.get(
+                graph, OrderingConfig("gorder", seed, {"window": 4})
             )
-        fresh = OrderingStore(root=tmp_path)
+        must_not_compute(monkeypatch)
+        fresh = OrderingCache(spill_root=tmp_path)
         assert fresh.warm() == 3
-        assert fresh.stats()["entries"] == 3
-        entry = fresh.get_or_compute(
-            "epinion", OrderingConfig("gorder", 1, {"window": 4}),
-            lambda: pytest.fail("must not recompute"),
+        assert len(fresh) == 3
+        _, _, source = fresh.get(
+            graph, OrderingConfig("gorder", 1, {"window": 4})
         )
-        assert entry.source == "memory"
+        assert source == "memory"
 
-    def test_evicted_entry_reloads_from_disk(self, tmp_path):
-        store = OrderingStore(
-            root=tmp_path, shards=1, max_entries_per_shard=1
-        )
-        store.get_or_compute(
-            "epinion", OrderingConfig("gorder", 0), lambda: perm_of(4)
-        )
-        store.get_or_compute(
-            "epinion", OrderingConfig("gorder", 1), lambda: perm_of(4)
-        )
+    def test_evicted_entry_reloads_from_disk(
+        self, graph, tmp_path, monkeypatch
+    ):
+        cache = OrderingCache(max_entries=1, spill_root=tmp_path)
+        cache.get(graph, OrderingConfig("gorder", 0))
+        cache.get(graph, OrderingConfig("gorder", 1))
         # Seed 0 was evicted from memory but kept on disk.
-        entry = store.get_or_compute(
-            "epinion", OrderingConfig("gorder", 0),
-            lambda: pytest.fail("must not recompute"),
-        )
-        assert entry.source == "disk"
+        must_not_compute(monkeypatch)
+        _, _, source = cache.get(graph, OrderingConfig("gorder", 0))
+        assert source == "disk"
 
 
 class TestSpillNames:
@@ -178,14 +145,14 @@ class TestSpillNames:
         """File names pinned before the store keyed on OrderingConfig:
         a daemon restarted on an existing spill directory finds its
         files."""
-        store = OrderingStore(root=tmp_path)
+        cache = OrderingCache(spill_root=tmp_path)
         keys = [
             ("epinion", "gorder", 7, {"window": 3, "hub_threshold": 10}),
             ("epinion", "gorder", 0, None),
             ("wiki", "auto", 3, {"query_volume": 2.5}),
         ]
         names = [
-            store.spill_path(
+            cache.spill_path(
                 dataset, OrderingConfig(ordering, seed, params)
             ).name
             for dataset, ordering, seed, params in keys
@@ -196,11 +163,13 @@ class TestSpillNames:
             "wiki--auto--s3--49c37608fb.npz",
         ]
 
-    def test_spill_of_a_removed_ordering_is_quarantined(self, tmp_path):
-        store = OrderingStore(root=tmp_path)
+    def test_spill_of_a_removed_ordering_is_quarantined(
+        self, graph, tmp_path
+    ):
+        cache = OrderingCache(spill_root=tmp_path)
         config = OrderingConfig("gorder", 0)
-        store.get_or_compute("epinion", config, lambda: perm_of(4))
-        path = store.spill_path("epinion", config)
+        cache.get(graph, config)
+        path = cache.spill_path(graph.name, config)
         with np.load(path) as data:
             perm = data["perm"]
             meta = json.loads(str(data["meta"]))
@@ -208,13 +177,76 @@ class TestSpillNames:
         np.savez_compressed(
             path, perm=perm, meta=np.array(json.dumps(meta))
         )
-        fresh = OrderingStore(root=tmp_path)
+        fresh = OrderingCache(spill_root=tmp_path)
         assert fresh.warm() == 0
         assert path.with_name(path.name + QUARANTINE_SUFFIX).exists()
 
 
+class TestSpillFingerprint:
+    """A spill file is served only to a graph of the content that
+    wrote it, whatever the name it was filed under."""
+
+    def test_spill_of_another_graph_is_recomputed(self, tmp_path):
+        config = OrderingConfig("gorder", 0)
+        tiny = graph_named(n=3)
+        OrderingCache(spill_root=tmp_path).get(tiny, config)
+        real = graph_named(n=40, seed=5)
+        perm, _, source = OrderingCache(spill_root=tmp_path).get(
+            real, config
+        )
+        assert source == "computed"
+        assert len(perm) == real.num_nodes
+        # The recompute overwrote the file: the next restart loads it.
+        again, _, source = OrderingCache(spill_root=tmp_path).get(
+            real, config
+        )
+        assert source == "disk"
+        np.testing.assert_array_equal(again, perm)
+        assert len(list(tmp_path.glob("*.npz"))) == 1
+
+    def test_daemon_never_serves_a_foreign_spill(
+        self, harness_factory, tmp_path
+    ):
+        """A 3-node graph's spill filed as ``epinion`` must not answer
+        for the 760-node epinion graph after a restart."""
+        root = str(tmp_path / "store")
+        first = harness_factory(store_root=root)
+        first.service._graphs["epinion"] = graph_named(n=3)
+        status, payload, _ = first.post(
+            "/order", {"dataset": "epinion"}
+        )
+        assert status == 200
+        assert payload["nodes"] == 3
+        second = harness_factory(store_root=root)
+        status, payload, _ = second.post(
+            "/order",
+            {"dataset": "epinion", "include_permutation": True},
+        )
+        assert status == 200
+        assert payload["source"] == "computed"
+        assert len(payload["permutation"]) == payload["nodes"] == 760
+
+    def test_version_1_spill_is_quarantined(self, graph, tmp_path):
+        cache = OrderingCache(spill_root=tmp_path)
+        config = OrderingConfig("gorder", 0)
+        path = cache.spill_path(graph.name, config)
+        meta = {"version": 1, "dataset": graph.name, **config.as_json(),
+                "seconds": 0.5}
+        np.savez_compressed(
+            path,
+            perm=np.arange(graph.num_nodes),
+            meta=np.array(json.dumps(meta)),
+        )
+        _, _, source = cache.get(graph, config)
+        assert source == "computed"
+        assert cache.counts()["quarantined"] == 1
+        assert path.with_name(path.name + QUARANTINE_SUFFIX).exists()
+
+
 class TestCrashSafety:
-    def test_kill_mid_spill_leaves_store_loadable(self, tmp_path):
+    def test_kill_mid_spill_leaves_store_loadable(
+        self, graph, tmp_path, monkeypatch
+    ):
         """The acceptance scenario: kill -9 mid-spill, then restart.
 
         A kill mid-``atomic_open`` leaves a stray ``*.tmp``; a torn
@@ -223,78 +255,61 @@ class TestCrashSafety:
         everything valid, quarantine the corrupt file with a warning
         and remove the stray temp — never crash.
         """
-        store = OrderingStore(root=tmp_path)
-        store.get_or_compute(
-            "epinion", OrderingConfig("gorder", 0), lambda: perm_of(8)
-        )
-        good = store.spill_path("epinion", OrderingConfig("gorder", 0))
-        torn = store.spill_path("epinion", OrderingConfig("gorder", 1))
+        cache = OrderingCache(spill_root=tmp_path)
+        cache.get(graph, OrderingConfig("gorder", 0))
+        good = cache.spill_path(graph.name, OrderingConfig("gorder", 0))
+        torn = cache.spill_path(graph.name, OrderingConfig("gorder", 1))
         torn.write_bytes(good.read_bytes()[:17])  # truncated npz
         (tmp_path / "half-written.npz.tmp").write_bytes(b"\x00\x01")
 
-        fresh = OrderingStore(root=tmp_path)
+        fresh = OrderingCache(spill_root=tmp_path)
         assert fresh.warm() == 1
-        snapshot = fresh.counters.snapshot()
-        assert snapshot["serve.store_quarantined"] == 1
-        assert snapshot["serve.store_stray_tmp"] == 1
+        counts = fresh.counts()
+        assert counts["quarantined"] == 1
+        assert counts["stray_tmp"] == 1
         assert not torn.exists()
         quarantined = torn.with_name(torn.name + QUARANTINE_SUFFIX)
         assert quarantined.exists()
         assert not list(tmp_path.glob("*.tmp"))
         # The good entry is served from the warm set.
-        entry = fresh.get_or_compute(
-            "epinion", OrderingConfig("gorder", 0),
-            lambda: pytest.fail("must not recompute"),
-        )
-        assert entry.source == "memory"
+        must_not_compute(monkeypatch)
+        _, _, source = fresh.get(graph, OrderingConfig("gorder", 0))
+        assert source == "memory"
 
-    def test_corrupt_spill_on_lookup_recomputes(self, tmp_path):
-        store = OrderingStore(root=tmp_path)
-        store.get_or_compute(
-            "epinion", OrderingConfig("gorder", 0), lambda: perm_of(8)
-        )
-        path = store.spill_path("epinion", OrderingConfig("gorder", 0))
+    def test_corrupt_spill_on_lookup_recomputes(self, graph, tmp_path):
+        cache = OrderingCache(spill_root=tmp_path)
+        cache.get(graph, OrderingConfig("gorder", 0))
+        path = cache.spill_path(graph.name, OrderingConfig("gorder", 0))
         path.write_bytes(b"not an npz at all")
-        fresh = OrderingStore(root=tmp_path)
+        fresh = OrderingCache(spill_root=tmp_path)
         # warm() quarantines it; the next lookup recomputes cleanly.
         fresh.warm()
-        entry = fresh.get_or_compute(
-            "epinion", OrderingConfig("gorder", 0), lambda: perm_of(8)
-        )
-        assert entry.source == "computed"
-        assert (
-            fresh.counters.snapshot()["serve.store_quarantined"] == 1
-        )
+        _, _, source = fresh.get(graph, OrderingConfig("gorder", 0))
+        assert source == "computed"
+        assert fresh.counts()["quarantined"] == 1
 
     def test_wrong_schema_quarantined(self, tmp_path):
-        store = OrderingStore(root=tmp_path)
+        cache = OrderingCache(spill_root=tmp_path)
         path = tmp_path / "epinion--gorder--s0--deadbeef00.npz"
         np.savez_compressed(path, wrong_field=np.arange(4))
-        assert store.warm() == 0
-        assert (
-            store.counters.snapshot()["serve.store_quarantined"] == 1
-        )
+        assert cache.warm() == 0
+        assert cache.counts()["quarantined"] == 1
 
     def test_quarantine_emits_warning_event(self, tmp_path):
         from repro import obs
 
         obs.configure(capture=True)
         try:
-            store = OrderingStore(root=tmp_path)
+            cache = OrderingCache(spill_root=tmp_path)
             (tmp_path / "bad.npz").write_bytes(b"junk")
-            store.warm()
+            cache.warm()
             events = [
                 record
                 for record in obs.captured()
-                if record["name"] == "serve.store_quarantine"
+                if record["name"] == "runner.ordering_spill_quarantine"
             ]
             assert len(events) == 1
+            assert events[0]["level"] == "warning"
             assert "bad.npz" in events[0]["attrs"]["path"]
         finally:
             obs.reset()
-
-
-class TestStoreEntry:
-    def test_nbytes(self):
-        entry = StoreEntry(np.arange(10, dtype=np.int64), 0.1)
-        assert entry.nbytes == 80
