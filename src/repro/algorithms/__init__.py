@@ -12,7 +12,6 @@ from repro.algorithms.bfs import (
     UNVISITED,
     breadth_first_search,
     breadth_first_search_traced,
-    breadth_first_search_traced_scalar,
 )
 from repro.algorithms.deltastep import (
     delta_stepping,
@@ -26,7 +25,6 @@ from repro.algorithms.dfs import (
 from repro.algorithms.diameter import (
     diameter,
     diameter_traced,
-    diameter_traced_scalar,
     pick_sources,
 )
 from repro.algorithms.domset import dominating_set, dominating_set_traced
@@ -37,19 +35,16 @@ from repro.algorithms.kcore import (
 from repro.algorithms.labelprop import (
     label_propagation,
     label_propagation_traced,
-    label_propagation_traced_scalar,
 )
 from repro.algorithms.nq import (
     neighbor_query,
     neighbor_query_traced,
-    neighbor_query_traced_scalar,
 )
 from repro.algorithms.pagerank import (
     DAMPING,
     PAPER_ITERATIONS,
     pagerank,
     pagerank_traced,
-    pagerank_traced_scalar,
 )
 from repro.algorithms.runtime import (
     BucketQueue,
@@ -64,7 +59,6 @@ from repro.algorithms.sp import (
     INFINITY,
     shortest_paths,
     shortest_paths_traced,
-    shortest_paths_traced_scalar,
 )
 from repro.algorithms.traced_heap import TracedBinaryHeap
 from repro.algorithms.triangles import (
@@ -119,12 +113,6 @@ __all__ = [
     "triangle_count_traced",
     "label_propagation",
     "label_propagation_traced",
-    "label_propagation_traced_scalar",
-    "neighbor_query_traced_scalar",
-    "breadth_first_search_traced_scalar",
-    "shortest_paths_traced_scalar",
-    "pagerank_traced_scalar",
-    "diameter_traced_scalar",
     "delta_stepping",
     "delta_stepping_traced",
     "edge_weights",

@@ -15,7 +15,6 @@ from typing import Any, Callable
 from repro.algorithms.bfs import (
     breadth_first_search,
     breadth_first_search_traced,
-    breadth_first_search_traced_scalar,
 )
 from repro.algorithms.deltastep import (
     delta_stepping,
@@ -25,11 +24,7 @@ from repro.algorithms.dfs import (
     depth_first_search,
     depth_first_search_traced,
 )
-from repro.algorithms.diameter import (
-    diameter,
-    diameter_traced,
-    diameter_traced_scalar,
-)
+from repro.algorithms.diameter import diameter, diameter_traced
 from repro.algorithms.domset import dominating_set, dominating_set_traced
 from repro.algorithms.kcore import (
     core_decomposition,
@@ -38,27 +33,14 @@ from repro.algorithms.kcore import (
 from repro.algorithms.labelprop import (
     label_propagation,
     label_propagation_traced,
-    label_propagation_traced_scalar,
 )
-from repro.algorithms.nq import (
-    neighbor_query,
-    neighbor_query_traced,
-    neighbor_query_traced_scalar,
-)
-from repro.algorithms.pagerank import (
-    pagerank,
-    pagerank_traced,
-    pagerank_traced_scalar,
-)
+from repro.algorithms.nq import neighbor_query, neighbor_query_traced
+from repro.algorithms.pagerank import pagerank, pagerank_traced
 from repro.algorithms.scc import (
     strongly_connected_components,
     strongly_connected_components_traced,
 )
-from repro.algorithms.sp import (
-    shortest_paths,
-    shortest_paths_traced,
-    shortest_paths_traced_scalar,
-)
+from repro.algorithms.sp import shortest_paths, shortest_paths_traced
 from repro.algorithms.wkcore import (
     weighted_core_decomposition,
     weighted_core_decomposition_traced,
@@ -88,25 +70,16 @@ class AlgorithmSpec:
     scale_params: tuple[str, ...] = field(default=())
     #: Whether the algorithm belongs to the paper's benchmark nine.
     headline: bool = True
-    #: Scalar-loop trace emitter kept as the runtime port's oracle.
-    #: ``None`` when ``traced`` *is* the scalar implementation (the
-    #: algorithm has no vectorised frontier port) or when the traced
-    #: variant has no touch-sequence twin (DSSSP, WKcore).
-    traced_scalar: Callable[..., Any] | None = None
 
 
 #: The nine algorithms, in the paper's figure order.
 REGISTRY: dict[str, AlgorithmSpec] = {
     spec.name: spec
     for spec in [
-        AlgorithmSpec(
-            "nq", "NQ", neighbor_query, neighbor_query_traced,
-            traced_scalar=neighbor_query_traced_scalar,
-        ),
+        AlgorithmSpec("nq", "NQ", neighbor_query, neighbor_query_traced),
         AlgorithmSpec(
             "bfs", "BFS", breadth_first_search,
             breadth_first_search_traced,
-            traced_scalar=breadth_first_search_traced_scalar,
         ),
         AlgorithmSpec(
             "dfs", "DFS", depth_first_search, depth_first_search_traced
@@ -118,12 +91,10 @@ REGISTRY: dict[str, AlgorithmSpec] = {
         AlgorithmSpec(
             "sp", "SP", shortest_paths, shortest_paths_traced,
             source_params=("source",),
-            traced_scalar=shortest_paths_traced_scalar,
         ),
         AlgorithmSpec(
             "pr", "PR", pagerank, pagerank_traced,
             scale_params=("iterations",),
-            traced_scalar=pagerank_traced_scalar,
         ),
         AlgorithmSpec(
             "ds", "DS", dominating_set, dominating_set_traced
@@ -135,7 +106,6 @@ REGISTRY: dict[str, AlgorithmSpec] = {
         AlgorithmSpec(
             "diam", "Diam", diameter, diameter_traced,
             source_params=("sources",),
-            traced_scalar=diameter_traced_scalar,
         ),
         # Extension algorithms (beyond the paper's nine) — the
         # replication suggests Gorder "could speed up other graph
@@ -151,7 +121,6 @@ REGISTRY: dict[str, AlgorithmSpec] = {
         AlgorithmSpec(
             "lp", "LP", label_propagation, label_propagation_traced,
             scale_params=("iterations",), headline=False,
-            traced_scalar=label_propagation_traced_scalar,
         ),
         AlgorithmSpec(
             "dsssp", "DSSSP", delta_stepping, delta_stepping_traced,
@@ -171,9 +140,10 @@ ALGORITHM_NAMES: tuple[str, ...] = tuple(
 
 #: Trace-emitter selection: ``"runtime"`` is the vectorised frontier
 #: runtime (the default), ``"scalar"`` forces the scalar-loop oracle
-#: where one exists (algorithms without a port run their only traced
-#: implementation either way).  Only differential tests and
-#: ``bench --suite algos`` select the oracle.
+#: from :data:`repro.oracles.TRACED_SCALAR` where one exists
+#: (algorithms without a port run their only traced implementation
+#: either way).  Only differential tests and ``bench --suite algos``
+#: select the oracle.
 ALGO_BACKENDS: tuple[str, ...] = ("runtime", "scalar")
 
 
@@ -187,8 +157,12 @@ def traced_fn(
             f"algo_backend must be one of {known}, "
             f"got {algo_backend!r}"
         )
-    if algo_backend == "scalar" and algorithm.traced_scalar is not None:
-        return algorithm.traced_scalar
+    if algo_backend == "scalar":
+        # Deferred: repro.oracles imports the algorithm modules, and
+        # importing any of them runs this package's __init__.
+        from repro.oracles import TRACED_SCALAR
+
+        return TRACED_SCALAR.get(algorithm.name, algorithm.traced)
     return algorithm.traced
 
 

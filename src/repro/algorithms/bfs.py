@@ -67,7 +67,7 @@ def breadth_first_search_traced(
     ``offsets`` touch, the adjacency ``touch_run`` span, then per edge
     the ``distance`` probe and (on discovery) the queue push.
     Touch-sequence identical to
-    :func:`breadth_first_search_traced_scalar`.
+    :func:`~repro.oracles.breadth_first_search_traced_scalar`.
     """
     n = graph.num_nodes
     traced = declare_graph(memory, graph)
@@ -137,47 +137,4 @@ def breadth_first_search_traced(
             head += size
             tail += num_discovered
             frontier = Frontier(discovered, n)
-    return distance
-
-
-def breadth_first_search_traced_scalar(
-    graph: CSRGraph, memory: Memory
-) -> np.ndarray:
-    """Scalar-loop BFS emitter: the runtime port's oracle."""
-    n = graph.num_nodes
-    traced = declare_graph(memory, graph)
-    traced_distance = memory.array("distance", n, NODE_BYTES)
-    traced_queue = memory.array("queue", n, NODE_BYTES)
-    offsets = graph.offsets
-    adjacency = graph.adjacency
-    distance = np.full(n, UNVISITED, dtype=np.int64)
-    queue = np.empty(n, dtype=np.int64)
-    touch_distance = traced_distance.touch
-    touch_queue = traced_queue.touch
-    for root in range(n):
-        # The restart scan probes distance.
-        traced_distance.touch(root)
-        if distance[root] != UNVISITED:
-            continue
-        distance[root] = 0
-        head = 0
-        tail = 1
-        queue[0] = root
-        touch_queue(0)
-        while head < tail:
-            touch_queue(head)
-            u = int(queue[head])
-            head += 1
-            traced.offsets.touch(u)
-            start = int(offsets[u])
-            end = int(offsets[u + 1])
-            traced.adjacency.touch_run(start, end - start)
-            next_distance = distance[u] + 1
-            for v in adjacency[start:end].tolist():
-                touch_distance(v)
-                if distance[v] == UNVISITED:
-                    distance[v] = next_distance
-                    queue[tail] = v
-                    touch_queue(tail)
-                    tail += 1
     return distance

@@ -8,8 +8,9 @@ active bucket until no light relaxation lands back in it — and heavy
 edges once per settled node, as in Meyer & Sanders' algorithm.
 
 Edge weights are synthesised deterministically (no RNG, no stored
-weight data) by hashing the endpoint pair, symmetric in the endpoints
-so an undirected edge has one weight in both directions; see
+weight data) by hashing the endpoints' degrees: symmetric, so an
+undirected edge has one weight in both directions, and blind to node
+ids, so every ordering solves the same weighted problem; see
 :func:`edge_weights`.
 
 The pure oracle is Dijkstra (binary heap), so the parity tests check
@@ -52,18 +53,24 @@ def edge_weights(
 ) -> np.ndarray:
     """Deterministic per-edge weights in ``1..max_weight``.
 
-    Hash of the *unordered* endpoint pair, so the weight is symmetric:
-    an edge and its reverse always agree, which keeps undirected
-    graphs consistent.  Aligned with ``graph.adjacency`` (the
-    flattened CSR edge order).
+    Hash of the *unordered* pair of the endpoints' total (in + out)
+    degrees.  Symmetric, so an edge and its reverse always agree, which
+    keeps undirected graphs consistent; and a property of the graph
+    rather than of its labels, so relabeling a graph permutes its
+    weights with its edges and a weighted result maps back exactly.
+    Aligned with ``graph.adjacency`` (the flattened CSR edge order).
     """
     if max_weight < 1:
         raise InvalidParameterError(
             f"max_weight must be positive, got {max_weight}"
         )
+    n = graph.num_nodes
+    degrees = (
+        graph.out_degrees() + np.bincount(graph.adjacency, minlength=n)
+    ).astype(np.uint64)
     sources, targets = graph.edge_array()
-    lo = np.minimum(sources, targets).astype(np.uint64)
-    hi = np.maximum(sources, targets).astype(np.uint64)
+    lo = np.minimum(degrees[sources], degrees[targets])
+    hi = np.maximum(degrees[sources], degrees[targets])
     with np.errstate(over="ignore"):
         mixed = lo * _MIX_A + hi * _MIX_B
         mixed ^= mixed >> np.uint64(33)

@@ -21,7 +21,6 @@ from repro.algorithms.sp import (
     INFINITY,
     _declare_sp_arrays,
     _sp_runtime_core,
-    _sp_traced_core,
     shortest_paths,
 )
 from repro.cache.layout import Memory
@@ -79,7 +78,7 @@ def diameter_traced(
     as a C implementation reusing its buffers would.  Each run is a
     runtime-backed SPFA (see :func:`repro.algorithms.sp.
     shortest_paths_traced`); touch-sequence identical to
-    :func:`diameter_traced_scalar`.
+    :func:`~repro.oracles.diameter_traced_scalar`.
     """
     if sources is None:
         sources = pick_sources(graph, num_sources, seed)
@@ -90,27 +89,6 @@ def diameter_traced(
         distance = _sp_runtime_core(
             graph, traced, arrays, int(source), memory
         )
-        finite = distance[distance != INFINITY]
-        if finite.shape[0]:
-            best = max(best, int(finite.max()))
-    return best
-
-
-def diameter_traced_scalar(
-    graph: CSRGraph,
-    memory: Memory,
-    sources: Sequence[int] | None = None,
-    num_sources: int = DEFAULT_SOURCES,
-    seed: int = 0,
-) -> int:
-    """Scalar-loop diameter emitter: the runtime port's oracle."""
-    if sources is None:
-        sources = pick_sources(graph, num_sources, seed)
-    traced = declare_graph(memory, graph)
-    arrays = _declare_sp_arrays(memory, graph.num_nodes, suffix="")
-    best = 0
-    for source in sources:
-        distance = _sp_traced_core(graph, traced, arrays, int(source))
         finite = distance[distance != INFINITY]
         if finite.shape[0]:
             best = max(best, int(finite.max()))

@@ -46,7 +46,7 @@ def label_propagation_traced(
     assembled once and flushed once per sweep; the most-frequent /
     smallest-tie label reduction runs as one packed sort per sweep.
     Touch-sequence identical to
-    :func:`label_propagation_traced_scalar`.
+    :func:`~repro.oracles.label_propagation_traced_scalar`.
     """
     if iterations < 0:
         raise InvalidParameterError(
@@ -111,15 +111,6 @@ def label_propagation_traced(
             break
     _, compact = np.unique(labels, return_inverse=True)
     return compact.astype(np.int64)
-
-
-def label_propagation_traced_scalar(
-    graph: CSRGraph,
-    memory: Memory,
-    iterations: int = DEFAULT_ITERATIONS,
-) -> np.ndarray:
-    """Scalar-loop label propagation emitter: the runtime oracle."""
-    return _propagate(graph, iterations, memory=memory)
 
 
 def _propagate(

@@ -38,7 +38,7 @@ def neighbor_query_traced(graph: CSRGraph, memory: Memory) -> np.ndarray:
     per node an ``offsets`` touch, the adjacency ``touch_run`` span and
     the per-neighbour ``degree`` gather, then the ``q`` write — flushed
     to the backend in a single call.  Touch-sequence identical to
-    :func:`neighbor_query_traced_scalar`.
+    :func:`~repro.oracles.neighbor_query_traced_scalar`.
     """
     n = graph.num_nodes
     traced = declare_graph(memory, graph)
@@ -62,28 +62,3 @@ def neighbor_query_traced(graph: CSRGraph, memory: Memory) -> np.ndarray:
         lines, demand, runs.extra_l1, runs.prefetched
     )
     return segment_sums(degrees[neighbors], widths)
-
-
-def neighbor_query_traced_scalar(
-    graph: CSRGraph, memory: Memory
-) -> np.ndarray:
-    """Scalar-loop NQ emitter: the runtime port's oracle."""
-    n = graph.num_nodes
-    traced = declare_graph(memory, graph)
-    traced_degree = memory.array("degree", n, NODE_BYTES)
-    traced_q = memory.array("q", n, 8)
-    offsets = graph.offsets
-    adjacency = graph.adjacency
-    degrees = graph.out_degrees()
-    q = np.zeros(n, dtype=np.int64)
-    touch_degree_all = traced_degree.touch_all
-    for u in range(n):
-        traced.offsets.touch(u)
-        start = int(offsets[u])
-        end = int(offsets[u + 1])
-        traced.adjacency.touch_run(start, end - start)
-        neighbors = adjacency[start:end]
-        touch_degree_all(neighbors)
-        traced_q.touch(u)
-        q[u] = degrees[neighbors].sum()
-    return q

@@ -122,57 +122,6 @@ def pagerank_traced(
     return rank
 
 
-def pagerank_traced_scalar(
-    graph: CSRGraph,
-    memory: Memory,
-    iterations: int = 5,
-    damping: float = DAMPING,
-) -> np.ndarray:
-    """Scalar-loop PageRank emitter: the runtime port's oracle."""
-    _check_params(iterations, damping)
-    n = graph.num_nodes
-    traced = declare_graph(memory, graph)
-    traced_rank = memory.array("rank", n, FLOAT_BYTES)
-    traced_next = memory.array("next_rank", n, FLOAT_BYTES)
-    traced_degree = memory.array("out_degree", n, NODE_BYTES)
-    if n == 0:
-        return np.zeros(0, dtype=np.float64)
-    offsets = graph.offsets
-    adjacency = graph.adjacency
-    out_degrees = graph.out_degrees()
-    rank = np.full(n, 1.0 / n, dtype=np.float64)
-    next_rank = np.zeros(n, dtype=np.float64)
-    teleport = (1.0 - damping) / n
-    touch_next_all = traced_next.touch_all
-    for _ in range(iterations):
-        next_rank[:] = 0.0
-        dangling_mass = 0.0
-        for u in range(n):
-            traced_rank.touch(u)
-            traced_degree.touch(u)
-            degree = int(out_degrees[u])
-            if degree == 0:
-                dangling_mass += rank[u]
-                continue
-            contribution = rank[u] / degree
-            traced.offsets.touch(u)
-            start = int(offsets[u])
-            traced.adjacency.touch_run(start, degree)
-            neighbors = adjacency[start:start + degree]
-            touch_next_all(neighbors)  # the random per-edge writes
-            # np.add.at applies element-wise in index order — the
-            # float accumulation is bitwise the per-edge loop's, and
-            # next_rank is this iteration's local accumulator, so the
-            # in-place update never escapes the oracle.
-            np.add.at(next_rank, neighbors, contribution)  # repro: noqa[REP010]
-        dangling_share = dangling_mass / n
-        # Final sequential combine pass over both rank arrays.
-        traced_next.touch_run(0, n)
-        traced_rank.touch_run(0, n)
-        rank[:] = teleport + damping * (next_rank + dangling_share)
-    return rank
-
-
 def _check_params(iterations: int, damping: float) -> None:
     if iterations < 0:
         raise InvalidParameterError(

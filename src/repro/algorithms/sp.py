@@ -107,24 +107,13 @@ def shortest_paths_traced(
     is never re-queued, and the queue holds each depth contiguously —
     so each depth advances as one frontier with one assembled access
     block.  Touch-sequence identical to
-    :func:`shortest_paths_traced_scalar`.
+    :func:`~repro.oracles.shortest_paths_traced_scalar`.
     """
     _check_source(graph, source)
     traced = declare_graph(memory, graph)
     n = graph.num_nodes
     arrays = _declare_sp_arrays(memory, n, suffix="")
     return _sp_runtime_core(graph, traced, arrays, source, memory)
-
-
-def shortest_paths_traced_scalar(
-    graph: CSRGraph, memory: Memory, source: int = 0
-) -> np.ndarray:
-    """Scalar-loop SPFA emitter: the runtime port's oracle."""
-    _check_source(graph, source)
-    traced = declare_graph(memory, graph)
-    n = graph.num_nodes
-    arrays = _declare_sp_arrays(memory, n, suffix="")
-    return _sp_traced_core(graph, traced, arrays, source)
 
 
 def _check_source(graph: CSRGraph, source: int) -> None:
@@ -217,52 +206,4 @@ def _sp_runtime_core(
         head += size
         tail += num_discovered
         frontier = Frontier(discovered, n)
-    return distance
-
-
-def _sp_traced_core(
-    graph: CSRGraph,
-    traced: TracedGraph,
-    arrays: dict[str, TracedArray],
-    source: int,
-) -> np.ndarray:
-    """One traced SPFA run over pre-declared arrays (scalar oracle)."""
-    n = graph.num_nodes
-    offsets = graph.offsets
-    adjacency = graph.adjacency
-    distance = np.full(n, INFINITY, dtype=np.int64)
-    in_queue = np.zeros(n, dtype=bool)
-    touch_distance = arrays["distance"].touch
-    touch_in_queue = arrays["in_queue"].touch
-    touch_queue = arrays["queue"].touch
-    distance[source] = 0
-    touch_distance(source)
-    queue = deque([source])
-    in_queue[source] = True
-    touch_in_queue(source)
-    head = 0  # position in the modelled circular queue array
-    tail = 1
-    touch_queue(0)
-    while queue:
-        touch_queue(head % n)
-        head += 1
-        u = queue.popleft()
-        in_queue[u] = False
-        touch_in_queue(u)
-        touch_distance(u)
-        candidate = distance[u] + 1
-        traced.offsets.touch(u)
-        start = int(offsets[u])
-        end = int(offsets[u + 1])
-        traced.adjacency.touch_run(start, end - start)
-        for v in adjacency[start:end].tolist():
-            touch_distance(v)
-            if candidate < distance[v]:
-                distance[v] = candidate
-                touch_in_queue(v)
-                if not in_queue[v]:
-                    in_queue[v] = True
-                    queue.append(v)
-                    touch_queue(tail % n)
-                    tail += 1
     return distance

@@ -12,18 +12,18 @@ REP004    narrow numpy dtypes on accumulators (int32 overflow)
 REP005    telemetry discipline (spans as context managers, one
           registry, greppable counter names)
 REP006    builtin exceptions raised instead of ``ReproError``
-REP008    lock-guarded attribute mutated without its lock *
-REP010    reference oracle transitively impure *
+REP008    lock-guarded attribute mutated without its lock
 ========  ==========================================================
 
-Rules marked ``*`` are whole-program rules: they run over the
-project layer (:mod:`repro.analysis.project`), which parses all of
-``src/repro`` once into a symbol table, import graph, and
-approximate call graph, cached on disk by content hash.
+Every rule sees one file at a time.  :mod:`repro.analysis.project`
+adds the import graph of a whole tree for ``repro-gorder deps``
+(layering and cycles).  The scalar oracles need no rule: they live in
+:mod:`repro.oracles`, which a test keeps out of the telemetry and I/O
+layers and runs with RNG, file I/O and telemetry patched to raise.
 
 Use it from the command line (``repro-gorder lint`` /
-``repro-gorder lint --project`` / ``repro-gorder deps``), from CI
-(the blocking ``lint`` job), or from tests::
+``repro-gorder deps``), from CI (the blocking ``lint`` job), or from
+tests::
 
     from repro.analysis import analyze_source, run_lint
 
@@ -44,7 +44,6 @@ from repro.analysis.baseline import (
 )
 from repro.analysis.core import (
     ALL_RULES,
-    ENGINE_VERSION,
     RULES,
     AnalysisError,
     FileContext,
@@ -55,6 +54,7 @@ from repro.analysis.core import (
     all_rules,
     noqa_directives,
     register,
+    rule_versions,
     suppressed,
 )
 from repro.analysis.engine import (
@@ -65,19 +65,9 @@ from repro.analysis.engine import (
     analyze_source,
     iter_python_files,
     run_lint,
-    run_project_lint,
 )
 from repro.analysis.imports import ImportMap
-from repro.analysis.project import (
-    DEFAULT_PROJECT_CACHE,
-    PROJECT_RULES,
-    FileFacts,
-    ProjectAnalysis,
-    ProjectRule,
-    all_project_rules,
-    register_project,
-    rule_versions,
-)
+from repro.analysis.project import FileFacts, ProjectAnalysis
 
 __all__ = [
     "ALL_RULES",
@@ -87,30 +77,23 @@ __all__ = [
     "BaselineMatch",
     "DEFAULT_BASELINE",
     "DEFAULT_PATHS",
-    "DEFAULT_PROJECT_CACHE",
-    "ENGINE_VERSION",
     "FileContext",
     "FileFacts",
     "Finding",
     "ImportMap",
     "LintReport",
-    "PROJECT_RULES",
     "ProjectAnalysis",
-    "ProjectRule",
     "RULES",
     "Rule",
     "RuleVisitor",
     "Severity",
-    "all_project_rules",
     "all_rules",
     "analyze_file",
     "analyze_source",
     "iter_python_files",
     "noqa_directives",
     "register",
-    "register_project",
     "rule_versions",
     "run_lint",
-    "run_project_lint",
     "suppressed",
 ]

@@ -28,12 +28,6 @@ class AnalysisError(ReproError):
     """A file or baseline could not be analysed (I/O, syntax, schema)."""
 
 
-#: Version of the analysis engine itself.  Bumped when the fact
-#: extraction or finding semantics change in a way that invalidates
-#: cached project facts (see :mod:`repro.analysis.project`).
-ENGINE_VERSION = 2
-
-
 class Severity(enum.IntEnum):
     """How bad a finding is; ordering follows the numeric value."""
 
@@ -200,6 +194,12 @@ def all_rules() -> list[Rule]:
     from repro.analysis import rules as _rules  # noqa: F401  (registers)
 
     return [RULES[rule_id] for rule_id in sorted(RULES)]
+
+
+def rule_versions() -> dict[str, int]:
+    """``rule id -> version`` of every registered rule (baseline
+    entries written against an older version expire)."""
+    return {rule.id: rule.version for rule in all_rules()}
 
 
 #: ``# repro: noqa`` or ``# repro: noqa[REP001,REP002]``.

@@ -121,10 +121,6 @@ class LintReport:
     )
     files_checked: int = 0
     strict: bool = False
-    #: Whole-program mode (``lint --project``) bookkeeping.
-    project: bool = False
-    files_parsed: int = 0
-    files_cached: int = 0
 
     # -- outcome -------------------------------------------------------
     def errors(self) -> list[Finding]:
@@ -148,11 +144,6 @@ class LintReport:
             label = finding.severity.label
             by_severity[label] = by_severity.get(label, 0) + 1
         parts = [f"{self.files_checked} file(s) checked"]
-        if self.project:
-            parts[-1] += (
-                f" (project mode: {self.files_parsed} parsed, "
-                f"{self.files_cached} from cache)"
-            )
         if self.findings:
             breakdown = ", ".join(
                 f"{count} {label}(s)"
@@ -185,9 +176,6 @@ class LintReport:
             "version": 1,
             "files_checked": self.files_checked,
             "strict": self.strict,
-            "project": self.project,
-            "files_parsed": self.files_parsed,
-            "files_cached": self.files_cached,
             "exit_code": self.exit_code(),
             "findings": [
                 finding.to_dict() for finding in self.findings
@@ -238,61 +226,3 @@ def run_lint(
         strict=strict,
     )
 
-
-def run_project_lint(
-    paths: list[str] | tuple[str, ...] = DEFAULT_PATHS,
-    baseline_path: str | os.PathLike | None = None,
-    strict: bool = False,
-    cache_path: str | os.PathLike | None = None,
-    rules: list[Rule] | None = None,
-    project_rules: list | None = None,
-) -> LintReport:
-    """Whole-program lint: per-file rules plus REP008/REP010.
-
-    Parses (or cache-loads, when ``cache_path`` is given) every file
-    under ``paths`` into project facts, replays the cached per-file
-    findings, evaluates every registered project rule over the
-    cross-module facts, and folds the union through the baseline with
-    rule-version expiry.
-    """
-    from repro.analysis.project import (
-        ProjectAnalysis,
-        all_project_rules,
-        rule_versions,
-    )
-
-    project = ProjectAnalysis.build(
-        paths, cache_path=cache_path, rules=rules
-    )
-    findings = sorted(
-        project.file_findings()
-        + project.project_findings(project_rules)
-    )
-    versions = rule_versions()
-    if rules is not None:
-        versions = {rule.id: rule.version for rule in rules}
-        versions.update(
-            {
-                rule.id: rule.version
-                for rule in (
-                    project_rules
-                    if project_rules is not None
-                    else all_project_rules()
-                )
-            }
-        )
-    match = BaselineMatch(new=findings)
-    if baseline_path is not None and Path(baseline_path).exists():
-        match = Baseline.load(baseline_path).apply(
-            findings, rule_versions=versions
-        )
-    return LintReport(
-        findings=match.new,
-        baselined=match.suppressed,
-        stale_baseline=match.stale,
-        files_checked=len(project.facts),
-        strict=strict,
-        project=True,
-        files_parsed=project.files_parsed,
-        files_cached=project.files_cached,
-    )

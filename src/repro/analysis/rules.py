@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ast
 import builtins
+from dataclasses import dataclass, field
 
 from repro.analysis.core import (
     FileContext,
@@ -677,3 +678,328 @@ class ForeignExceptionRule(Rule):
             if node.value.id == "builtins":
                 return node.attr
         return None
+
+
+#: ``threading`` constructors that create a lock-like object.
+LOCK_CONSTRUCTORS = frozenset({
+    "Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore",
+})
+
+#: Container methods that mutate the receiver in place.
+MUTATING_METHODS = frozenset({
+    "append", "appendleft", "extend", "extendleft", "insert",
+    "remove", "discard", "pop", "popleft", "popitem", "clear",
+    "update", "setdefault", "move_to_end", "add", "sort", "reverse",
+})
+
+
+def _self_attr(node: ast.AST) -> str | None:
+    """``X`` for a ``self.X`` expression, else ``None``."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
+@dataclass
+class _Mutation:
+    """One mutation of ``self.<attr>`` inside a method."""
+
+    attr: str
+    method: str
+    node: ast.AST
+    kind: str
+    #: ``self.<X>`` named by the innermost enclosing ``with``, or None.
+    guard: str | None
+
+
+@dataclass
+class _ClassLocks:
+    """What REP008 knows about one class."""
+
+    name: str
+    #: Attributes assigned a ``threading`` lock-like object.
+    lock_attrs: set[str] = field(default_factory=set)
+    #: Lock aliases: ``Condition(self._lock)`` guards ``_lock`` too.
+    lock_aliases: dict[str, str] = field(default_factory=dict)
+    mutations: list[_Mutation] = field(default_factory=list)
+    #: ``(caller method, callee, guard)`` per ``self.m(...)`` call.
+    self_calls: list[tuple[str, str, str | None]] = field(
+        default_factory=list
+    )
+    methods: set[str] = field(default_factory=set)
+
+    def canonical_lock(self, guard: str | None) -> str | None:
+        """The lock a guard attr holds (``None`` if not a lock)."""
+        if guard is None:
+            return None
+        seen: set[str] = set()
+        while guard in self.lock_aliases and guard not in seen:
+            seen.add(guard)
+            guard = self.lock_aliases[guard]
+        return guard if guard in self.lock_attrs else None
+
+    def lock_held_methods(self) -> dict[str, str]:
+        """Method name -> lock it provably always runs under."""
+        sites_by_callee: dict[str, list] = {}
+        for caller, callee, guard in self.self_calls:
+            sites_by_callee.setdefault(callee, []).append((caller, guard))
+        held: dict[str, str] = {}
+        changed = True
+        while changed:
+            changed = False
+            for callee, sites in sites_by_callee.items():
+                if callee in held or callee not in self.methods:
+                    continue
+                locks = {
+                    self.canonical_lock(guard) or held.get(caller)
+                    for caller, guard in sites
+                }
+                lock = locks.pop() if len(locks) == 1 else None
+                if lock is not None:
+                    held[callee] = lock
+                    changed = True
+        return held
+
+
+@register
+class LockGuardRule(Rule):
+    """REP008: guarded-elsewhere-but-not-here mutations of shared state.
+
+    For every class that owns a ``threading`` lock, each ``self``
+    attribute's mutation sites are split into guarded (under a
+    ``with self.<lock>:`` block, directly or via a lock-held helper)
+    and unguarded.  An attribute with at least one guarded site makes
+    every unguarded site a finding: either the guard is missing (a
+    race) or the attribute is not actually shared (then no site
+    should take the lock).
+
+    Lock-held helpers are inferred by fixpoint: a method is
+    lock-held if it is called at least once within the class and
+    every intra-class call site runs under the lock (directly or
+    from another lock-held method).  This keeps the
+    ``OrderingCache._hit``/``_evict_over_caps`` idiom — private
+    helpers whose callers hold the lock — free of false positives.
+    Every lock-owning class is defined in one file, so one file is
+    all the rule needs to see.
+    """
+
+    id = "REP008"
+    title = "lock-guarded attribute mutated without its lock"
+    severity = Severity.ERROR
+    rationale = (
+        "OrderingCache once shipped races that were fixed by hand; "
+        "this inference catches them mechanically: once any "
+        "mutation site of an attribute takes a lock, an unguarded "
+        "site is a data race waiting for a second thread."
+    )
+
+    def check(self, ctx: FileContext) -> list[Finding]:
+        visitor = _LockFactsVisitor(self, ctx, ImportMap(ctx.tree))
+        visitor.visit(ctx.tree)
+        for cls in visitor.classes:
+            if cls.lock_attrs:
+                self._check_class(visitor, cls)
+        return visitor.findings
+
+    def _check_class(
+        self, visitor: RuleVisitor, cls: _ClassLocks
+    ) -> None:
+        held = cls.lock_held_methods()
+        ignore = cls.lock_attrs | set(cls.lock_aliases)
+        by_attr: dict[str, list[tuple[_Mutation, str | None]]] = {}
+        for site in cls.mutations:
+            if site.attr not in ignore:
+                lock = cls.canonical_lock(site.guard) or held.get(
+                    site.method
+                )
+                by_attr.setdefault(site.attr, []).append((site, lock))
+        for attr in sorted(by_attr):
+            guarded = [pair for pair in by_attr[attr] if pair[1]]
+            unguarded = [
+                site for site, lock in by_attr[attr] if lock is None
+            ]
+            if not guarded or not unguarded:
+                continue
+            example, example_lock = guarded[0]
+            for site in unguarded:
+                visitor.report(
+                    site.node,
+                    f"{cls.name}.{site.method} mutates "
+                    f"self.{attr} ({site.kind}) without holding "
+                    f"self.{example_lock}, but "
+                    f"{len(guarded)} other site(s) guard it "
+                    f"(e.g. {cls.name}.{example.method} "
+                    f"line {getattr(example.node, 'lineno', 0)})",
+                )
+
+
+class _LockFactsVisitor(RuleVisitor):
+    """Collect per-class lock, mutation and self-call facts."""
+
+    def __init__(
+        self, rule: Rule, ctx: FileContext, imports: ImportMap
+    ) -> None:
+        super().__init__(rule, ctx)
+        self.imports = imports
+        self.classes: list[_ClassLocks] = []
+        #: (kind, name) scope stack; kinds: class | function.
+        self._scopes: list[tuple[str, str]] = []
+        self._class_stack: list[_ClassLocks] = []
+        #: ``self.<attr>`` guard stack inside the current function.
+        self._guards: list[str] = []
+
+    def _method(self) -> tuple[_ClassLocks, str] | None:
+        """(class, method name) when inside a method of a class."""
+        if not self._class_stack:
+            return None
+        for kind, name in reversed(self._scopes):
+            if kind == "function":
+                return self._class_stack[-1], name
+            if kind == "class":
+                return None
+        return None
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        names = [name for _, name in self._scopes] + [node.name]
+        cls = _ClassLocks(name=".".join(names))
+        self.classes.append(cls)
+        self._scopes.append(("class", node.name))
+        self._class_stack.append(cls)
+        self.generic_visit(node)
+        self._class_stack.pop()
+        self._scopes.pop()
+
+    def _visit_function(self, node) -> None:
+        if self._scopes and self._scopes[-1][0] == "class":
+            self._class_stack[-1].methods.add(node.name)
+        self._scopes.append(("function", node.name))
+        guards = self._guards
+        self._guards = []  # guards never span function boundaries
+        self.generic_visit(node)
+        self._guards = guards
+        self._scopes.pop()
+
+    visit_FunctionDef = _visit_function
+    visit_AsyncFunctionDef = _visit_function
+
+    def _visit_with(self, node) -> None:
+        attrs = [
+            attr
+            for attr in (
+                _self_attr(item.context_expr) for item in node.items
+            )
+            if attr is not None
+        ]
+        self._guards.extend(attrs)
+        self.generic_visit(node)
+        del self._guards[len(self._guards) - len(attrs):]
+
+    visit_With = _visit_with
+    visit_AsyncWith = _visit_with
+
+    def _guard(self) -> str | None:
+        return self._guards[-1] if self._guards else None
+
+    def _record_mutation(
+        self, attr: str, node: ast.AST, kind: str
+    ) -> None:
+        located = self._method()
+        if located is None:
+            return
+        cls, method = located
+        if method == "__init__":
+            return  # pre-publication construction is single-threaded
+        cls.mutations.append(
+            _Mutation(attr, method, node, kind, self._guard())
+        )
+
+    def _lock_constructor(self, value: ast.AST) -> ast.Call | None:
+        if not isinstance(value, ast.Call):
+            return None
+        resolved = self.imports.resolve(value.func)
+        if resolved is not None:
+            root, _, last = resolved.rpartition(".")
+            if root == "threading" and last in LOCK_CONSTRUCTORS:
+                return value
+            return None
+        if call_name(value) in LOCK_CONSTRUCTORS and attr_root(
+            value.func
+        ) in (None, "threading"):
+            return value
+        return None
+
+    def _record_lock_assign(self, attr: str, value: ast.AST) -> None:
+        call = self._lock_constructor(value)
+        if call is None or not self._class_stack:
+            return
+        cls = self._class_stack[-1]
+        cls.lock_attrs.add(attr)
+        # Condition(self._lock) aliases the wrapped lock: holding
+        # either guards the state both protect.
+        if call.args:
+            wrapped = _self_attr(call.args[0])
+            if wrapped is not None:
+                cls.lock_aliases[attr] = wrapped
+
+    def _assign_target(
+        self, target: ast.AST, node: ast.AST, kind: str
+    ) -> None:
+        attr = _self_attr(target)
+        if attr is not None:
+            self._record_mutation(attr, node, kind)
+        elif isinstance(target, ast.Subscript):
+            attr = _self_attr(target.value)
+            if attr is not None:
+                self._record_mutation(attr, node, f"{kind} (item)")
+        elif isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                self._assign_target(element, node, kind)
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        for target in node.targets:
+            attr = _self_attr(target)
+            if attr is not None:
+                self._record_lock_assign(attr, node.value)
+            self._assign_target(target, node, "assignment")
+        self.generic_visit(node)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        if node.value is not None:
+            attr = _self_attr(node.target)
+            if attr is not None:
+                self._record_lock_assign(attr, node.value)
+            self._assign_target(node.target, node, "assignment")
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        self._assign_target(node.target, node, "augmented assignment")
+        self.generic_visit(node)
+
+    def visit_Delete(self, node: ast.Delete) -> None:
+        for target in node.targets:
+            attr = _self_attr(target)
+            if attr is None and isinstance(target, ast.Subscript):
+                attr = _self_attr(target.value)
+            if attr is not None:
+                self._record_mutation(attr, node, "del")
+        self.generic_visit(node)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        located = self._method()
+        callee = _self_attr(func)
+        if located is not None and callee is not None:
+            cls, method = located
+            cls.self_calls.append((method, callee, self._guard()))
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr in MUTATING_METHODS
+        ):
+            attr = _self_attr(func.value)
+            if attr is not None:
+                self._record_mutation(attr, node, f".{func.attr}()")
+        self.generic_visit(node)

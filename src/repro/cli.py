@@ -614,7 +614,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         Baseline,
         rule_versions,
         run_lint,
-        run_project_lint,
     )
     from repro.ioutil import atomic_write_text
 
@@ -622,16 +621,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     baseline_path = None if args.no_baseline else (
         args.baseline or DEFAULT_BASELINE
     )
-    project = getattr(args, "project", False)
-    cache_path = getattr(args, "cache", None) if project else None
     try:
         if args.write_baseline:
-            if project:
-                report = run_project_lint(
-                    paths, baseline_path=None, cache_path=cache_path
-                )
-            else:
-                report = run_lint(paths, baseline_path=None)
+            report = run_lint(paths, baseline_path=None)
             target = args.baseline or DEFAULT_BASELINE
             Baseline.from_findings(
                 report.findings, rule_versions=rule_versions()
@@ -641,17 +633,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 f"finding(s) to {target}"
             )
             return 0
-        if project:
-            report = run_project_lint(
-                paths,
-                baseline_path=baseline_path,
-                strict=args.strict,
-                cache_path=cache_path,
-            )
-        else:
-            report = run_lint(
-                paths, baseline_path=baseline_path, strict=args.strict
-            )
+        report = run_lint(
+            paths, baseline_path=baseline_path, strict=args.strict
+        )
     except AnalysisError as exc:
         print(f"lint error: {exc}", file=sys.stderr)
         return 2
@@ -670,10 +654,7 @@ def _cmd_deps(args: argparse.Namespace) -> int:
     from repro.analysis import AnalysisError, ProjectAnalysis
 
     try:
-        project = ProjectAnalysis.build(
-            tuple(args.paths) or ("src/repro",),
-            cache_path=getattr(args, "cache", None),
-        )
+        project = ProjectAnalysis.build(tuple(args.paths) or ("src/repro",))
     except AnalysisError as exc:
         print(f"deps error: {exc}", file=sys.stderr)
         return 2
@@ -681,11 +662,7 @@ def _cmd_deps(args: argparse.Namespace) -> int:
     cycles = project.import_cycles()
     deferred = project.deferred_edges()
     edge_count = sum(len(targets) for targets in graph.values())
-    print(
-        f"modules     : {len(graph)} "
-        f"({project.files_parsed} parsed, "
-        f"{project.files_cached} from cache)"
-    )
+    print(f"modules     : {len(graph)}")
     print(f"edges       : {edge_count} import-time, "
           f"{len(deferred)} deferred (function-level)")
     if args.show_graph:
@@ -1193,13 +1170,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "too")
     p.add_argument("--exit-zero", action="store_true",
                    help="report findings but always exit 0")
-    p.add_argument("--project", action="store_true",
-                   help="whole-program mode: also run the "
-                        "cross-module rules (REP008-REP010) over the "
-                        "project graph")
-    p.add_argument("--cache", metavar="PATH", default=None,
-                   help="incremental fact cache for --project "
-                        "(e.g. .repro-lint-cache.json)")
 
     p = add("deps", _cmd_deps,
             help="project import graph: layering, cycles, deferred "
@@ -1212,9 +1182,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print function-level (deferred) edges")
     p.add_argument("--check-cycles", action="store_true",
                    help="exit 1 when any import cycle exists")
-    p.add_argument("--cache", metavar="PATH", default=None,
-                   help="incremental fact cache (shared with "
-                        "lint --project)")
 
     p = add("telemetry", _cmd_telemetry_summary,
             help="trace analytics: summary, span tree, critical "

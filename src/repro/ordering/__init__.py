@@ -28,16 +28,13 @@ from repro.ordering.gorder import (
     gorder_naive,
     gorder_order,
     gorder_sequence,
-    gorder_sequence_reference,
     window_scores,
-    window_scores_reference,
 )
 from repro.ordering.incremental import append_identity, gorder_extend
 from repro.ordering.ldg import ldg_order
 from repro.ordering.lightweight import (
     boba_order,
     dbg_classes,
-    dbg_classes_reference,
     dbg_order,
     hubcluster_order,
     hubsort_order,
@@ -97,9 +94,7 @@ __all__ = [
     "gorder_order",
     "gorder_sequence",
     "gorder_naive",
-    "gorder_sequence_reference",
     "window_scores",
-    "window_scores_reference",
     "original_order",
     "random_order",
     "indegsort_order",
@@ -114,7 +109,6 @@ __all__ = [
     "hubcluster_order",
     "dbg_order",
     "dbg_classes",
-    "dbg_classes_reference",
     "boba_order",
     "gorder_partitioned",
     "partition_nodes",

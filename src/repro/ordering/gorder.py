@@ -18,15 +18,15 @@ bounds.  This removes the per-edge Python call and ``int()`` boxing
 that made a literal Algorithm 2 loop the replication's slowest
 component (its Table 2 hours).
 
-:func:`gorder_sequence_reference` keeps that literal loop — one
-:meth:`~repro.ordering.unit_heap.UnitHeap.increase` / ``decrease``
-call per score event — as the test and benchmark oracle.  Both
-produce **byte-identical sequences**: the unit heap breaks ties by
-smallest node id among maximal keys, a pure function of the net key
-state, so collapsing a step's events into one batch cannot change any
-pop.  :func:`gorder_naive` (literal greedy rescan, O(n^2 * w * d),
-tests only) shares the same tie-break and therefore also agrees
-exactly.
+:func:`repro.oracles.gorder_sequence_reference` keeps that literal
+loop — one :meth:`~repro.ordering.unit_heap.UnitHeap.increase` /
+``decrease`` call per score event — as the test and benchmark
+oracle.  Both produce **byte-identical sequences**: the unit heap
+breaks ties by smallest node id among maximal keys, a pure function
+of the net key state, so collapsing a step's events into one batch
+cannot change any pop.  :func:`gorder_naive` (literal greedy rescan,
+O(n^2 * w * d), tests only) shares the same tie-break and therefore
+also agrees exactly.
 
 ``hub_threshold`` optionally skips the sibling expansion through
 common in-neighbours with out-degree above the threshold.  Such hubs
@@ -201,60 +201,6 @@ def gorder_sequence(
     return sequence
 
 
-def gorder_sequence_reference(
-    graph: CSRGraph,
-    window: int = DEFAULT_WINDOW,
-    hub_threshold: int | None = None,
-) -> np.ndarray:
-    """Literal Algorithm 2: one heap call per unit score event.
-
-    The oracle :func:`gorder_sequence` is tested and benchmarked
-    against (byte-identical output, see the module docstring); it
-    publishes no telemetry.
-    """
-    _validate_gorder_params(window, hub_threshold)
-    n = graph.num_nodes
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    out_offsets = graph.offsets
-    out_adjacency = graph.adjacency
-    in_offsets = graph.in_offsets
-    in_adjacency = graph.in_adjacency
-    out_degrees = graph.out_degrees()
-    skip_limit = (
-        np.iinfo(np.int64).max if hub_threshold is None else hub_threshold
-    )
-    heap = UnitHeap(n)
-    sequence = np.empty(n, dtype=np.int64)
-
-    def apply(u: int, entering: bool) -> None:
-        """Propagate u's window-entry (+1) or -exit (-1) score events."""
-        update = heap.increase if entering else heap.decrease
-        for v in out_adjacency[out_offsets[u]:out_offsets[u + 1]]:
-            update(int(v))  # S_n: edge u -> v
-        for z in in_adjacency[in_offsets[u]:in_offsets[u + 1]]:
-            z = int(z)
-            update(z)  # S_n: edge z -> u
-            if out_degrees[z] > skip_limit:
-                continue  # hub co-citation: skipped, see module docstring
-            for v in out_adjacency[out_offsets[z]:out_offsets[z + 1]]:
-                v = int(v)
-                if v != u:
-                    update(v)  # S_s: z is a common in-neighbour of u, v
-
-    start = int(np.argmax(graph.in_degrees())) if n > 1 else 0
-    heap.remove(start)
-    sequence[0] = start
-    apply(start, entering=True)
-    for i in range(1, n):
-        if i > window:
-            apply(int(sequence[i - 1 - window]), entering=False)
-        chosen = heap.pop_max()
-        sequence[i] = chosen
-        apply(chosen, entering=True)
-    return sequence
-
-
 def gorder_order(
     graph: CSRGraph,
     seed: int = 0,
@@ -315,8 +261,8 @@ def window_scores(
     S_n is one mask over all edges; the sibling score S_s counts, for
     each window shift ``s``, the edges ``z -> b`` whose companion edge
     ``z -> a`` lands exactly ``s`` positions earlier — a sorted-key
-    membership query.  :func:`window_scores_reference` is the literal
-    per-pair oracle it is tested against.
+    membership query.  :func:`repro.oracles.window_scores_reference` is
+    the literal per-pair oracle it is tested against.
     """
     if window < 1:
         raise InvalidParameterError(
@@ -356,28 +302,4 @@ def window_scores(
         slots_clipped = np.minimum(slots, edge_keys.shape[0] - 1)
         hits = edge_keys[slots_clipped] == queries
         np.add.at(scores, target_pos[valid][hits], 1)
-    return scores
-
-
-def window_scores_reference(
-    graph: CSRGraph, sequence: np.ndarray, window: int = DEFAULT_WINDOW
-) -> np.ndarray:
-    """Literal per-pair :func:`window_scores` (the test oracle).
-
-    Evaluates ``pair_score`` for every (step, window slot) pair —
-    O(n * w * d) Python work, kept as the unambiguous definition the
-    vectorised version is verified against.
-    """
-    if window < 1:
-        raise InvalidParameterError(
-            f"window must be at least 1, got {window}"
-        )
-    sequence = np.asarray(sequence, dtype=np.int64)
-    scores = np.zeros(sequence.shape[0], dtype=np.int64)
-    for i in range(1, sequence.shape[0]):
-        u = int(sequence[i])
-        scores[i] = sum(
-            pair_score(graph, u, int(sequence[j]))
-            for j in range(max(0, i - window), i)
-        )
     return scores

@@ -96,18 +96,6 @@ def dbg_classes(degrees: np.ndarray, num_groups: int) -> np.ndarray:
     ).astype(np.int64)
 
 
-def dbg_classes_reference(degrees, num_groups: int) -> list[int]:
-    """Pure-python oracle for :func:`dbg_classes` (tests compare)."""
-    if num_groups < 1:
-        raise InvalidParameterError(
-            f"num_groups must be positive, got {num_groups}"
-        )
-    return [
-        min((int(d) + 1).bit_length() - 1, num_groups - 1)
-        for d in degrees
-    ]
-
-
 def dbg_order(
     graph: CSRGraph, seed: int = 0, num_groups: int = 8
 ) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Benchmark-regression harness for the Gorder kernel.
 
 Times the production (batched) greedy kernel against the literal-loop
-oracle :func:`~repro.ordering.gorder.gorder_sequence_reference` (plus
+oracle :func:`~repro.oracles.gorder_sequence_reference` (plus
 the partitioned multiprocess ordering) on a deterministic generated
 graph, verifies they agree byte-for-byte, and emits a machine-readable
 ``BENCH_gorder.json`` so every future change has a perf trajectory to
@@ -105,11 +105,7 @@ from repro import obs
 from repro.errors import InvalidParameterError, ReproError
 from repro.graph.generators import social_graph
 from repro.ioutil import atomic_write_text
-from repro.ordering.gorder import (
-    DEFAULT_WINDOW,
-    gorder_sequence,
-    gorder_sequence_reference,
-)
+from repro.ordering.gorder import DEFAULT_WINDOW, gorder_sequence
 from repro.ordering.parallel import gorder_partitioned
 
 #: Current BENCH_gorder.json schema version.
@@ -202,6 +198,10 @@ def run_gorder_bench(
     kernel publishes counters; the reference fires the same unit
     events (identical output), so both kernel entries report them.
     """
+    # Deferred: importing repro.perf (every CLI and serve process)
+    # must not load the oracles.
+    from repro.oracles import gorder_sequence_reference
+
     config = config or GorderBenchConfig()
     graph = social_graph(
         config.nodes,

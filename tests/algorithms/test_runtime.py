@@ -38,6 +38,7 @@ from repro.cache import CacheHierarchy, CacheLevel, Memory
 from repro.errors import InvalidParameterError
 from repro.graph import from_edges, generators
 from repro.graph.permute import relabel
+from repro.oracles import TRACED_SCALAR
 from repro.ordering import accepted_params, compute_ordering
 from repro.perf import Profile, run_cell
 
@@ -256,12 +257,12 @@ class TestBackendDispatch:
     def test_scalar_backend_selects_the_oracle(self, name):
         spec = REGISTRY[name]
         assert traced_fn(spec, "runtime") is spec.traced
-        assert traced_fn(spec, "scalar") is spec.traced_scalar
-        assert spec.traced_scalar is not spec.traced
+        assert traced_fn(spec, "scalar") is TRACED_SCALAR[name]
+        assert TRACED_SCALAR[name] is not spec.traced
 
     def test_scalar_backend_falls_back_without_an_oracle(self):
         spec = REGISTRY["kcore"]  # scalar by design: no separate oracle
-        assert spec.traced_scalar is None
+        assert "kcore" not in TRACED_SCALAR
         assert traced_fn(spec, "scalar") is spec.traced
 
     def test_unknown_backend_rejected(self):

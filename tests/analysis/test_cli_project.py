@@ -1,7 +1,9 @@
-"""CLI surfaces of the project layer: lint --project and deps."""
+"""CLI surfaces over a whole tree: lint on a package, and deps."""
 
 import json
 from pathlib import Path
+
+import pytest
 
 from repro.cli import main
 
@@ -48,42 +50,20 @@ CYCLIC_TREE = {
 class TestLintProject:
     def test_clean_tree_exits_zero(self, make_tree, capsys):
         make_tree(CLEAN_TREE)
-        assert main(["lint", "--project", "pkg"]) == 0
-        assert "project mode" in capsys.readouterr().out
+        assert main(["lint", "pkg"]) == 0
+        assert "3 file(s) checked; no findings" in capsys.readouterr().out
 
     def test_race_exits_one(self, make_tree, capsys):
+        """REP008 is a per-file rule: plain lint reports the race."""
         make_tree(RACY_TREE)
-        assert main(["lint", "--project", "pkg"]) == 1
+        assert main(["lint", "pkg"]) == 1
         assert "REP008" in capsys.readouterr().out
-
-    def test_json_reports_project_mode(self, make_tree, capsys):
-        make_tree(CLEAN_TREE)
-        assert main(
-            ["lint", "--project", "--format", "json", "pkg"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["project"] is True
-        assert payload["files_parsed"] == len(CLEAN_TREE)
-        assert payload["files_cached"] == 0
-
-    def test_cache_makes_the_second_run_warm(self, make_tree, capsys):
-        make_tree(CLEAN_TREE)
-        args = [
-            "lint", "--project", "--cache", "cache.json",
-            "--format", "json", "pkg",
-        ]
-        assert main(args) == 0
-        capsys.readouterr()
-        assert main(args) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["files_parsed"] == 0
-        assert payload["files_cached"] == len(CLEAN_TREE)
 
     def test_write_baseline_then_gate_passes(self, make_tree, capsys):
         make_tree(RACY_TREE)
         assert main([
-            "lint", "--project", "--write-baseline",
-            "--baseline", "baseline.json", "pkg",
+            "lint", "--write-baseline", "--baseline", "baseline.json",
+            "pkg",
         ]) == 0
         payload = json.loads(Path("baseline.json").read_text())
         assert payload["version"] == 2
@@ -92,13 +72,25 @@ class TestLintProject:
             for entry in payload["findings"]
         )
         capsys.readouterr()
-        assert main([
-            "lint", "--project", "--baseline", "baseline.json", "pkg",
-        ]) == 0
+        assert main(["lint", "--baseline", "baseline.json", "pkg"]) == 0
 
     def test_missing_path_exits_two(self, make_tree):
         make_tree(CLEAN_TREE)
-        assert main(["lint", "--project", "nowhere"]) == 2
+        assert main(["lint", "nowhere"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lint", "--project", "pkg"],
+            ["lint", "--cache", "cache.json", "pkg"],
+            ["deps", "--cache", "cache.json", "pkg"],
+        ],
+    )
+    def test_project_mode_flags_are_gone(self, make_tree, argv):
+        make_tree(CLEAN_TREE)
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
 
 
 class TestDeps:

@@ -1,7 +1,5 @@
-"""Project layer: module naming, graphs, and the incremental cache."""
+"""Project layer: module naming and the import graph ``deps`` reads."""
 
-import json
-import time
 from pathlib import Path
 
 import pytest
@@ -9,10 +7,7 @@ import pytest
 from repro.analysis import ProjectAnalysis
 from repro.analysis.project import module_name_for
 
-REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
-
-#: A four-module package exercising plain, from-, symbol- and
-#: deferred imports plus local/self/cross-module calls.
+#: A package exercising plain, from-, symbol- and deferred imports.
 MINI_PKG = {
     "pkg/__init__.py": """
         GREETING = "hello"
@@ -33,16 +28,6 @@ MINI_PKG = {
     "pkg/beta.py": """
         def helper(x):
             return x + 1
-
-        class Counter:
-            def __init__(self):
-                self.total = 0
-
-            def bump(self):
-                return self._step()
-
-            def _step(self):
-                return helper(1)
     """,
     "pkg/gamma.py": """
         def make():
@@ -119,112 +104,3 @@ class TestImportGraph:
         })
         project = ProjectAnalysis.build(["loop"])
         assert project.import_cycles() == [["loop.a", "loop.b"]]
-
-
-class TestCallGraph:
-    @pytest.fixture
-    def graph(self, make_tree):
-        make_tree(MINI_PKG)
-        return ProjectAnalysis.build(["pkg"]).call_graph()
-
-    def test_cross_module_call(self, graph):
-        assert graph["pkg.alpha.run"] == {"pkg.beta.helper"}
-
-    def test_deferred_module_attribute_call(self, graph):
-        assert graph["pkg.alpha.lazy"] == {"pkg.gamma.make"}
-
-    def test_self_call_resolves_to_the_method(self, graph):
-        assert graph["pkg.beta.Counter.bump"] == {
-            "pkg.beta.Counter._step"
-        }
-
-    def test_local_call_inside_a_method(self, graph):
-        assert graph["pkg.beta.Counter._step"] == {"pkg.beta.helper"}
-
-
-class TestCache:
-    CACHE = "lint-cache.json"
-
-    def build(self):
-        return ProjectAnalysis.build(["pkg"], cache_path=self.CACHE)
-
-    def test_cold_run_parses_everything(self, make_tree):
-        make_tree(MINI_PKG)
-        project = self.build()
-        assert project.files_parsed == len(MINI_PKG)
-        assert project.files_cached == 0
-        assert Path(self.CACHE).exists()
-
-    def test_warm_run_parses_nothing(self, make_tree):
-        make_tree(MINI_PKG)
-        cold = self.build()
-        warm = self.build()
-        assert warm.files_parsed == 0
-        assert warm.files_cached == len(MINI_PKG)
-        assert warm.modules() == cold.modules()
-
-    def test_content_change_reparses_only_that_file(self, make_tree):
-        root = make_tree(MINI_PKG)
-        self.build()
-        target = root / "pkg" / "gamma.py"
-        target.write_text(target.read_text() + "\n\ndef more():\n    return 1\n")
-        project = self.build()
-        assert project.files_parsed == 1
-        assert project.files_cached == len(MINI_PKG) - 1
-        assert "pkg.gamma.more" in project.symbol_table()
-
-    def test_added_file_is_parsed(self, make_tree):
-        root = make_tree(MINI_PKG)
-        self.build()
-        (root / "pkg" / "delta.py").write_text("def extra():\n    return 2\n")
-        project = self.build()
-        assert project.files_parsed == 1
-        assert project.files_cached == len(MINI_PKG)
-        assert "pkg.delta" in project.facts
-
-    def test_deleted_file_drops_out(self, make_tree):
-        root = make_tree(MINI_PKG)
-        self.build()
-        (root / "pkg" / "gamma.py").unlink()
-        project = self.build()
-        assert "pkg.gamma" not in project.facts
-        assert project.files_cached == len(MINI_PKG) - 1
-        # The rewritten cache forgets the file too.
-        payload = json.loads(Path(self.CACHE).read_text())
-        assert "pkg/gamma.py" not in payload["files"]
-
-    def test_corrupt_cache_degrades_to_cold_run(self, make_tree):
-        make_tree(MINI_PKG)
-        Path(self.CACHE).write_text("{definitely not json")
-        project = self.build()
-        assert project.files_parsed == len(MINI_PKG)
-
-    def test_signature_mismatch_invalidates(self, make_tree):
-        make_tree(MINI_PKG)
-        self.build()
-        payload = json.loads(Path(self.CACHE).read_text())
-        payload["signature"] = "0" * 64
-        Path(self.CACHE).write_text(json.dumps(payload))
-        project = self.build()
-        assert project.files_parsed == len(MINI_PKG)
-
-
-@pytest.mark.skipif(
-    not REPO_SRC.is_dir(), reason="repo source tree not available"
-)
-class TestWarmSpeedup:
-    def test_warm_run_is_at_least_5x_faster(self, tmp_path):
-        """Acceptance: a warm cache run beats cold by >= 5x."""
-        cache = tmp_path / "cache.json"
-        start = time.perf_counter()
-        cold = ProjectAnalysis.build([str(REPO_SRC)], cache_path=cache)
-        cold_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        warm = ProjectAnalysis.build([str(REPO_SRC)], cache_path=cache)
-        warm_seconds = time.perf_counter() - start
-        assert cold.files_parsed > 0
-        assert warm.files_parsed == 0
-        assert warm.files_cached == cold.files_parsed
-        assert cold_seconds >= 5 * warm_seconds, (
-            f"cold {cold_seconds:.3f}s vs warm {warm_seconds:.3f}s"
-        )

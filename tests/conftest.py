@@ -2,12 +2,34 @@
 
 from __future__ import annotations
 
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from repro.graph import from_edges, generators
 from repro.graph.csr import CSRGraph
+
+
+@pytest.fixture
+def make_tree(tmp_path, monkeypatch):
+    """``make_tree({relpath: source, ...})`` -> tree root (cwd).
+
+    Writes a throwaway source tree under ``tmp_path`` and chdirs into
+    it: module names come from the ``__init__.py`` chain, and display
+    paths are cwd-relative.
+    """
+
+    def build(files):
+        for rel, source in files.items():
+            path = tmp_path / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(textwrap.dedent(source))
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    return build
 
 
 @pytest.fixture

@@ -17,13 +17,12 @@ from hypothesis import given, settings
 from repro import obs
 from repro.errors import InvalidParameterError
 from repro.graph import from_edges, generators, invert_permutation
+from repro.oracles import gorder_sequence_reference, window_scores_reference
 from repro.ordering import (
     gorder_naive,
     gorder_partitioned,
     gorder_sequence,
-    gorder_sequence_reference,
     window_scores,
-    window_scores_reference,
 )
 
 from tests.conftest import assert_valid_permutation, graph_strategy

@@ -131,7 +131,8 @@ class TestDBGClasses:
     ``np.log2`` cast, which mis-rounds near power-of-two degrees)."""
 
     def test_matches_reference_oracle(self):
-        from repro.ordering import dbg_classes, dbg_classes_reference
+        from repro.oracles import dbg_classes_reference
+        from repro.ordering import dbg_classes
 
         rng = np.random.default_rng(3)
         degrees = rng.integers(0, 10_000, size=400)
@@ -152,7 +153,8 @@ class TestDBGClasses:
         """float64 rounds 2**54 - 1 up to 2**54, so the old
         ``np.floor(np.log2(d + 1))`` put degree 2**54 - 2 in class 54;
         its true class is 53."""
-        from repro.ordering import dbg_classes, dbg_classes_reference
+        from repro.oracles import dbg_classes_reference
+        from repro.ordering import dbg_classes
 
         degrees = np.array([2**54 - 2], dtype=np.int64)
         assert dbg_classes(degrees, 64).tolist() == [53]
@@ -173,8 +175,9 @@ class TestDBGClasses:
         assert dbg_classes(degrees, 4).tolist() == [0, 3, 3]
 
     def test_num_groups_validation(self):
-        from repro.ordering import dbg_classes, dbg_classes_reference
         from repro.errors import InvalidParameterError
+        from repro.oracles import dbg_classes_reference
+        from repro.ordering import dbg_classes
 
         with pytest.raises(InvalidParameterError):
             dbg_classes(np.array([1]), 0)

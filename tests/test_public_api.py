@@ -5,9 +5,9 @@ import inspect
 import pytest
 
 import repro
-from repro import algorithms, cache, graph, ordering, perf
+from repro import algorithms, cache, graph, oracles, ordering, perf
 
-PACKAGES = [repro, graph, cache, ordering, algorithms, perf]
+PACKAGES = [repro, graph, cache, ordering, algorithms, perf, oracles]
 
 
 class TestExports:
