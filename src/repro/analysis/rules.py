@@ -712,8 +712,9 @@ class _Mutation:
     method: str
     node: ast.AST
     kind: str
-    #: ``self.<X>`` named by the innermost enclosing ``with``, or None.
-    guard: str | None
+    #: ``self.<X>`` items of the enclosing ``with`` blocks, outermost
+    #: first.
+    guards: tuple[str, ...]
 
 
 @dataclass
@@ -726,8 +727,8 @@ class _ClassLocks:
     #: Lock aliases: ``Condition(self._lock)`` guards ``_lock`` too.
     lock_aliases: dict[str, str] = field(default_factory=dict)
     mutations: list[_Mutation] = field(default_factory=list)
-    #: ``(caller method, callee, guard)`` per ``self.m(...)`` call.
-    self_calls: list[tuple[str, str, str | None]] = field(
+    #: ``(caller method, callee, guards)`` per ``self.m(...)`` call.
+    self_calls: list[tuple[str, str, tuple[str, ...]]] = field(
         default_factory=list
     )
     methods: set[str] = field(default_factory=set)
@@ -742,6 +743,15 @@ class _ClassLocks:
             guard = self.lock_aliases[guard]
         return guard if guard in self.lock_attrs else None
 
+    def held_lock(self, guards: tuple[str, ...]) -> str | None:
+        """The lock held by the innermost ``with`` item that is one
+        (``None`` if no enclosing item is a lock)."""
+        for guard in reversed(guards):
+            lock = self.canonical_lock(guard)
+            if lock is not None:
+                return lock
+        return None
+
     def lock_held_methods(self) -> dict[str, str]:
         """Method name -> lock it provably always runs under."""
         sites_by_callee: dict[str, list] = {}
@@ -755,8 +765,8 @@ class _ClassLocks:
                 if callee in held or callee not in self.methods:
                     continue
                 locks = {
-                    self.canonical_lock(guard) or held.get(caller)
-                    for caller, guard in sites
+                    self.held_lock(guards) or held.get(caller)
+                    for caller, guards in sites
                 }
                 lock = locks.pop() if len(locks) == 1 else None
                 if lock is not None:
@@ -790,6 +800,9 @@ class LockGuardRule(Rule):
     id = "REP008"
     title = "lock-guarded attribute mutated without its lock"
     severity = Severity.ERROR
+    #: 2: a site is guarded by the innermost enclosing ``with`` item
+    #: that is a lock, not by the innermost item whatever it is.
+    version = 2
     rationale = (
         "OrderingCache once shipped races that were fixed by hand; "
         "this inference catches them mechanically: once any "
@@ -813,7 +826,7 @@ class LockGuardRule(Rule):
         by_attr: dict[str, list[tuple[_Mutation, str | None]]] = {}
         for site in cls.mutations:
             if site.attr not in ignore:
-                lock = cls.canonical_lock(site.guard) or held.get(
+                lock = cls.held_lock(site.guards) or held.get(
                     site.method
                 )
                 by_attr.setdefault(site.attr, []).append((site, lock))
@@ -901,9 +914,6 @@ class _LockFactsVisitor(RuleVisitor):
     visit_With = _visit_with
     visit_AsyncWith = _visit_with
 
-    def _guard(self) -> str | None:
-        return self._guards[-1] if self._guards else None
-
     def _record_mutation(
         self, attr: str, node: ast.AST, kind: str
     ) -> None:
@@ -914,7 +924,7 @@ class _LockFactsVisitor(RuleVisitor):
         if method == "__init__":
             return  # pre-publication construction is single-threaded
         cls.mutations.append(
-            _Mutation(attr, method, node, kind, self._guard())
+            _Mutation(attr, method, node, kind, tuple(self._guards))
         )
 
     def _lock_constructor(self, value: ast.AST) -> ast.Call | None:
@@ -994,7 +1004,7 @@ class _LockFactsVisitor(RuleVisitor):
         callee = _self_attr(func)
         if located is not None and callee is not None:
             cls, method = located
-            cls.self_calls.append((method, callee, self._guard()))
+            cls.self_calls.append((method, callee, tuple(self._guards)))
         if (
             isinstance(func, ast.Attribute)
             and func.attr in MUTATING_METHODS

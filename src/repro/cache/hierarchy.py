@@ -21,8 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
+from repro.cache import replay as trace_replay
 from repro.cache.level import CacheLevel
-from repro.cache.replay import hit_mask
+from repro.cache.replay import hit_mask, lru_stack
 from repro.cache.stats import CacheStats
 from repro.errors import InvalidParameterError
 
@@ -33,7 +34,7 @@ MEMORY_LEVEL = 0
 class CacheHierarchy:
     """An ordered stack of :class:`CacheLevel` objects (L1 first)."""
 
-    __slots__ = ("levels", "name")
+    __slots__ = ("levels", "name", "_carried")
 
     def __init__(self, levels: list[CacheLevel], name: str = "cache") -> None:
         if not levels:
@@ -47,6 +48,10 @@ class CacheHierarchy:
             )
         self.levels = list(levels)
         self.name = name
+        #: Per level, the input of its last replay window (carried
+        #: stack in front): :func:`lru_stack` of it is the level's
+        #: state, extracted only when another window follows.
+        self._carried: list[np.ndarray | None] = [None] * len(levels)
 
     # ------------------------------------------------------------------
     @property
@@ -85,20 +90,29 @@ class CacheHierarchy:
         return all(level.policy == "lru" for level in self.levels)
 
     def replay(self, lines) -> np.ndarray:
-        """Vectorised cold-start replay of a line-id access trace.
+        """Vectorised replay of a line-id access trace.
 
         Equivalent to calling :meth:`access` once per entry of
-        ``lines`` on a freshly flushed hierarchy, as far as every
-        level's ``refs``/``misses`` counters and each access's serving
-        level are concerned.  Each level is classified array-wise with
-        :func:`~repro.cache.replay.hit_mask`; the reference stream
-        of level N+1 is the miss stream of level N (the non-exclusive
-        fill model makes that exact).
+        ``lines``, as far as every level's ``refs``/``misses`` counters
+        and each access's serving level are concerned.  Each level is
+        classified array-wise with :func:`~repro.cache.replay.hit_mask`;
+        the reference stream of level N+1 is the miss stream of level N
+        (the non-exclusive fill model makes that exact).
 
-        Counters are *incremented* — call on a cold (flushed)
-        hierarchy for step-identical numbers.  Cache *contents* are
-        left untouched: the replay computes what would have happened
-        without materialising the final residency.
+        A call continues from the LRU state the previous ``replay``
+        call left, the way :meth:`access` continues from its own;
+        :meth:`flush` clears that state and :meth:`reset_statistics`
+        keeps it.  Counters are *incremented*.  The state is carried
+        separately from the scalar path's cache contents: replay
+        neither reads nor fills what :meth:`access` sees.
+
+        ``lines`` is classified in windows of
+        :data:`~repro.cache.replay.WINDOW` accesses.  Before each
+        window, every set's carried stack is played oldest first in
+        front of its level's input, and the verdicts for that prefix
+        are dropped.  The prefix rebuilds each set's stack exactly, so
+        the result does not depend on the window boundaries, on either
+        classifier path.
 
         Returns the 1-based serving level per access
         (:data:`MEMORY_LEVEL` for accesses that fell through).
@@ -110,28 +124,58 @@ class CacheHierarchy:
             )
         stream = np.ascontiguousarray(lines, dtype=np.int64)
         n = stream.shape[0]
+        window = trace_replay.WINDOW
+        with obs.profile(
+            "cache.replay.levels", accesses=n,
+            levels=self.num_levels, hierarchy=self.name,
+        ):
+            if n <= window:
+                serving = self._replay_window(stream)
+            else:
+                serving = np.empty(n, dtype=np.int16)
+                for lo in range(0, n, window):
+                    serving[lo:lo + window] = self._replay_window(
+                        stream[lo:lo + window]
+                    )
+        # The last window may be a view of a larger array: carry a
+        # copy so the hierarchy does not keep that array alive.
+        first = self._carried[0]
+        if first is not None and first.base is not None:
+            self._carried[0] = first.copy()
+        return serving
+
+    def _replay_window(self, stream: np.ndarray) -> np.ndarray:
+        """Serving levels of one window, carried state in front."""
+        n = stream.shape[0]
         # Narrow bookkeeping dtypes: the per-level compress/scatter
         # passes are memory-bound and serving levels are tiny ints.
         serving = np.zeros(n, dtype=np.int16)
         origin = np.arange(
             n, dtype=np.int32 if n < (1 << 31) else np.int64
         )
-        with obs.profile(
-            "cache.replay.levels", accesses=n,
-            levels=self.num_levels, hierarchy=self.name,
-        ):
-            for depth, level in enumerate(self.levels, start=1):
-                if stream.shape[0] == 0:
-                    break
-                hits = hit_mask(
-                    stream, level.num_sets, level.associativity
-                )
-                misses = ~hits
-                level.refs += int(stream.shape[0])
-                level.misses += int(misses.sum())
-                serving[origin[hits]] = depth
-                stream = stream[misses]
-                origin = origin[misses]
+        for depth, level in enumerate(self.levels, start=1):
+            if stream.shape[0] == 0:
+                break
+            carried = self._carried[depth - 1]
+            if carried is None:
+                sequence = stream
+            else:
+                sequence = np.concatenate([
+                    lru_stack(
+                        carried, level.num_sets, level.associativity
+                    ),
+                    stream,
+                ])
+            hits = hit_mask(
+                sequence, level.num_sets, level.associativity
+            )[sequence.shape[0] - stream.shape[0]:]
+            self._carried[depth - 1] = sequence
+            misses = ~hits
+            level.refs += int(stream.shape[0])
+            level.misses += int(misses.sum())
+            serving[origin[hits]] = depth
+            stream = stream[misses]
+            origin = origin[misses]
         return serving
 
     def step_trace(self, lines) -> np.ndarray:
@@ -199,9 +243,11 @@ class CacheHierarchy:
             level.reset_statistics()
 
     def flush(self) -> None:
-        """Empty every level and zero all counters (cold start)."""
+        """Empty every level, drop the replay state and zero all
+        counters (cold start)."""
         for level in self.levels:
             level.flush()
+        self._carried = [None] * len(self.levels)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         inner = ", ".join(

@@ -17,9 +17,10 @@ docs/performance.md):
 
 * ``"replay"`` (the default) — touches are recorded into growable
   trace buffers (:class:`~repro.cache.replay.TraceBuffer`) and
-  replayed vectorised through :meth:`CacheHierarchy.replay` the first
-  time a result is read.  Unsupported geometries (non-LRU levels,
-  wrapper hierarchies) silently fall back to stepping.
+  replayed vectorised through :meth:`CacheHierarchy.replay` when a
+  result is read, in bounded windows and only what was recorded since
+  the last read.  Unsupported geometries (non-LRU levels, wrapper
+  hierarchies) silently fall back to stepping.
 * ``"step"`` — every touch steps the hierarchy inline, one scalar
   :meth:`CacheHierarchy.access` at a time.  The reference oracle,
   byte-identical to replay on all-LRU hierarchies; only differential
@@ -477,35 +478,51 @@ class Memory:
     # Results
     # ------------------------------------------------------------------
     def _ensure_replayed(self) -> None:
-        """Replay the recorded trace if results are stale.
+        """Replay what was recorded since the watermark, if anything.
 
-        Replay always recomputes from the *full* retained trace (LRU
-        hit/miss depends on all prior state, so there is no exact
-        incremental form) and overwrites the hierarchy counters, which
-        keeps mid-run ``stats()`` calls exact.
+        An LRU level's whole state is its per-set top-``A`` stack, and
+        :meth:`CacheHierarchy.replay` carries it from one call to the
+        next, so replaying only the new accesses is exact: mid-run
+        ``stats()`` calls are incremental.  The new record is frozen
+        and replayed one window of about
+        :data:`~repro.cache.replay.WINDOW` accesses at a time
+        (:meth:`TraceBuffer.window_end
+        <repro.cache.replay.TraceBuffer.window_end>`), so memory grows
+        with the window, not with the trace.  The watermark advances
+        per window: a deferred bounds error in a later window raises
+        on every read, and the windows before it are never counted
+        twice.
         """
         if not self._record or self._trace.mark == self._replayed_at:
             return
-        mark = self._trace.mark
-        trace = self._trace.freeze()
-        with obs.span(
-            "cache.replay",
-            accesses=trace.num_accesses,
-            demand=trace.num_demand,
-        ):
-            self._hierarchy.flush()
-            serving = self._hierarchy.replay(trace.lines)
-            counts = np.bincount(
-                serving[trace.demand_idx],
-                minlength=self._hierarchy.num_levels + 1,
-            )
-            self._level_counts = [int(c) for c in counts]
-            self._level_counts[1] += trace.extra_l1
-            self._prefetched_refs = trace.prefetched_refs
+        trace = self._trace
+        hierarchy = self._hierarchy
+        if self._replayed_at == (0, 0):
+            hierarchy.flush()  # a recording memory replays from cold
+        accesses = demand = 0
+        with obs.span("cache.replay") as span:
+            try:
+                while self._replayed_at != trace.mark:
+                    stop = trace.window_end(self._replayed_at)
+                    window = trace.freeze(self._replayed_at, stop)
+                    serving = hierarchy.replay(window.lines)
+                    counts = np.bincount(
+                        serving[window.demand_idx],
+                        minlength=hierarchy.num_levels + 1,
+                    )
+                    counts[1] += window.extra_l1
+                    self._level_counts = [
+                        total + int(count)
+                        for total, count in zip(self._level_counts, counts)
+                    ]
+                    self._replayed_at = stop
+                    accesses += window.num_accesses
+                    demand += window.num_demand
+            finally:
+                span.set(accesses=accesses, demand=demand)
         if obs.enabled():
             obs.inc("cache.replay.runs")
-            obs.inc("cache.replay.accesses", trace.num_accesses)
-        self._replayed_at = mark
+            obs.inc("cache.replay.accesses", accesses)
 
     @property
     def level_counts(self) -> list[int]:

@@ -22,6 +22,11 @@ record now, compute later, array-wise.
   one set-associative LRU level — **exactly**, not approximately.
   ``CacheHierarchy.replay`` chains it level by level (each level's
   reference stream is the previous level's miss stream).
+* Replay runs in windows of :data:`WINDOW` accesses.  An LRU set's
+  whole state is its top-``A`` stack, so :func:`lru_stack` carries
+  each level from one window to the next: played oldest first in
+  front of the next window's input, it rebuilds every set exactly.
+  Memory then grows with the window, not with the trace.
 
 Two classifier implementations back :func:`hit_mask`:
 
@@ -63,7 +68,8 @@ scalar stepping for those geometries.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Sequence
+from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -86,6 +92,15 @@ FAST_LINE_LIMIT = 1 << 23
 #: Largest associativity the blocked fast path handles (a row must
 #: hold the incoming stack prefix plus at least that many accesses).
 FAST_MAX_WAYS = 64
+
+#: Accesses per replay window.  ``TraceBuffer.window_end`` cuts a
+#: record into windows of this many accesses (a single longer segment
+#: makes a longer one) and ``CacheHierarchy.replay`` classifies its
+#: input in slices of this many; replay memory grows with it, not with
+#: the trace.  At 2**18 a window peaks about 36 MiB; a smaller window
+#: costs a fig5-sized trace of 300k accesses a few percent more time
+#: in per-window overhead.
+WINDOW = 1 << 18
 
 
 # ----------------------------------------------------------------------
@@ -210,6 +225,44 @@ def lru_hit_mask(
     """
     distances = stack_distances(lines, num_sets)
     return (distances != COLD) & (distances < associativity)
+
+
+def lru_stack(lines, num_sets: int, ways: int) -> np.ndarray:
+    """What a cold ``num_sets x ways`` LRU level holds after ``lines``.
+
+    Each set holds the last ``ways`` distinct lines referenced in it.
+    They come back as one sequence ordered by last reference, oldest
+    first, so replaying the sequence on a cold level rebuilds every
+    set's stack exactly (no set receives more than ``ways`` lines, so
+    nothing is evicted).  Only a tail of ``lines`` is read: it starts
+    at twice the level's capacity and doubles until every set has
+    ``ways`` distinct lines in it or the tail is all of ``lines``, so
+    the cost follows the resident lines, not the input length.
+    """
+    lines = np.asarray(lines, dtype=np.int64)
+    n = lines.shape[0]
+    if n == 0:
+        return lines
+    take = min(n, 2 * num_sets * ways)
+    while True:
+        # Reversed tail: a line's first index is its age, 0 = newest.
+        distinct, age = np.unique(
+            lines[n - take:][::-1], return_index=True
+        )
+        sets = distinct & np.int64(num_sets - 1)
+        order = np.lexsort((age, sets))  # by set, newest first
+        grouped = sets[order]
+        starts = np.flatnonzero(
+            np.concatenate([[True], grouped[1:] != grouped[:-1]])
+        )
+        sizes = np.diff(np.append(starts, order.shape[0]))
+        full = starts.shape[0] == num_sets and int(sizes.min()) >= ways
+        if take == n or full:
+            break
+        take = min(n, 2 * take)
+    rank = np.arange(order.shape[0]) - np.repeat(starts, sizes)
+    kept = order[rank < ways]
+    return distinct[kept[np.argsort(age[kept])[::-1]]]
 
 
 # ----------------------------------------------------------------------
@@ -652,8 +705,8 @@ class TraceBuffer:
       sequential emitters directly.  ``slots`` (the declared arrays, in
       slot order, each with ``name``, ``length``, ``itemsize`` and
       ``base``) decodes the codes to line ids at freeze time;
-    * runs — ``touch_run`` scans, stored as (first line, line count)
-      pairs;
+    * runs — ``touch_run`` scans, stored as (first line, line count,
+      element count) triples;
     * bulk batches — ``touch_all`` index arrays, stored **by
       reference** together with the owning array's layout.  No numpy
       work happens at record time; ``freeze()`` converts, bounds-checks
@@ -667,12 +720,18 @@ class TraceBuffer:
       block channel is how :mod:`repro.algorithms.runtime` appends a
       whole frontier advance in one call.
 
-    Each run/batch/block remembers the ``touches`` length at record
-    time (its interleave position) and a global sequence number (its
-    order relative to other segments at the same position).  Bounds
-    errors in touch codes and deferred batches surface at ``freeze()``
-    — that is, when results are first read — rather than at touch
-    time; the exception type matches the scalar path's.
+    Each run/batch/block (a *segment*) remembers the ``touches`` length
+    at record time (its interleave position: it precedes that touch)
+    and a global sequence number (its order relative to other segments
+    at the same position).  Both grow with every record, so each
+    channel list is sorted by either.  A :attr:`mark` — a touch count
+    and a sequence number — therefore cuts the record in two, and
+    ``freeze(start, stop)`` freezes the window between two marks;
+    :meth:`window_end` picks marks about :data:`WINDOW` accesses apart.
+    Bounds errors in touch codes and deferred batches surface when
+    their window is frozen — that is, when results are first read —
+    rather than at touch time; the exception type matches the scalar
+    path's.
     """
 
     __slots__ = (
@@ -690,12 +749,15 @@ class TraceBuffer:
         self.touches = array("q")
         self.slots = slots
         self._line_shift = line_shift
-        self._runs: list[tuple[int, int, int, int]] = []
+        #: (seq, position, first line, line count, element count).
+        self._runs: list[tuple[int, int, int, int, int]] = []
         self._many_idx: list[np.ndarray] = []
+        #: (seq, position, base, itemsize, array length).
         self._many_meta: list[tuple[int, int, int, int, int]] = []
         self._many_names: list[str] = []
         self._blocks: list[tuple[np.ndarray, np.ndarray]] = []
-        self._block_meta: list[tuple[int, int]] = []
+        #: (seq, position, extra L1 references, prefetched lines).
+        self._block_meta: list[tuple[int, int, int, int]] = []
         self._seq = 0
         self._segment_refs = 0
         self.extra_l1 = 0
@@ -708,14 +770,17 @@ class TraceBuffer:
 
     @property
     def mark(self) -> tuple[int, int]:
-        """A watermark that moves whenever anything is recorded."""
+        """A watermark that moves whenever anything is recorded: the
+        touch count and the next segment sequence number."""
         return len(self.touches), self._seq
 
     def record_run(self, line0: int, nlines: int, count: int) -> None:
         """A sequential scan: ``count`` elements spanning ``nlines``
         consecutive lines from ``line0`` (first line demand, the rest
         prefetched, later elements on a line L1 hits)."""
-        self._runs.append((self._seq, len(self.touches), line0, nlines))
+        self._runs.append(
+            (self._seq, len(self.touches), line0, nlines, count)
+        )
         self._seq += 1
         self._segment_refs += count
         self.extra_l1 += count - 1
@@ -757,6 +822,7 @@ class TraceBuffer:
                 (pos,) * num,
                 line0s.tolist(),
                 nlines.tolist(),
+                counts.tolist(),
             )
         )
         self._seq += num
@@ -780,7 +846,9 @@ class TraceBuffer:
         run-compressed element references that are L1 hits by
         construction; ``prefetched`` is the prefetched-line count the
         block contributes to ``Memory.prefetched_refs``."""
-        self._block_meta.append((self._seq, len(self.touches)))
+        self._block_meta.append(
+            (self._seq, len(self.touches), extra_l1, prefetched)
+        )
         self._blocks.append((lines, demand))
         self._seq += 1
         self._segment_refs += int(demand.sum()) + extra_l1
@@ -788,13 +856,73 @@ class TraceBuffer:
         self.prefetched_refs += prefetched
 
     # ------------------------------------------------------------------
-    def _resolve_touches(self) -> np.ndarray:
-        """Decode the touch codes to line ids: one copy out of the
-        ``array('q')``, then a slot lookup, a bounds check and the line
-        arithmetic, all in place where possible."""
-        codes = np.array(self.touches, dtype=np.int64)
-        if not codes.shape[0]:
-            return codes
+    def window_end(self, start: tuple[int, int]) -> tuple[int, int]:
+        """The mark that closes the replay window opening at ``start``.
+
+        The window takes whole touches and segments, in record order,
+        while they fit in :data:`WINDOW` accesses; a segment longer
+        than that still makes a window of its own, so every window
+        holds at least one.  Never past the current :attr:`mark`.
+        """
+        t0, s0 = start
+        t_end, _ = self.mark
+        limit = t0 + WINDOW  # a segment placed later cannot fit
+        seqs: list[int] = []
+        positions: list[int] = []
+        sizes: list[int] = []
+        next_pos = t_end
+        # Each channel's entries with the access count of entry ``i``.
+        channels: tuple[
+            tuple[Sequence[tuple[int, ...]], Callable[[int], int]], ...
+        ] = (
+            (self._runs, lambda i: self._runs[i][3]),
+            (self._many_meta, lambda i: self._many_idx[i].shape[0]),
+            (self._block_meta, lambda i: self._blocks[i][0].shape[0]),
+        )
+        for entries, size in channels:
+            lo = bisect_left(entries, (s0,))
+            # Each segment but an empty block spans >= 1 access, so at
+            # most WINDOW + 1 of them can matter.
+            hi = min(
+                bisect_right(entries, limit, lo, key=_position),
+                lo + WINDOW + 1,
+            )
+            if hi < len(entries):
+                next_pos = min(next_pos, entries[hi][1])
+            for i in range(lo, hi):
+                seqs.append(entries[i][0])
+                positions.append(entries[i][1])
+                sizes.append(size(i))
+        order = np.argsort(np.asarray(seqs, dtype=np.int64))
+        seq = np.asarray(seqs, dtype=np.int64)[order]
+        # Only an unbroken run of sequence numbers from s0 is known to
+        # hold every segment up to its end.
+        gap = np.flatnonzero(seq != s0 + np.arange(seq.shape[0]))
+        count = int(gap[0]) if gap.shape[0] else seq.shape[0]
+        pos = np.asarray(positions, dtype=np.int64)[order][:count]
+        cum = np.cumsum(np.asarray(sizes, dtype=np.int64)[order][:count])
+        # Accesses from the window start to the end of each segment.
+        ends = pos - t0 + cum
+        fit = int(np.searchsorted(ends, WINDOW, side="right"))
+        if fit < count:
+            next_pos = int(pos[fit])
+        before = int(cum[fit - 1]) if fit else 0
+        touch = min(t0 + WINDOW - before, next_pos, t_end)
+        if touch == t0 and not fit and count:
+            fit = 1  # one oversized segment opens the window
+        return touch, s0 + fit
+
+    # ------------------------------------------------------------------
+    def _resolve_touches(self, t0: int, t1: int) -> np.ndarray:
+        """Decode touch codes ``t0:t1`` to line ids: one copy out of
+        the ``array('q')``, then a slot lookup, a bounds check and the
+        line arithmetic, all in place where possible."""
+        if t1 <= t0:
+            return _EMPTY
+        codes = np.frombuffer(
+            self.touches, dtype=np.int64, count=t1 - t0,
+            offset=t0 * self.touches.itemsize,
+        ).copy()  # the copy releases the buffer, so appends still work
         slot = codes >> np.int64(SLOT_SHIFT)
         bad = (slot < 0) | (slot >= len(self.slots))
         if bad.any():
@@ -819,16 +947,17 @@ class TraceBuffer:
         return codes
 
     # ------------------------------------------------------------------
-    def _resolve_batches(self) -> tuple[np.ndarray, ...]:
-        """Convert deferred batches: one concatenation, one bounds
-        check, one line-id computation for every batch at once."""
-        meta = np.asarray(self._many_meta, dtype=np.int64)
+    def _resolve_batches(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+        """Convert deferred batches ``lo:hi``: one concatenation, one
+        bounds check, one line-id computation for all of them."""
+        meta = np.asarray(self._many_meta[lo:hi], dtype=np.int64)
+        batches = self._many_idx[lo:hi]
         lens = np.fromiter(
-            (a.shape[0] for a in self._many_idx),
+            (a.shape[0] for a in batches),
             dtype=np.int64,
-            count=len(self._many_idx),
+            count=len(batches),
         )
-        idx = np.concatenate(self._many_idx).astype(np.int64, copy=False)
+        idx = np.concatenate(batches).astype(np.int64, copy=False)
         lengths = np.repeat(meta[:, 4], lens)
         bad = (idx < 0) | (idx >= lengths)
         if bad.any():
@@ -836,7 +965,7 @@ class TraceBuffer:
             batch = int(np.searchsorted(np.cumsum(lens), first, side="right"))
             raise InvalidParameterError(
                 f"touch_many indices outside array "
-                f"{self._many_names[batch]!r} of length "
+                f"{self._many_names[lo + batch]!r} of length "
                 f"{int(meta[batch, 4])}"
             )
         lines = (
@@ -844,29 +973,50 @@ class TraceBuffer:
         ) >> np.int64(self._line_shift)
         return meta[:, 0], meta[:, 1], lens, lines
 
-    def freeze(self) -> CacheTrace:
-        """Interleave all channels into one flat :class:`CacheTrace`."""
-        touches = self._resolve_touches()
+    def freeze(
+        self,
+        start: tuple[int, int] = (0, 0),
+        stop: tuple[int, int] | None = None,
+    ) -> CacheTrace:
+        """Interleave the channels into one flat :class:`CacheTrace`:
+        the whole record by default, or the window between two marks
+        (``stop`` defaults to the current :attr:`mark`)."""
+        t0, s0 = start
+        t1, s1 = self.mark if stop is None else stop
+        touches = self._resolve_touches(t0, t1)
         num_touches = touches.shape[0]
-        if self._runs:
-            runs = np.asarray(self._runs, dtype=np.int64)
-            run_seq, run_pos = runs[:, 0], runs[:, 1]
+        lo = bisect_left(self._runs, (s0,))
+        hi = bisect_left(self._runs, (s1,), lo)
+        if hi > lo:
+            runs = np.asarray(self._runs[lo:hi], dtype=np.int64)
+            run_seq, run_pos = runs[:, 0], runs[:, 1] - t0
             run_line0, run_nlines = runs[:, 2], runs[:, 3]
+            extra_l1 = int(runs[:, 4].sum()) - runs.shape[0]
+            prefetched = int(run_nlines.sum()) - runs.shape[0]
         else:
             run_seq = run_pos = run_line0 = run_nlines = _EMPTY
-        if self._many_idx:
+            extra_l1 = prefetched = 0
+        lo = bisect_left(self._many_meta, (s0,))
+        hi = bisect_left(self._many_meta, (s1,), lo)
+        if hi > lo:
             many_seq, many_pos, many_lens, many_lines = (
-                self._resolve_batches()
+                self._resolve_batches(lo, hi)
             )
+            many_pos = many_pos - t0
         else:
             many_seq = many_pos = many_lens = many_lines = _EMPTY
-        if self._blocks:
-            block_meta = np.asarray(self._block_meta, dtype=np.int64)
-            block_seq, block_pos = block_meta[:, 0], block_meta[:, 1]
+        lo = bisect_left(self._block_meta, (s0,))
+        hi = bisect_left(self._block_meta, (s1,), lo)
+        blocks = self._blocks[lo:hi]
+        if blocks:
+            block_meta = np.asarray(self._block_meta[lo:hi], dtype=np.int64)
+            block_seq, block_pos = block_meta[:, 0], block_meta[:, 1] - t0
+            extra_l1 += int(block_meta[:, 2].sum())
+            prefetched += int(block_meta[:, 3].sum())
             block_lens = np.fromiter(
-                (b.shape[0] for b, _ in self._blocks),
+                (b.shape[0] for b, _ in blocks),
                 dtype=np.int64,
-                count=len(self._blocks),
+                count=len(blocks),
             )
         else:
             block_seq = block_pos = block_lens = _EMPTY
@@ -926,11 +1076,16 @@ class TraceBuffer:
                 int(block_cum[-1]), dtype=np.int64
             ) - np.repeat(block_cum - block_lens, block_lens)
             at = np.repeat(seg_start[block_at], block_lens) + ramp
-            lines[at] = np.concatenate([b for b, _ in self._blocks])
-            demand[at] = np.concatenate([d for _, d in self._blocks])
+            lines[at] = np.concatenate([b for b, _ in blocks])
+            demand[at] = np.concatenate([d for _, d in blocks])
         return CacheTrace(
             lines=lines,
             demand_idx=np.flatnonzero(demand),
-            extra_l1=self.extra_l1,
-            prefetched_refs=self.prefetched_refs,
+            extra_l1=extra_l1,
+            prefetched_refs=prefetched,
         )
+
+
+def _position(entry: tuple[int, ...]) -> int:
+    """A segment entry's interleave position (its second field)."""
+    return entry[1]

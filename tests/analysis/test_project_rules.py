@@ -206,6 +206,61 @@ class TestLockGuard:
                         self._jobs.clear()
         """) == []
 
+    def test_lock_around_another_context_manager_guards(self):
+        """The guard is the innermost ``with`` item that is a lock:
+        a timer entered under the lock does not hide it."""
+        assert check("""
+            import threading
+
+            class Box:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._timer = Timer()
+                    self._items = []
+
+                def add(self, item):
+                    with self._lock:
+                        self._items.append(item)
+
+                def drop(self):
+                    with self._lock:
+                        with self._timer:
+                            self._items.clear()
+
+                def drain(self):
+                    with self._lock, self._timer:
+                        self._items.clear()
+
+                def refill(self, items):
+                    with self._lock:
+                        with self._timer:
+                            self._insert(items)
+
+                def _insert(self, items):
+                    self._items.extend(items)
+        """) == []
+
+    def test_non_lock_context_manager_alone_does_not_guard(self):
+        findings = check("""
+            import threading
+
+            class Box:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._timer = Timer()
+                    self._items = []
+
+                def add(self, item):
+                    with self._lock:
+                        self._items.append(item)
+
+                def drop(self):
+                    with self._timer:
+                        self._items.clear()
+        """)
+        assert len(findings) == 1
+        assert "Box.drop" in findings[0].message
+
     def test_noqa_quarantines_an_intentional_site(self):
         quarantined = RACY_BOX.replace(
             "self._items.clear()",
