@@ -7,16 +7,20 @@ objective ``F(pi) = sum_{0 < pi_u - pi_v <= w} S(u, v)`` where
 Finding the optimal arrangement is NP-hard; the greedy insertion is a
 ``1/(2w)``-approximation (Theorem 5.2 of the paper).
 
-One priority-queue kernel drives the greedy loop: per placement step
-it gathers every affected candidate at once as numpy arrays (``N+(u)``,
-``N−(u)``, and the sibling expansion: the concatenated out-adjacency
-slices of the in-neighbours), then applies the newest entry's +1
-events and the expiring node's −1 events as one fused
+One priority-queue kernel drives the greedy loop.  Before it starts,
+:func:`event_table` lays every node's unit score events out in one
+``int32`` table, a contiguous run per node: ``N+(u)``, ``N−(u)``, and
+the sibling expansion (the out-lists of the in-neighbours, u itself
+removed).  Per placement step the kernel reads one slice of that table
+and applies the newest entry's +1 events and the expiring node's −1
+events as one fused
 :meth:`~repro.ordering.unit_heap.UnitHeap.apply_step`: two scatter-adds
 into the heap's key vector plus one scatter-max into its per-block key
 bounds.  This removes the per-edge Python call and ``int()`` boxing
 that made a literal Algorithm 2 loop the replication's slowest
-component (its Table 2 hours).
+component (its Table 2 hours).  The table is filled in node chunks of
+at most :data:`EXPAND_BUDGET` events, so its 4 B per event plus one
+chunk's temporaries are all the expansion holds at once.
 
 :func:`repro.oracles.gorder_sequence_reference` keeps that literal
 loop — one :meth:`~repro.ordering.unit_heap.UnitHeap.increase` /
@@ -51,6 +55,11 @@ from repro.ordering.unit_heap import UnitHeap
 #: The paper's default window size (chosen in its Figure 8 experiment).
 DEFAULT_WINDOW = 5
 
+#: Score events one :func:`event_table` fill chunk expands at most.  A
+#: chunk's temporaries take about 30 B per event, so at 2**18 building
+#: the table adds about 8 MiB to the table's own 4 B per event.
+EXPAND_BUDGET = 1 << 18
+
 
 def _validate_gorder_params(
     window: int, hub_threshold: int | None
@@ -65,6 +74,114 @@ def _validate_gorder_params(
         )
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s, s + l)`` over the pairs of ``starts``
+    and ``lengths``: the index of a multi-range gather or scatter."""
+    ends = np.cumsum(lengths, dtype=np.int64)
+    index = np.arange(int(ends[-1]) if ends.size else 0, dtype=np.int64)
+    index += np.repeat(starts - (ends - lengths), lengths)
+    return index
+
+
+def _sibling_counts(
+    graph: CSRGraph, kept: np.ndarray | None
+) -> np.ndarray:
+    """Each node's exact number of sibling events (``int64``).
+
+    Node u has one sibling event per out-edge ``z -> v`` (``v != u``)
+    of each in-edge ``z -> u`` whose source is ``kept`` (``None``:
+    all are).  ``CSRGraph`` keeps parallel edges: ``k`` copies of
+    ``z -> u`` put z ``k`` times in u's in-list and u ``k`` times in
+    z's out-list, so the run of ``k`` equal entries z in u's sorted
+    in-list contributes ``k * (d_out(z) - k)`` events.
+    """
+    n = graph.num_nodes
+    in_offsets = graph.in_offsets
+    in_adjacency = graph.in_adjacency
+    m = in_adjacency.shape[0]
+    if m == 0:
+        return np.zeros(n, dtype=np.int64)
+    # Runs of equal in-neighbours; every non-empty row starts one.
+    first = np.empty(m, dtype=bool)
+    first[0] = True
+    np.not_equal(in_adjacency[1:], in_adjacency[:-1], out=first[1:])
+    first[in_offsets[:-1][graph.in_degrees() > 0]] = True
+    starts = np.flatnonzero(first)
+    runs = np.diff(starts, append=m)
+    sources = in_adjacency[starts]
+    events = runs * (graph.out_degrees()[sources] - runs)
+    if kept is not None:
+        events[~kept[sources]] = 0
+    totals = np.zeros(starts.shape[0] + 1, dtype=np.int64)
+    np.cumsum(events, out=totals[1:])
+    row_runs = np.searchsorted(starts, in_offsets)
+    return totals[row_runs[1:]] - totals[row_runs[:-1]]
+
+
+def event_table(
+    graph: CSRGraph, hub_threshold: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's unit score events in one table: ``(bounds, table)``.
+
+    Node u's events are ``table[bounds[u]:bounds[u + 1]]``: its
+    out-neighbours, then its in-neighbours, then its siblings (the
+    out-neighbours of every in-neighbour z, except u itself and except
+    z above ``hub_threshold`` out-degree), duplicates kept.  Each is
+    one +1 when u enters the window and one -1 when it leaves, the
+    events :func:`repro.oracles.gorder_sequence_reference` applies one
+    call at a time: ``2m + sum_z d_out(z)^2`` of them on a simple
+    graph without hub skipping.
+
+    The ``int32`` table is allocated once at its exact size (see
+    :func:`_sibling_counts`) and filled in node chunks that expand at
+    most :data:`EXPAND_BUDGET` events each (a node with more forms a
+    chunk of its own), so building it takes 4 B per event plus one
+    chunk's temporaries.
+    """
+    n = graph.num_nodes
+    out_offsets = graph.offsets
+    out_adjacency = graph.adjacency
+    in_offsets = graph.in_offsets
+    in_adjacency = graph.in_adjacency
+    out_degrees = graph.out_degrees()
+    in_degrees = graph.in_degrees()
+    kept = None if hub_threshold is None else out_degrees <= hub_threshold
+    sibling_counts = _sibling_counts(graph, kept)
+    bounds = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(out_degrees + in_degrees + sibling_counts, out=bounds[1:])
+    table = np.empty(int(bounds[-1]), dtype=np.int32)
+    lo = 0
+    while lo < n:
+        hi = int(np.searchsorted(
+            bounds, bounds[lo] + EXPAND_BUDGET, side="right"
+        )) - 1
+        hi = max(hi, lo + 1)  # a node over budget is a chunk of its own
+        chunk = table[bounds[lo]:bounds[hi]]
+        runs = bounds[lo:hi] - bounds[lo]
+        outs = out_degrees[lo:hi]
+        ins = in_degrees[lo:hi]
+        # The chunk's out- and in-lists are one slice each.
+        chunk[_ranges(runs, outs)] = (
+            out_adjacency[out_offsets[lo]:out_offsets[hi]]
+        )
+        sources = in_adjacency[in_offsets[lo]:in_offsets[hi]]
+        chunk[_ranges(runs + outs, ins)] = sources
+        # Siblings: splice in each kept in-neighbour's out-list, then
+        # drop the owner itself from its own lists.
+        owners = np.repeat(np.arange(lo, hi, dtype=np.int32), ins)
+        if kept is not None:
+            keep = kept[sources]
+            sources = sources[keep]
+            owners = owners[keep]
+        lengths = out_degrees[sources]
+        siblings = out_adjacency[_ranges(out_offsets[sources], lengths)]
+        siblings = siblings[siblings != np.repeat(owners, lengths)]
+        chunk[_ranges(runs + outs + ins, sibling_counts[lo:hi])] = siblings
+        lo = hi
+    table.setflags(write=False)
+    return bounds, table
+
+
 def gorder_sequence(
     graph: CSRGraph,
     window: int = DEFAULT_WINDOW,
@@ -72,89 +189,27 @@ def gorder_sequence(
 ) -> np.ndarray:
     """The Gorder placement sequence (``sequence[i]`` = i-th node placed).
 
-    One numpy gather and one fused heap batch per placement step (see
-    the module docstring).  With telemetry on, the run also publishes
-    ``gorder.heap_pops`` and ``gorder.priority_updates`` (unit score
-    events) — totals the kernel already has, so a traced run executes
-    exactly the untraced program.
+    One :func:`event_table` slice and one fused heap batch per
+    placement step (see the module docstring).  With telemetry on, the
+    run also publishes ``gorder.heap_pops`` and
+    ``gorder.priority_updates`` (unit score events) — totals the
+    kernel already has, so a traced run executes exactly the untraced
+    program.
     """
     _validate_gorder_params(window, hub_threshold)
     n = graph.num_nodes
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    out_offsets = graph.offsets
-    out_adjacency = graph.adjacency
-    in_offsets = graph.in_offsets
-    in_adjacency = graph.in_adjacency
-    out_degrees = graph.out_degrees()
-
     heap = UnitHeap(n)
     sequence = np.empty(n, dtype=np.int64)
-
-    # ------------------------------------------------------------------
-    # Precompute every node's event list in one vectorised expansion.
-    # Each node's events are gathered twice (window entry and exit), so
-    # building the full table up front halves the gather work and
-    # replaces ~15 small numpy calls per gather with two slices and a
-    # concatenate.  Size is the total event count — the same quantity
-    # the reference loop spends one Python call on per event — i.e.
-    # 2m + sum_z d_out(z)^2 entries (hub skipping prunes the square).
-    #
-    # The sibling table: for every in-neighbour z of every node u (the
-    # in-adjacency, already grouped by u), splice in z's out-neighbour
-    # list via a multi-range gather — index k of chunk j maps to
-    # starts[j] + k, built by offsetting one flat arange per chunk —
-    # then drop u itself from its own chunks.
-    # int32 throughout: node ids and edge positions both fit, and the
-    # expansion arrays are the largest the kernel touches.
     with obs.profile(
         "gorder.phase.expand", n=n, m=graph.num_edges,
     ) as expand_phase:
-        owners = np.repeat(
-            np.arange(n, dtype=np.int32), graph.in_degrees()
-        )
-        expand = in_adjacency
-        if hub_threshold is not None:
-            kept = out_degrees[expand] <= hub_threshold
-            expand = expand[kept]
-            owners = owners[kept]
-        chunk_starts = out_offsets[expand].astype(np.int32)
-        chunk_lengths = out_degrees[expand].astype(np.int32)
-        sibling_owners = np.repeat(owners, chunk_lengths)
-        total = int(chunk_lengths.sum(dtype=np.int64))
-        # int64 only when the expansion overflows 32-bit indexing.
-        count_dtype = (
-            np.int32 if total <= np.iinfo(np.int32).max else np.int64
-        )
-        index = np.arange(total, dtype=count_dtype)
-        index += np.repeat(
-            chunk_starts - (
-                np.cumsum(chunk_lengths, dtype=count_dtype)
-                - chunk_lengths
-            ),
-            chunk_lengths,
-        )
-        siblings = out_adjacency[index]
-        not_self = siblings != sibling_owners
-        siblings = siblings[not_self]
-        sib_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(sibling_owners[not_self], minlength=n),
-            out=sib_offsets[1:],
-        )
-        # Python-int offset lists make the per-step slicing cheap.
-        out_bounds = out_offsets.tolist()
-        in_bounds = in_offsets.tolist()
-        sib_bounds = sib_offsets.tolist()
-        expand_phase.set(events=int(siblings.shape[0]))
-
-    def gather(u: int) -> np.ndarray:
-        """All unit score events of u's window entry/exit, duplicates kept."""
-        return np.concatenate((
-            out_adjacency[out_bounds[u]:out_bounds[u + 1]],
-            in_adjacency[in_bounds[u]:in_bounds[u + 1]],
-            siblings[sib_bounds[u]:sib_bounds[u + 1]],
-        ))
+        bounds, table = event_table(graph, hub_threshold)
+        # Out- and in-lists hold m events each; the rest are siblings.
+        expand_phase.set(events=int(bounds[-1]) - 2 * graph.num_edges)
+        # Python ints make the per-step slicing cheap.
+        bound = bounds.tolist()
 
     # Seed with the highest in-degree node (deterministic hub start).
     start = int(np.argmax(graph.in_degrees())) if n > 1 else 0
@@ -167,36 +222,28 @@ def gorder_sequence(
         # Algorithm 2 interleaves exit(i), pop(i), enter(i).  No pop
         # happens between enter(i) and exit(i+1), so the kernel fuses
         # those two updates into one heap.apply_step, whose net keys
-        # are all the next pop reads.
-        # A node's events are needed twice — at window entry and again
-        # at exit — so a (window + 2)-slot ring keeps each gather
-        # alive until its exit step comes round.
-        ring_size = window + 2
-        ring: list[np.ndarray | None] = [None] * ring_size
-        events = gather(start)
-        ring[0] = events
+        # are all the next pop reads.  A node's events enter and exit
+        # as the same read-only table slice.
+        events = table[bound[start]:bound[start + 1]]
         for i in range(1, n):
             if i > window:
+                gone = sequence.item(i - 1 - window)
                 heap.apply_step(
-                    events, ring[(i - 1 - window) % ring_size]
+                    events, table[bound[gone]:bound[gone + 1]]
                 )
             else:
                 heap.increase_batch(events)
             chosen = heap.pop_max()
             sequence[i] = chosen
-            events = gather(chosen)
-            ring[i % ring_size] = events
+            events = table[bound[chosen]:bound[chosen + 1]]
     if obs.enabled():
         # Every node's events enter once; the first n-1-window placed
         # nodes' events also exit.
-        event_counts = (
-            out_degrees + graph.in_degrees() + np.diff(sib_offsets)
-        )
         exited = sequence[:max(n - 1 - window, 0)]
         obs.inc("gorder.heap_pops", n - 1)
         obs.inc(
             "gorder.priority_updates",
-            int(event_counts.sum()) + int(event_counts[exited].sum()),
+            int(bounds[-1]) + int(np.diff(bounds)[exited].sum()),
         )
     return sequence
 

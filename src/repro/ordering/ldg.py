@@ -13,6 +13,8 @@ and reproducing *that* is part of reproducing the result.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from repro.errors import InvalidParameterError
@@ -36,20 +38,24 @@ def ldg_order(
     n = undirected.num_nodes
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    offsets = undirected.offsets
+    offsets = undirected.offsets.tolist()
     adjacency = undirected.adjacency
     num_bins = (n + bin_size - 1) // bin_size
     bins: list[list[int]] = [[] for _ in range(num_bins)]
-    sizes = np.zeros(num_bins, dtype=np.int64)
-    bin_of = np.full(n, -1, dtype=np.int64)
+    sizes = [0] * num_bins
+    bin_of = [-1] * n
+    # Min-heap of ``size * num_bins + bin``, one entry pushed per size
+    # a bin reaches.  Sizes only grow, so an entry whose size is no
+    # longer its bin's is stale; past those, the top is the emptiest
+    # bin, smallest id first.
+    emptiest_heap = list(range(num_bins))
     for u in range(n):
         # Count already-placed neighbours per bin.
-        neighbor_bins = bin_of[adjacency[offsets[u]:offsets[u + 1]]]
-        neighbor_bins = neighbor_bins[neighbor_bins >= 0]
         counts: dict[int, int] = {}
-        for b in neighbor_bins:
-            b = int(b)
-            counts[b] = counts.get(b, 0) + 1
+        for v in adjacency[offsets[u]:offsets[u + 1]].tolist():
+            b = bin_of[v]
+            if b >= 0:
+                counts[b] = counts.get(b, 0) + 1
         best_bin = -1
         best_score = -1.0
         for b, shared in counts.items():
@@ -61,7 +67,12 @@ def ldg_order(
                 best_bin = b
         # A neighbour-free bin scores (1)(1 - |B|/k); the emptiest
         # such bin is the best fallback candidate.
-        emptiest = int(np.argmin(sizes))
+        while True:
+            key = emptiest_heap[0]
+            emptiest = key % num_bins
+            if key // num_bins == sizes[emptiest]:
+                break
+            heapq.heappop(emptiest_heap)
         if sizes[emptiest] < bin_size:
             score = 1.0 - sizes[emptiest] / bin_size
             if score > best_score:
@@ -71,6 +82,7 @@ def ldg_order(
             best_bin = emptiest
         bins[best_bin].append(u)
         sizes[best_bin] += 1
+        heapq.heappush(emptiest_heap, sizes[best_bin] * num_bins + best_bin)
         bin_of[u] = best_bin
     sequence = np.array(
         [u for bin_nodes in bins for u in bin_nodes], dtype=np.int64

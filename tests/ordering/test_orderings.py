@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import UnknownOrderingError
-from repro.graph import from_edges, generators
+from repro.graph import from_edges, generators, invert_permutation
 from repro.ordering import (
     ORDERING_NAMES,
     REGISTRY,
@@ -184,7 +185,46 @@ class TestSlashBurn:
         assert leaf_positions == [1, 2, 3, 4, 5, 6]
 
 
+def ldg_scan_sequence(graph, bin_size):
+    """LDG with the emptiest bin found by ``np.argmin`` over every bin
+    per node, the scan the incremental heap replaced."""
+    undirected = graph.undirected()
+    num_bins = -(-undirected.num_nodes // bin_size)
+    bins = [[] for _ in range(num_bins)]
+    sizes = np.zeros(num_bins, dtype=np.int64)
+    bin_of = np.full(undirected.num_nodes, -1, dtype=np.int64)
+    for u in range(undirected.num_nodes):
+        placed = bin_of[undirected.out_neighbors(u)]
+        counts = {}
+        for b in placed[placed >= 0].tolist():
+            counts[b] = counts.get(b, 0) + 1
+        scores = {
+            b: (1.0 + shared) * (1.0 - sizes[b] / bin_size)
+            for b, shared in counts.items()
+            if sizes[b] < bin_size
+        }
+        emptiest = int(np.argmin(sizes))
+        scores.setdefault(emptiest, 1.0 - sizes[emptiest] / bin_size)
+        best = max(scores.values())
+        # First maximal neighbour bin in neighbour order; the emptiest
+        # bin only when it scores strictly higher.
+        best_bin = next(b for b, score in scores.items() if score == best)
+        bins[best_bin].append(u)
+        sizes[best_bin] += 1
+        bin_of[u] = best_bin
+    return [u for members in bins for u in members]
+
+
 class TestLDG:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graph=graph_strategy(max_nodes=24, max_edges=60),
+        bin_size=st.integers(min_value=1, max_value=6),
+    )
+    def test_matches_the_argmin_scan(self, graph, bin_size):
+        sequence = invert_permutation(ldg_order(graph, bin_size=bin_size))
+        assert sequence.tolist() == ldg_scan_sequence(graph, bin_size)
+
     def test_bin_size_validation(self, small_web):
         with pytest.raises(Exception):
             ldg_order(small_web, bin_size=0)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.algorithms.domset import dominating_set
 from repro.errors import InvalidParameterError
 from repro.graph import datasets
-from repro.ordering import UnitHeap, gorder_order, slashburn_order
+from repro.ordering import UnitHeap, gorder_order, ldg_order, slashburn_order
 from repro.ordering.unit_heap import BLOCK
 
 
@@ -483,7 +483,8 @@ class TestMultiBlockModel:
 class TestCallerPins:
     """SHA-256 of every heap caller's output on ``wiki`` (6800 nodes,
     27 blocks).  Pinned from the previous heap implementation: any
-    change to the pop order changes them."""
+    change to the pop order changes them.  LDG's emptiest-bin heap is
+    pinned from the ``np.argmin`` scan it replaced."""
 
     PINNED = {
         "gorder": (
@@ -500,6 +501,11 @@ class TestCallerPins:
             dominating_set,
             "47eecd40ce0aac92eb67cefbb585ea1d"
             "5f640f829cedcf9a7340ebe4c22e25a2",
+        ),
+        "ldg": (
+            ldg_order,
+            "c3c432e0e8392efe92851c93147c3c6d"
+            "c5cebc0d7b590a7081a2237c41ca0664",
         ),
     }
 
