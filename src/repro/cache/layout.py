@@ -39,7 +39,7 @@ mode, so the oracle still steps every touch.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,6 +59,20 @@ from repro.errors import InvalidParameterError
 
 #: Cache simulation backends accepted by :class:`Memory`.
 CACHE_BACKENDS = ("step", "replay")
+
+
+class ArrayLayout(NamedTuple):
+    """Where one declared array lives: the touch-code decode entry.
+
+    :class:`Memory` keeps these, not its :class:`TracedArray` handles,
+    so a handle's reference to its memory makes no cycle and a run's
+    whole simulator state is freed as soon as the run drops it.
+    """
+
+    name: str
+    length: int
+    itemsize: int
+    base: int
 
 
 class TracedArray:
@@ -325,7 +339,7 @@ class Memory:
             and self._hierarchy.supports_replay
         )
         #: Declared arrays in slot order (the touch-code decode table).
-        self._slots: list[TracedArray] = []
+        self._slots: list[ArrayLayout] = []
         self._trace: TraceBuffer | None = (
             TraceBuffer(self._line_shift, self._slots)
             if self._record else None
@@ -336,7 +350,6 @@ class Memory:
         #: Pure-CPU cycles added via :meth:`work`.
         self.extra_work = 0.0
         self._prefetched_refs = 0
-        self.arrays: dict[str, TracedArray] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -387,20 +400,32 @@ class Memory:
             raise InvalidParameterError(
                 f"array length must be in [0, 2**47), got {length}"
             )
-        if name in self.arrays:
+        if any(layout.name == name for layout in self._slots):
             raise InvalidParameterError(
                 f"array {name!r} is already declared"
             )
-        array = TracedArray(
-            name, length, itemsize, self._next_base, self,
-            touch_code(len(self._slots)),
+        self._slots.append(
+            ArrayLayout(name, length, itemsize, self._next_base)
         )
-        self._slots.append(array)
         line_size = 1 << self._line_shift
         span = max(length * itemsize, 1)
         self._next_base += (span + line_size - 1) // line_size * line_size
-        self.arrays[name] = array
-        return array
+        return self._handle(len(self._slots) - 1)
+
+    def _handle(self, slot: int) -> TracedArray:
+        """A traced handle on the array declared in ``slot``."""
+        name, length, itemsize, base = self._slots[slot]
+        return TracedArray(
+            name, length, itemsize, base, self, touch_code(slot)
+        )
+
+    @property
+    def arrays(self) -> dict[str, TracedArray]:
+        """Declared arrays by name, as fresh traced handles."""
+        return {
+            layout.name: self._handle(slot)
+            for slot, layout in enumerate(self._slots)
+        }
 
     def touch_sink(self) -> Callable[[int], None]:
         """One-call recorder for sequential emitters.
@@ -423,8 +448,7 @@ class Memory:
             slot = code >> SLOT_SHIFT
             if not 0 <= slot < len(slots):
                 raise unknown_slot(code)
-            array = slots[slot]
-            array.touch(code - array.code)
+            self._handle(slot).touch(code - touch_code(slot))
 
         return step
 

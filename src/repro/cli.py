@@ -1094,7 +1094,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "cache: trace-replay simulator backend "
                         "(BENCH_cache.json); algos: frontier-runtime "
                         "vs scalar emitters (BENCH_algos.json); "
-                        "frontier: adaptive ordering selector "
+                        "frontier: the auto selector against its "
+                        "probe oracle and the algorithm suite "
                         "(BENCH_selector.json)")
     p.add_argument("--quick", action="store_true",
                    help="small smoke configuration (CI bench job)")

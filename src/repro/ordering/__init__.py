@@ -53,21 +53,18 @@ from repro.ordering.parallel import gorder_partitioned, partition_nodes
 from repro.ordering.predictors import (
     LINE_NODES,
     StructuralPredictors,
-    average_reuse_distance,
     compute_predictors,
     diameter_proxy,
     packing_factor,
-    predicted_gain_fraction,
 )
 from repro.ordering.rcm import rcm_order
 from repro.ordering.select import (
-    DEFAULT_CLOCK_HZ,
+    CLOCK_HZ,
     DEFAULT_QUERY_VOLUME,
-    HEAVYWEIGHT_ORDERINGS,
-    CandidateConfig,
-    CandidateProbe,
+    AmortizationRow,
     SelectionDecision,
-    auto_order,
+    Workload,
+    amortization_table,
     default_candidates,
     select_ordering,
 )
@@ -121,17 +118,14 @@ __all__ = [
     "LINE_NODES",
     "StructuralPredictors",
     "compute_predictors",
-    "average_reuse_distance",
     "diameter_proxy",
     "packing_factor",
-    "predicted_gain_fraction",
-    "DEFAULT_CLOCK_HZ",
+    "CLOCK_HZ",
     "DEFAULT_QUERY_VOLUME",
-    "HEAVYWEIGHT_ORDERINGS",
-    "CandidateConfig",
-    "CandidateProbe",
+    "AmortizationRow",
+    "Workload",
+    "amortization_table",
     "SelectionDecision",
-    "auto_order",
     "default_candidates",
     "select_ordering",
     "gap_encoding_bits",

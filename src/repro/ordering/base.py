@@ -20,7 +20,7 @@ import numpy as np
 from repro.errors import InvalidParameterError, UnknownOrderingError
 from repro.graph.csr import CSRGraph
 from repro.ordering.bisect import bisection_order
-from repro.ordering.gorder import gorder_order
+from repro.ordering.gorder import DEFAULT_WINDOW, gorder_order
 from repro.ordering.ldg import ldg_order
 from repro.ordering.lightweight import (
     boba_order,
@@ -46,34 +46,28 @@ def _auto_order(
     graph: CSRGraph,
     seed: int = 0,
     query_volume: float | None = None,
-    clock_hz: float | None = None,
     window: int | None = None,
-    candidates: tuple | None = None,
-    dataset: str | None = None,
 ) -> np.ndarray:
-    """Registry entry for the adaptive selector.
+    """Registry entry for the selector: the arrangement
+    :func:`~repro.ordering.select.select_ordering` chose, as computed
+    while probing.
 
     Imported lazily: :mod:`repro.ordering.select` needs this registry
-    to probe its candidates, so importing it at module scope would be
-    circular.  The keyword signature mirrors
-    :func:`~repro.ordering.select.auto_order` so
-    :class:`OrderingConfig` sees ``auto``'s parameters like any other
-    ordering's; ``None`` leaves a knob at the selector's default.
+    to compute its candidates, so importing it at module scope would
+    be circular.  ``None`` leaves a knob at the selector's default.
     """
-    from repro.ordering.select import auto_order
+    from repro.ordering import select
 
-    knobs = {
-        "query_volume": query_volume,
-        "clock_hz": clock_hz,
-        "window": window,
-        "candidates": candidates,
-        "dataset": dataset,
-    }
-    return auto_order(
+    if query_volume is None:
+        query_volume = select.DEFAULT_QUERY_VOLUME
+    if window is None:
+        window = DEFAULT_WINDOW
+    return select.select_ordering(
         graph,
+        query_volume=query_volume,
+        candidates=select.default_candidates(window=window),
         seed=seed,
-        **{key: value for key, value in knobs.items() if value is not None},
-    )
+    ).chosen.perm
 
 
 @dataclass(frozen=True)
@@ -158,10 +152,10 @@ REGISTRY: dict[str, OrderingSpec] = {
             "gorder-part", "Gorder(partitioned)", gorder_partitioned,
             deterministic=True, headline=False,
         ),
-        # Adaptive selection (ROADMAP item 3): probes the frontier
-        # and picks the configuration minimising amortised cost.
-        # Probe cycles are deterministic; near-ties can flip only
-        # within wall-clock measurement noise.
+        # Selection by amortised cost (repro.ordering.select): probes
+        # the candidate frontier and picks the configuration with the
+        # least amortised seconds.  Probe cycles are deterministic;
+        # near-ties can flip only within wall-clock measurement noise.
         OrderingSpec(
             "auto", "Auto(selector)", _auto_order,
             deterministic=True, headline=False,
@@ -288,6 +282,14 @@ class OrderingConfig:
             if value is not None:
                 _check_param_type(name, key, value, declared[key])
         return cls(name, seed, params)
+
+    @property
+    def label(self) -> str:
+        """Ordering and parameters, e.g. ``gorder[window=5]``."""
+        if not self.params:
+            return self.ordering
+        inner = ",".join(f"{key}={value}" for key, value in self.params)
+        return f"{self.ordering}[{inner}]"
 
     def key(self) -> tuple[str, int, tuple[tuple[str, object], ...]]:
         """Hashable ``(ordering, seed, params)`` memo key."""

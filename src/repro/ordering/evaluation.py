@@ -8,10 +8,10 @@ estimate and a simulated cache probe into one
 registry to produce a comparison table.
 
 The probe runs the same simulator path as the experiment runner
-(vectorised trace replay over the frontier runtime's traces), and
-evaluations carry the measured ordering wall-time so cost-aware
-consumers — the adaptive selector in :mod:`repro.ordering.select`
-first among them — can amortise ordering cost against probe savings.
+(vectorised trace replay over the frontier runtime's traces) and costs
+the same cycles as the selector's probe workload
+(:data:`repro.ordering.select.PROBE`); amortising ordering cost
+against those savings is :mod:`repro.ordering.select`'s job.
 """
 
 from __future__ import annotations
@@ -125,8 +125,7 @@ def evaluate_all(
     """Evaluate several registered orderings; best probe first.
 
     Each ordering's computation is timed and the wall-time recorded in
-    its evaluation, so the resulting table doubles as the selector's
-    cost/quality input.
+    its evaluation, next to its quality numbers.
     """
     names = (
         tuple(ordering_names)

@@ -4,18 +4,18 @@
 Grot 2019] shows that whether reordering pays — and which reordering
 — is largely decided by a handful of structural properties: how
 skewed the degree distribution is, how much of the access stream the
-hub set absorbs, how badly the hot vertices are scattered across
-cache lines, and how far apart repeat touches of the same vertex are.
-This module computes those properties in one O(n + m log m) pass so
-the adaptive selector (:mod:`repro.ordering.select`) can reason about
-a dataset *before* paying for any ordering.
+hub set absorbs, and how badly the hot vertices are scattered across
+cache lines; Satav adds the graph's diameter.  This module computes
+those properties in O(n + m).  The selector
+(:mod:`repro.ordering.select`) reports them to explain a decision;
+no decision reads them.  EXPERIMENTS.md ranks each against measured
+Gorder speedup over the dataset registry.
 
 All predictors are deterministic pure functions of the graph.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -35,7 +35,7 @@ class StructuralPredictors:
     """O(n + m) structural signals for one graph.
 
     All ratios are dimensionless; a graph with no edges yields the
-    neutral values (skew 1, concentration 0, packing 1, reuse 0).
+    neutral values (skew 1, concentration 0, packing 1).
     """
 
     nodes: int
@@ -55,10 +55,6 @@ class StructuralPredictors:
     #: touches over the minimum possible.  1.0 = already perfectly
     #: packed (reordering cannot densify the hot set further).
     packing_factor: float
-    #: Mean edge-stream distance between consecutive touches of the
-    #: same target vertex — a stack-reuse-distance estimate; large
-    #: values mean hot vertices fall out of cache between touches.
-    avg_reuse_distance: float
     #: Double-BFS-sweep eccentricity lower bound: long, thin graphs
     #: (large proxy) favour traversal-order arrangements, compact
     #: ones favour hub packing.
@@ -110,28 +106,6 @@ def diameter_proxy(graph: CSRGraph) -> int:
     return depth
 
 
-def average_reuse_distance(graph: CSRGraph) -> float:
-    """Mean stream gap between consecutive touches of a target.
-
-    The NQ access stream touches ``adjacency[i]`` at stream position
-    ``i``; for every vertex touched more than once the gaps between
-    consecutive touches approximate its reuse distance.  Returns 0.0
-    when no vertex repeats (every touch is a cold miss regardless of
-    arrangement).
-    """
-    targets = graph.adjacency
-    if targets.shape[0] < 2:
-        return 0.0
-    order = np.argsort(targets, kind="stable")
-    grouped = targets[order]
-    positions = order.astype(np.int64)
-    same = grouped[1:] == grouped[:-1]
-    if not bool(same.any()):
-        return 0.0
-    gaps = positions[1:][same] - positions[:-1][same]
-    return float(gaps.mean())
-
-
 def packing_factor(
     graph: CSRGraph, line_nodes: int = LINE_NODES
 ) -> float:
@@ -162,8 +136,7 @@ def compute_predictors(
             return StructuralPredictors(
                 nodes=n, edges=m, mean_degree=0.0, degree_skew=1.0,
                 hub_fraction=0.0, hub_concentration=0.0,
-                packing_factor=1.0, avg_reuse_distance=0.0,
-                diameter_proxy=0,
+                packing_factor=1.0, diameter_proxy=0,
             )
         degrees = graph.in_degrees()
         mean_degree = m / n
@@ -178,27 +151,6 @@ def compute_predictors(
             packing_factor=packing_factor(
                 graph, line_nodes=line_nodes
             ),
-            avg_reuse_distance=average_reuse_distance(graph),
             diameter_proxy=diameter_proxy(graph),
         )
 
-
-def predicted_gain_fraction(
-    predictors: StructuralPredictors,
-) -> float:
-    """Heuristic upper estimate of the probe-cycle fraction a
-    heavyweight ordering can save on this graph.
-
-    Calibrated on the replication's acceptance datasets: skewed,
-    badly-packed graphs with long reuse distances have the most
-    recoverable locality; regular graphs with packed hubs have
-    almost none.  Clamped to [0.05, 0.6] — the selector uses this
-    only to decide whether a heavyweight candidate is *worth
-    probing* at a given query volume, never to rank candidates it
-    has measured.
-    """
-    skew_term = 0.08 * math.log2(max(predictors.degree_skew, 1.0))
-    packing_term = 0.1 * max(predictors.packing_factor - 1.0, 0.0)
-    concentration_term = 0.2 * predictors.hub_concentration
-    raw = 0.05 + skew_term + packing_term + concentration_term
-    return min(max(raw, 0.05), 0.6)

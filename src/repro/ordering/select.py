@@ -1,28 +1,27 @@
-"""Adaptive ordering selection on the cost/quality frontier.
+"""The amortisation model: when does an ordering pay for itself?
 
-The paper's Gorder wins on locality but pays a heavyweight ordering
-cost; the lightweight passes of :mod:`repro.ordering.lightweight`
-recover much of the benefit at a fraction of the cost, and which one
-wins depends on the graph.  This module closes the loop with an
-explicit amortisation model:
+The paper charges Gorder for its ordering time (Table 2), and "When is
+Graph Reordering an Optimization?" argues that a reordering pays only
+once that one-off cost has been amortised by per-run savings.  This
+module is the one model of that trade-off:
 
-    total_seconds(candidate) = ordering_seconds(candidate)
-        + query_volume * probe_cycles(candidate) / clock_hz
+    amortised_seconds(config, volume) = ordering_seconds(config)
+        + volume * cycles(config) / CLOCK_HZ
 
-Each candidate configuration (ordering + window) is
-actually run — its wall-time measured, its locality probed with the
-simulated-cache NQ probe of :mod:`repro.ordering.evaluation` — and
-the selector picks the configuration minimising modelled total cost
-for the stated query volume.  Structural predictors
-(:mod:`repro.ordering.predictors`) gate the expensive part: a
-heavyweight candidate is only probed when the predicted recoverable
-locality at this query volume could plausibly repay its cost.
+A :class:`Workload` is a named mix of traced algorithm runs (e.g. "the
+nightly pipeline: 3-iteration PageRank + SCC + two diameter probes").
+:func:`amortization_table` runs it under every candidate
+:class:`~repro.ordering.base.OrderingConfig` — the ordering's
+wall-time measured, the relabelled graph simulated — and reports one
+:class:`AmortizationRow` per candidate, with the break-even run count
+against the first candidate (the baseline).
 
-The selector is exposed as the registry ordering ``auto`` (hence
-``--ordering auto`` everywhere a CLI accepts an ordering, and as a
-logical key in the runner memo and serve daemon stores).  Probe
-cycles are deterministic, so the decision is stable except when two
-candidates' modelled costs sit within wall-clock measurement noise —
+:func:`select_ordering` is that table over the NQ probe workload
+(:data:`PROBE`), followed by an argmin of amortised seconds at the
+stated query volume.  It is exposed as the registry ordering ``auto``
+(hence ``--ordering auto`` everywhere a CLI accepts an ordering).
+Cycles are deterministic, so the decision is stable except when two
+candidates' amortised costs sit within wall-clock measurement noise —
 in which case either choice is equivalent under the model.
 """
 
@@ -30,134 +29,217 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import obs
+from repro.algorithms import base as algorithms
+from repro.cache import Memory, scaled_hierarchy
 from repro.errors import InvalidParameterError
 from repro.graph.csr import CSRGraph
-from repro.ordering import base as registry
-from repro.ordering.evaluation import probe_arrangement
+from repro.graph.permute import relabel
+from repro.ordering.base import OrderingConfig
 from repro.ordering.gorder import DEFAULT_WINDOW
 from repro.ordering.predictors import (
     StructuralPredictors,
     compute_predictors,
-    predicted_gain_fraction,
 )
 
 #: Clock used to convert simulated cycles into seconds for
 #: amortisation (a mid-range 2.6 GHz core, like the replication's).
-DEFAULT_CLOCK_HZ = 2.6e9
+CLOCK_HZ = 2.6e9
 
 #: Default modelled workload: a query-heavy serving deployment.  High
 #: enough that on the acceptance datasets the cycle term dominates
 #: ordering cost, so the default decision tracks the locality oracle.
 DEFAULT_QUERY_VOLUME = 100_000
 
-#: Orderings whose cost is large enough to deserve a predictor gate.
-HEAVYWEIGHT_ORDERINGS = frozenset(
-    {"gorder", "gorder-part", "minla", "minloga"}
-)
 
-#: A heavyweight ordering costs at least this multiple of the
-#: cheapest measured lightweight pass — the optimistic floor the
-#: predictor gate compares against the modelled gain.
-HEAVY_COST_MULTIPLE = 10.0
+@dataclass(frozen=True)
+class Workload:
+    """A repeatable mix of algorithm runs over one graph.
+
+    Step parameters reach every arrangement unchanged: a node id in
+    them (an SP source, Diam sources) names a node of the relabelled
+    graph, not of the original one.
+    """
+
+    name: str
+    steps: tuple[tuple[str, dict], ...]
+
+    @classmethod
+    def of(cls, name: str, *steps) -> "Workload":
+        """Build from ``("algorithm", {params})`` or ``"algorithm"``."""
+        normalised: list[tuple[str, dict]] = []
+        for step in steps:
+            if isinstance(step, str):
+                normalised.append((step, {}))
+            else:
+                algorithm, params = step
+                normalised.append((algorithm, dict(params)))
+        if not normalised:
+            raise InvalidParameterError(
+                "a workload needs at least one step"
+            )
+        for algorithm, _ in normalised:
+            algorithms.spec(algorithm)  # validate names eagerly
+        return cls(name, tuple(normalised))
+
+    def cycles(self, graph: CSRGraph) -> float:
+        """Total simulated cycles of one workload execution, each
+        step on a cold scaled hierarchy."""
+        total = 0.0
+        for algorithm, params in self.steps:
+            memory = Memory(scaled_hierarchy())
+            algorithms.spec(algorithm).traced(graph, memory, **params)
+            total += memory.cost().total_cycles
+        return total
+
+
+#: The selector's probe: one cold NQ run, a query's access pattern.
+#: Built without :meth:`Workload.of`'s name check, which would need
+#: the algorithm registry while it is still importing.
+PROBE = Workload("nq-probe", (("nq", {}),))
 
 
 @dataclass(frozen=True)
-class CandidateConfig:
-    """One configuration the selector may pick.
+class AmortizationRow:
+    """One candidate measured against a workload."""
 
-    ``window`` is forwarded to the ordering through the registry's
-    signature filter, so it reaches only the orderings that declare
-    it.
-    """
+    config: OrderingConfig
+    #: Simulated cycles of one workload run on the arranged graph.
+    cycles: float
+    #: Baseline cycles over these cycles.
+    speedup: float
+    ordering_seconds: float
+    #: Workload runs needed to pay the ordering cost back against the
+    #: baseline: 0 for the baseline itself, ``inf`` when the candidate
+    #: never catches up.
+    break_even_runs: float
+    #: The arrangement that was measured.
+    perm: np.ndarray = field(repr=False, compare=False)
 
-    ordering: str
-    window: int | None = None
+    @property
+    def ordering(self) -> str:
+        return self.config.ordering
 
     @property
     def label(self) -> str:
-        if self.window is None:
-            return self.ordering
-        return f"{self.ordering}[w={self.window}]"
+        return self.config.label
 
-    def ordering_params(self) -> dict:
-        if self.window is None:
-            return {}
-        return {"window": self.window}
-
-
-@dataclass(frozen=True)
-class CandidateProbe:
-    """Measured cost/quality point for one candidate."""
-
-    ordering: str
-    label: str
-    window: int | None
-    ordering_seconds: float
-    probe_cycles: float
-    #: Modelled total seconds at the decision's query volume.
-    amortised_seconds: float
-    #: Queries needed before this candidate beats the baseline
-    #: arrangement; 0 for the baseline itself, ``inf`` when the
-    #: candidate never catches up.
-    break_even_queries: float
+    def amortised_seconds(self, volume: float) -> float:
+        """Modelled seconds of ordering once and running the workload
+        ``volume`` times."""
+        return self.ordering_seconds + volume * self.cycles / CLOCK_HZ
 
     def as_dict(self) -> dict:
         return {
             "ordering": self.ordering,
             "label": self.label,
-            "window": self.window,
+            "params": dict(self.config.params),
+            "cycles": self.cycles,
+            "speedup": self.speedup,
             "ordering_seconds": self.ordering_seconds,
-            "probe_cycles": self.probe_cycles,
-            "amortised_seconds": self.amortised_seconds,
             # JSON has no Infinity; null = never catches up.
-            "break_even_queries": (
-                self.break_even_queries
-                if math.isfinite(self.break_even_queries)
+            "break_even_runs": (
+                self.break_even_runs
+                if math.isfinite(self.break_even_runs)
                 else None
             ),
         }
 
 
+def amortization_table(
+    workload: Workload,
+    graph: CSRGraph,
+    configs,
+    seed: int = 0,
+) -> list[AmortizationRow]:
+    """Measure each candidate against ``workload``; the first is the
+    baseline.
+
+    ``configs`` are :class:`OrderingConfig`\\ s or registry names; a
+    name ``n`` means ``OrderingConfig(n, seed)``.
+    """
+    configs = [
+        config if isinstance(config, OrderingConfig)
+        else OrderingConfig(config, seed)
+        for config in configs
+    ]
+    if not configs:
+        raise InvalidParameterError(
+            "an amortisation table needs at least one ordering"
+        )
+    rows: list[AmortizationRow] = []
+    for config in configs:
+        start = time.perf_counter()
+        perm = config.compute(graph)
+        ordering_seconds = time.perf_counter() - start
+        cycles = workload.cycles(relabel(graph, perm))
+        baseline = rows[0].cycles if rows else cycles
+        saved_seconds = (baseline - cycles) / CLOCK_HZ
+        if not rows:
+            break_even = 0.0
+        elif saved_seconds > 0:
+            break_even = ordering_seconds / saved_seconds
+        else:
+            break_even = float("inf")
+        rows.append(
+            AmortizationRow(
+                config=config,
+                cycles=cycles,
+                speedup=baseline / cycles if cycles else float("inf"),
+                ordering_seconds=ordering_seconds,
+                break_even_runs=break_even,
+                perm=perm,
+            )
+        )
+    return rows
+
+
 @dataclass(frozen=True)
 class SelectionDecision:
-    """The full record of one adaptive selection."""
+    """The full record of one selection."""
 
     dataset: str
     query_volume: float
-    clock_hz: float
+    #: Structural signals reported to explain the decision; no
+    #: decision reads them.
     predictors: StructuralPredictors
-    probes: tuple[CandidateProbe, ...]
-    #: Candidate labels skipped by the predictor gate.
-    pruned: tuple[str, ...]
-    chosen: CandidateProbe
-    #: Label of the minimum-probe-cycles candidate among those
-    #: measured (the locality oracle the selector is judged against).
+    #: The NQ probe table, baseline first.
+    rows: tuple[AmortizationRow, ...]
+    chosen: AmortizationRow
+    #: Label of the minimum-probe-cycles candidate (the locality
+    #: oracle the selector is judged against).
     oracle: str
     selection_seconds: float
 
     @property
-    def oracle_probe(self) -> CandidateProbe:
-        for probe in self.probes:
-            if probe.label == self.oracle:
-                return probe
+    def oracle_row(self) -> AmortizationRow:
+        for row in self.rows:
+            if row.label == self.oracle:
+                return row
         raise InvalidParameterError(  # pragma: no cover - invariant
-            f"oracle {self.oracle!r} missing from probes"
+            f"oracle {self.oracle!r} missing from rows"
         )
+
+    def row_dict(self, row: AmortizationRow) -> dict:
+        """``row`` as JSON, with its amortised seconds at this
+        decision's query volume."""
+        return {
+            **row.as_dict(),
+            "amortised_seconds": row.amortised_seconds(self.query_volume),
+        }
 
     def as_dict(self) -> dict:
         return {
             "dataset": self.dataset,
             "query_volume": self.query_volume,
-            "clock_hz": self.clock_hz,
+            "clock_hz": CLOCK_HZ,
             "predictors": self.predictors.as_dict(),
-            "probes": [probe.as_dict() for probe in self.probes],
-            "pruned": list(self.pruned),
-            "chosen": self.chosen.as_dict(),
+            "rows": [self.row_dict(row) for row in self.rows],
+            "chosen": self.row_dict(self.chosen),
             "oracle": self.oracle,
             "selection_seconds": self.selection_seconds,
         }
@@ -165,61 +247,45 @@ class SelectionDecision:
 
 def default_candidates(
     window: int = DEFAULT_WINDOW,
-) -> tuple[CandidateConfig, ...]:
+) -> tuple[OrderingConfig, ...]:
     """The default frontier: baseline, lightweights, Gorder.
 
-    ``original`` must come first — it is the amortisation baseline.
+    ``original`` comes first: it is the amortisation baseline.
     """
     return (
-        CandidateConfig("original"),
-        CandidateConfig("hubcluster"),
-        CandidateConfig("hubsort"),
-        CandidateConfig("dbg"),
-        CandidateConfig("boba"),
-        CandidateConfig("gorder", window=window),
+        OrderingConfig("original"),
+        OrderingConfig("hubcluster"),
+        OrderingConfig("hubsort"),
+        OrderingConfig("dbg"),
+        OrderingConfig("boba"),
+        OrderingConfig("gorder", params={"window": window}),
     )
 
 
-def _probe_candidate(
-    graph: CSRGraph,
-    config: CandidateConfig,
-    seed: int,
-) -> tuple[np.ndarray, float, float]:
-    """``(perm, ordering_seconds, probe_cycles)`` for one candidate."""
-    start = time.perf_counter()
-    perm = registry.compute_ordering(
-        config.ordering, graph, seed=seed, **config.ordering_params()
-    )
-    ordering_seconds = time.perf_counter() - start
-    cycles, _ = probe_arrangement(graph, perm)
-    return perm, ordering_seconds, float(cycles)
-
-
-def _select(
+def select_ordering(
     graph: CSRGraph,
     query_volume: float = DEFAULT_QUERY_VOLUME,
-    candidates: tuple[CandidateConfig, ...] | None = None,
+    candidates: tuple[OrderingConfig, ...] | None = None,
     seed: int = 0,
-    clock_hz: float = DEFAULT_CLOCK_HZ,
-    dataset: str = "",
-) -> tuple[SelectionDecision, np.ndarray]:
-    """Run the selection; return the decision and the chosen perm."""
+) -> SelectionDecision:
+    """Pick the candidate with the least amortised seconds for
+    ``query_volume`` NQ probes.
+
+    A candidate is an ordering and its parameters: ``seed`` seeds
+    every candidate, replacing the seed its config carries.
+    """
     if query_volume < 0:
         raise InvalidParameterError(
             f"query_volume must be non-negative, got {query_volume}"
         )
-    if clock_hz <= 0:
-        raise InvalidParameterError(
-            f"clock_hz must be positive, got {clock_hz}"
-        )
     configs = tuple(
-        candidates if candidates is not None else default_candidates()
-    )
-    if not configs:
-        raise InvalidParameterError(
-            "the selector needs at least one candidate"
+        OrderingConfig(config.ordering, seed, config.params)
+        for config in (
+            candidates if candidates is not None
+            else default_candidates()
         )
-    name = dataset or graph.name or "graph"
+    )
+    name = graph.name or "graph"
     started = time.perf_counter()
     with obs.span(
         "ordering.select",
@@ -227,78 +293,16 @@ def _select(
         query_volume=query_volume, candidates=len(configs),
     ):
         predictors = compute_predictors(graph)
-        gain = predicted_gain_fraction(predictors)
-
-        probes: list[CandidateProbe] = []
-        perms: dict[str, np.ndarray] = {}
-        pruned: list[str] = []
-        baseline_cycles: float | None = None
-        cheapest_seconds = float("inf")
-        for config in configs:
-            heavy = config.ordering in HEAVYWEIGHT_ORDERINGS
-            if (
-                heavy
-                and baseline_cycles is not None
-                and cheapest_seconds < float("inf")
-            ):
-                # Optimistic repayment check: even at the predicted
-                # gain, a heavyweight pass costing at least
-                # HEAVY_COST_MULTIPLE measured lightweight passes
-                # cannot pay for itself below this volume — skip
-                # probing it.
-                gain_seconds = (
-                    query_volume * gain * baseline_cycles / clock_hz
-                )
-                floor = HEAVY_COST_MULTIPLE * cheapest_seconds
-                if gain_seconds < floor:
-                    pruned.append(config.label)
-                    obs.event(
-                        "ordering.select.pruned",
-                        dataset=name, candidate=config.label,
-                        gain_seconds=round(gain_seconds, 6),
-                        cost_floor=round(floor, 6),
-                    )
-                    continue
-            perm, seconds, cycles = _probe_candidate(graph, config, seed)
-            if baseline_cycles is None:
-                baseline_cycles = cycles
-            if config.ordering != "original":
-                # "original" is free; only real passes inform the
-                # heavyweight cost floor.
-                cheapest_seconds = min(cheapest_seconds, seconds)
-            saved_per_query = (baseline_cycles - cycles) / clock_hz
-            if probes and saved_per_query > 0:
-                break_even = seconds / saved_per_query
-            elif probes:
-                break_even = float("inf")
-            else:
-                break_even = 0.0
-            probe = CandidateProbe(
-                ordering=config.ordering,
-                label=config.label,
-                window=config.window,
-                ordering_seconds=seconds,
-                probe_cycles=cycles,
-                amortised_seconds=(
-                    seconds + query_volume * cycles / clock_hz
-                ),
-                break_even_queries=break_even,
-            )
-            probes.append(probe)
-            perms[config.label] = perm
-
-        chosen = probes[0]
-        for probe in probes[1:]:
-            if probe.amortised_seconds < chosen.amortised_seconds:
-                chosen = probe
-        oracle = min(probes, key=lambda probe: probe.probe_cycles)
+        rows = amortization_table(PROBE, graph, configs)
+        chosen = min(
+            rows, key=lambda row: row.amortised_seconds(query_volume)
+        )
+        oracle = min(rows, key=lambda row: row.cycles)
         decision = SelectionDecision(
             dataset=name,
             query_volume=float(query_volume),
-            clock_hz=clock_hz,
             predictors=predictors,
-            probes=tuple(probes),
-            pruned=tuple(pruned),
+            rows=tuple(rows),
             chosen=chosen,
             oracle=oracle.label,
             selection_seconds=time.perf_counter() - started,
@@ -309,59 +313,10 @@ def _select(
             dataset=name,
             chosen=chosen.label,
             oracle=oracle.label,
-            probe_cycles=chosen.probe_cycles,
-            break_even_queries=chosen.break_even_queries,
+            probe_cycles=chosen.cycles,
+            break_even_queries=chosen.break_even_runs,
             query_volume=float(query_volume),
-            probed=len(probes),
-            pruned=len(pruned),
+            probed=len(rows),
             seconds=round(decision.selection_seconds, 6),
         )
-    return decision, perms[chosen.label]
-
-
-def select_ordering(
-    graph: CSRGraph,
-    query_volume: float = DEFAULT_QUERY_VOLUME,
-    candidates: tuple[CandidateConfig, ...] | None = None,
-    seed: int = 0,
-    clock_hz: float = DEFAULT_CLOCK_HZ,
-    dataset: str = "",
-) -> SelectionDecision:
-    """Pick the best ordering configuration for this workload."""
-    decision, _ = _select(
-        graph,
-        query_volume=query_volume,
-        candidates=candidates,
-        seed=seed,
-        clock_hz=clock_hz,
-        dataset=dataset,
-    )
     return decision
-
-
-def auto_order(
-    graph: CSRGraph,
-    seed: int = 0,
-    query_volume: float = DEFAULT_QUERY_VOLUME,
-    clock_hz: float = DEFAULT_CLOCK_HZ,
-    window: int = DEFAULT_WINDOW,
-    candidates: tuple[CandidateConfig, ...] | None = None,
-    dataset: str = "",
-) -> np.ndarray:
-    """The registry ordering ``auto``: select, then arrange.
-
-    ``window`` parameterises the default candidate set and is ignored
-    when ``candidates`` is given.  Returns the chosen arrangement —
-    the permutation computed during probing, not a recomputation.
-    """
-    if candidates is None:
-        candidates = default_candidates(window=window)
-    _, perm = _select(
-        graph,
-        query_volume=query_volume,
-        candidates=tuple(candidates),
-        seed=seed,
-        clock_hz=clock_hz,
-        dataset=dataset,
-    )
-    return perm

@@ -715,8 +715,8 @@ class FrontierBenchConfig:
     #: Modelled workload size for the amortisation decision; the
     #: default models a query-heavy serving deployment.
     query_volume: float = 100_000.0
-    #: Acceptance band: the chosen configuration's probe cycles must
-    #: land within this fraction of the measured oracle best.
+    #: Acceptance band: the chosen candidate's probe cycles, and its
+    #: suite cycles, must land within this fraction of the best.
     tolerance: float = 0.10
     seed: int = 0
     quick: bool = False
@@ -734,16 +734,19 @@ def run_frontier_bench(
 ) -> dict:
     """Run the cost/quality frontier experiment; the JSON payload.
 
-    On every acceptance dataset the adaptive selector probes its
-    candidate frontier (measured ordering wall-time + simulated NQ
-    probe cycles) and picks the configuration minimising amortised
-    cost at the configured query volume.  The payload records the
-    full frontier — each candidate's cycles, ordering seconds and
-    break-even query volume against the original arrangement — plus
-    the selection itself.  :class:`BenchRegressionError` is raised if
-    any chosen configuration's probe cycles exceed the measured
-    oracle best by more than ``tolerance`` — a selector that misses
-    the frontier must fail the harness, not report around it.
+    On every acceptance dataset the selector measures its candidate
+    frontier against the NQ probe (ordering wall-time + simulated
+    cycles) and picks the candidate with the least amortised seconds
+    at the configured query volume.  The same candidates are then
+    measured by :func:`~repro.ordering.select.amortization_table`
+    against the suite — one run of each quick-profile algorithm with
+    its :func:`~repro.perf.experiments.algorithm_params` — so the
+    pick is judged by the workload it stands for, not by its own
+    probe.  :class:`BenchRegressionError` is raised if, on any
+    dataset, the chosen candidate's probe cycles exceed the probe
+    oracle's, or its suite cycles the suite's best candidate's, by
+    more than ``tolerance`` — a selector that misses the frontier
+    must fail the harness, not report around it.
 
     Schema (version 1)::
 
@@ -753,20 +756,28 @@ def run_frontier_bench(
           "quick": bool,
           "manifest": {...},
           "workload": {"datasets", "query_volume", "clock_hz",
-                       "tolerance"},
+                       "suite", "tolerance"},
           "datasets": {
-            "<name>": {"nodes", "edges", "predictors", "probes",
-                       "pruned", "selected", "oracle", "regret",
-                       "break_even_queries", "within_tolerance",
+            "<name>": {"nodes", "edges", "predictors", "rows",
+                       "selected", "oracle", "regret",
+                       "break_even_runs", "suite_rows", "suite_best",
+                       "suite_regret", "within_tolerance",
                        "selection_seconds"}
           },
           "totals": {"selection_seconds"},
-          "max_regret": float,        # the headline number
+          "max_regret": float,        # against the probe oracle
+          "max_suite_regret": float,  # against the suite's best
           "within_tolerance": true    # divergence raises instead
         }
     """
     from repro.graph import datasets
-    from repro.ordering.select import select_ordering
+    from repro.ordering.select import (
+        CLOCK_HZ,
+        Workload,
+        amortization_table,
+        select_ordering,
+    )
+    from repro.perf.experiments import PROFILES, algorithm_params
 
     config = config or FrontierBenchConfig()
     if not config.datasets:
@@ -777,10 +788,11 @@ def run_frontier_bench(
         raise InvalidParameterError(
             f"tolerance must be non-negative, got {config.tolerance}"
         )
+    profile = PROFILES["quick"]
     per_dataset: dict[str, dict] = {}
     total_selection_seconds = 0.0
     max_regret = 0.0
-    clock_hz: float | None = None
+    max_suite_regret = 0.0
     with obs.span(
         "bench.selector_frontier",
         datasets=len(config.datasets),
@@ -792,42 +804,62 @@ def run_frontier_bench(
                 graph,
                 query_volume=config.query_volume,
                 seed=config.seed,
-                dataset=name,
             )
-            clock_hz = decision.clock_hz
-            oracle = decision.oracle_probe
+            oracle = decision.oracle_row
             regret = (
-                decision.chosen.probe_cycles / oracle.probe_cycles
-                - 1.0
-                if oracle.probe_cycles else 0.0
+                decision.chosen.cycles / oracle.cycles - 1.0
+                if oracle.cycles else 0.0
             )
-            within = regret <= config.tolerance
-            if not within:
+            if regret > config.tolerance:
                 raise BenchRegressionError(
                     f"selector missed the frontier on {name}: chose "
                     f"{decision.chosen.label} at "
-                    f"{decision.chosen.probe_cycles:.0f} cycles, "
+                    f"{decision.chosen.cycles:.0f} cycles, "
                     f"{100 * regret:.1f}% above oracle "
                     f"{oracle.label} (tolerance "
                     f"{100 * config.tolerance:.0f}%)"
                 )
+            suite = Workload.of(
+                "quick-suite",
+                *(
+                    (algorithm, algorithm_params(algorithm, graph, profile))
+                    for algorithm in profile.algorithms
+                ),
+            )
+            suite_rows = amortization_table(
+                suite, graph, [row.config for row in decision.rows]
+            )
+            suite_best = min(suite_rows, key=lambda row: row.cycles)
+            suite_chosen = next(
+                row for row in suite_rows
+                if row.config == decision.chosen.config
+            )
+            suite_regret = suite_chosen.cycles / suite_best.cycles - 1.0
+            if suite_regret > config.tolerance:
+                raise BenchRegressionError(
+                    f"selector missed the suite on {name}: chose "
+                    f"{decision.chosen.label} at "
+                    f"{suite_chosen.cycles:.0f} suite cycles, "
+                    f"{100 * suite_regret:.1f}% above "
+                    f"{suite_best.label} (tolerance "
+                    f"{100 * config.tolerance:.0f}%)"
+                )
             max_regret = max(max_regret, regret)
+            max_suite_regret = max(max_suite_regret, suite_regret)
             total_selection_seconds += decision.selection_seconds
             per_dataset[name] = {
                 "nodes": graph.num_nodes,
                 "edges": graph.num_edges,
                 "predictors": decision.predictors.as_dict(),
-                "probes": [
-                    probe.as_dict() for probe in decision.probes
-                ],
-                "pruned": list(decision.pruned),
-                "selected": decision.chosen.as_dict(),
-                "oracle": oracle.as_dict(),
+                "rows": [decision.row_dict(row) for row in decision.rows],
+                "selected": decision.row_dict(decision.chosen),
+                "oracle": decision.row_dict(oracle),
                 "regret": regret,
-                "break_even_queries": (
-                    decision.chosen.break_even_queries
-                ),
-                "within_tolerance": within,
+                "break_even_runs": decision.chosen.break_even_runs,
+                "suite_rows": [row.as_dict() for row in suite_rows],
+                "suite_best": suite_best.label,
+                "suite_regret": suite_regret,
+                "within_tolerance": True,  # divergence raises instead
                 "selection_seconds": decision.selection_seconds,
             }
     return {
@@ -840,12 +872,14 @@ def run_frontier_bench(
         "workload": {
             "datasets": list(config.datasets),
             "query_volume": config.query_volume,
-            "clock_hz": clock_hz,
+            "clock_hz": CLOCK_HZ,
+            "suite": list(profile.algorithms),
             "tolerance": config.tolerance,
         },
         "datasets": per_dataset,
         "totals": {"selection_seconds": total_selection_seconds},
         "max_regret": max_regret,
+        "max_suite_regret": max_suite_regret,
         "within_tolerance": True,  # divergence raises instead
     }
 
@@ -863,33 +897,39 @@ def render_frontier_bench(payload: dict) -> str:
     workload = payload["workload"]
     lines = [
         f"workload    : NQ x{workload['query_volume']:,.0f} on "
-        f"{', '.join(workload['datasets'])}",
+        f"{', '.join(workload['datasets'])}; suite "
+        f"{', '.join(workload['suite'])}",
     ]
     for name, entry in payload["datasets"].items():
         lines.append(
             f"{name:<12}: n={entry['nodes']:,} m={entry['edges']:,}"
         )
-        for probe in entry["probes"]:
+        suite_cycles = {
+            row["label"]: row["cycles"] for row in entry["suite_rows"]
+        }
+        for row in entry["rows"]:
             marker = (
-                ">" if probe["label"] == entry["selected"]["label"]
+                ">" if row["label"] == entry["selected"]["label"]
                 else " "
             )
             lines.append(
-                f"  {marker} {probe['label']:<20}"
-                f"{probe['probe_cycles'] / 1e6:8.2f}M cycles  "
-                f"{probe['ordering_seconds']:8.4f}s  "
+                f"  {marker} {row['label']:<20}"
+                f"{row['cycles'] / 1e6:8.2f}M cycles  "
+                f"{row['ordering_seconds']:8.4f}s  "
+                f"suite {suite_cycles[row['label']] / 1e6:8.2f}M  "
                 f"break-even "
-                f"{_format_break_even(probe['break_even_queries'])}"
+                f"{_format_break_even(row['break_even_runs'])}"
             )
-        for label in entry["pruned"]:
-            lines.append(f"    {label:<20}(pruned by predictor gate)")
         lines.append(
             f"  selected {entry['selected']['label']} "
             f"(oracle {entry['oracle']['label']}, "
-            f"regret {100 * entry['regret']:.1f}%)"
+            f"regret {100 * entry['regret']:.1f}%; suite best "
+            f"{entry['suite_best']}, suite regret "
+            f"{100 * entry['suite_regret']:.1f}%)"
         )
     lines.append(
-        f"max regret  : {100 * payload['max_regret']:.1f}% "
+        f"max regret  : {100 * payload['max_regret']:.1f}% probe, "
+        f"{100 * payload['max_suite_regret']:.1f}% suite "
         f"(tolerance {100 * workload['tolerance']:.0f}%)"
     )
     lines.append(

@@ -72,6 +72,7 @@ METRIC_DIRECTIONS = {
     "runtime_seconds_total": "lower",
     "speedup_runtime_vs_scalar": "higher",
     "selector_max_regret": "lower",
+    "selector_suite_regret": "lower",
     "selector_selection_seconds": "lower",
     "selector_chosen_cycles_total": "lower",
 }
@@ -126,11 +127,12 @@ def bench_metrics(payload: dict) -> dict[str, float]:
                 # 0 -> 0 sequence as flat, and any sustained miss
                 # shows up long before the in-payload tolerance.
                 "selector_max_regret": payload["max_regret"],
+                "selector_suite_regret": payload["max_suite_regret"],
                 "selector_selection_seconds": payload["totals"][
                     "selection_seconds"
                 ],
                 "selector_chosen_cycles_total": sum(
-                    entry["selected"]["probe_cycles"]
+                    entry["selected"]["cycles"]
                     for entry in payload["datasets"].values()
                 ),
             }

@@ -96,11 +96,17 @@ class TestStrict:
         with pytest.raises(InvalidParameterError, match="query_volume"):
             OrderingConfig.strict("auto", 0, {"query_volume": False})
 
-    def test_str_param(self):
-        config = OrderingConfig.strict("auto", 0, {"dataset": "wiki"})
-        assert config.params == (("dataset", "wiki"),)
-        with pytest.raises(InvalidParameterError, match="must be str"):
-            OrderingConfig.strict("auto", 0, {"dataset": 3})
+    @pytest.mark.parametrize(
+        "knob, value",
+        [("clock_hz", 1e9), ("candidates", ("dbg",)), ("dataset", "wiki")],
+    )
+    def test_removed_auto_knobs_rejected(self, knob, value):
+        with pytest.raises(
+            InvalidParameterError,
+            match=f"does not accept parameter\\(s\\) {knob}; "
+                  "accepted: query_volume, window",
+        ):
+            OrderingConfig.strict("auto", 0, {knob: value})
 
     def test_valid_input_equals_lenient(self):
         params = {"num_parts": 3, "workers": 2}

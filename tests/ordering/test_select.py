@@ -1,4 +1,4 @@
-"""Tests for the adaptive cost/quality ordering selector."""
+"""Tests for the selector: the NQ probe table and its argmin."""
 
 import json
 
@@ -7,14 +7,15 @@ import pytest
 
 from repro.errors import InvalidParameterError
 from repro.graph import generators
+from repro.graph.permute import relabel
 from repro.ordering import (
-    HEAVYWEIGHT_ORDERINGS,
-    CandidateConfig,
-    auto_order,
+    OrderingConfig,
     compute_ordering,
     default_candidates,
+    probe_arrangement,
     select_ordering,
 )
+from repro.ordering.select import PROBE
 
 from tests.conftest import assert_valid_permutation
 
@@ -27,9 +28,9 @@ def graph():
 
 
 LIGHT = (
-    CandidateConfig("original"),
-    CandidateConfig("hubcluster"),
-    CandidateConfig("dbg"),
+    OrderingConfig("original"),
+    OrderingConfig("hubcluster"),
+    OrderingConfig("dbg"),
 )
 
 
@@ -42,35 +43,42 @@ class TestDefaultCandidates:
         assert len(labels) == len(set(labels))
 
     def test_contains_one_heavyweight(self):
-        heavy = [
-            c for c in default_candidates()
-            if c.ordering in HEAVYWEIGHT_ORDERINGS
+        # Gorder is the one candidate whose cost needs amortising;
+        # the rest are single O(n + m) passes.
+        assert [c.ordering for c in default_candidates()] == [
+            "original", "hubcluster", "hubsort", "dbg", "boba", "gorder",
         ]
-        assert [c.ordering for c in heavy] == ["gorder"]
 
     def test_knobs_reach_gorder_label(self):
         configs = default_candidates(window=7)
-        assert configs[-1].label == "gorder[w=7]"
+        assert configs[-1].label == "gorder[window=7]"
+        assert configs[-1].params == (("window", 7),)
 
 
 class TestSelectOrdering:
     def test_chosen_minimises_amortised_seconds(self, graph):
         decision = select_ordering(graph, candidates=LIGHT)
-        best = min(
-            probe.amortised_seconds for probe in decision.probes
-        )
-        assert decision.chosen.amortised_seconds == best
+        volume = decision.query_volume
+        best = min(row.amortised_seconds(volume) for row in decision.rows)
+        assert decision.chosen.amortised_seconds(volume) == best
 
     def test_oracle_is_min_probe_cycles(self, graph):
         decision = select_ordering(graph, candidates=LIGHT)
-        assert decision.oracle_probe.probe_cycles == min(
-            probe.probe_cycles for probe in decision.probes
+        assert decision.oracle_row.cycles == min(
+            row.cycles for row in decision.rows
         )
 
     def test_baseline_break_even_is_zero(self, graph):
         decision = select_ordering(graph, candidates=LIGHT)
-        assert decision.probes[0].ordering == "original"
-        assert decision.probes[0].break_even_queries == 0.0
+        assert decision.rows[0].ordering == "original"
+        assert decision.rows[0].break_even_runs == 0.0
+
+    def test_probe_is_one_nq_run(self, graph):
+        decision = select_ordering(graph, candidates=LIGHT)
+        for row in decision.rows:
+            perm = compute_ordering(row.ordering, graph)
+            assert row.cycles == probe_arrangement(graph, perm)[0]
+            assert row.cycles == PROBE.cycles(relabel(graph, perm))
 
     def test_zero_volume_picks_cheapest_ordering(self, graph):
         # With no queries to amortise over, ordering cost is the whole
@@ -79,20 +87,16 @@ class TestSelectOrdering:
                                    candidates=LIGHT)
         assert decision.chosen.ordering == "original"
 
-    def test_heavyweight_pruned_at_low_volume(self, graph):
+    def test_heavyweight_probed_at_low_volume(self, graph):
+        # No predictor gate: Gorder is measured at every volume and
+        # loses on its ordering seconds alone.
         decision = select_ordering(graph, query_volume=1)
-        assert decision.pruned == ("gorder[w=5]",)
-        assert all(
-            probe.ordering not in HEAVYWEIGHT_ORDERINGS
-            for probe in decision.probes
-        )
+        assert decision.rows[-1].ordering == "gorder"
+        assert decision.chosen.ordering != "gorder"
 
     def test_heavyweight_probed_at_high_volume(self, graph):
         decision = select_ordering(graph, query_volume=10**9)
-        assert decision.pruned == ()
-        assert any(
-            probe.ordering == "gorder" for probe in decision.probes
-        )
+        assert any(row.ordering == "gorder" for row in decision.rows)
 
     def test_selector_tracks_oracle_at_high_volume(self, graph):
         # When the cycle term dominates, the amortised minimum and the
@@ -106,51 +110,49 @@ class TestSelectOrdering:
         payload = json.dumps(decision.as_dict())
         restored = json.loads(payload)
         assert restored["chosen"]["ordering"] == "original"
+        assert restored["rows"][0]["amortised_seconds"] == (
+            decision.rows[0].amortised_seconds(0)
+        )
         # inf break-evens must land as null, not bare Infinity.
         assert "Infinity" not in payload
 
     def test_dataset_name_defaults_to_graph_name(self, graph):
         decision = select_ordering(graph, candidates=LIGHT)
         assert decision.dataset == graph.name
-        named = select_ordering(
-            graph, candidates=LIGHT, dataset="other"
-        )
-        assert named.dataset == "other"
 
     def test_validation(self, graph):
         with pytest.raises(InvalidParameterError):
             select_ordering(graph, query_volume=-1)
-        with pytest.raises(InvalidParameterError):
-            select_ordering(graph, clock_hz=0)
         with pytest.raises(InvalidParameterError):
             select_ordering(graph, candidates=())
 
 
 class TestAutoOrder:
     def test_valid_permutation(self, graph):
-        perm = auto_order(graph, candidates=LIGHT)
+        perm = compute_ordering("auto", graph, query_volume=0)
         assert_valid_permutation(perm, graph.num_nodes)
 
     def test_returns_the_chosen_arrangement(self, graph):
-        decision = select_ordering(graph, candidates=LIGHT)
-        perm = auto_order(graph, candidates=LIGHT)
-        expected = compute_ordering(
-            decision.chosen.ordering, graph, seed=0
-        )
-        assert np.array_equal(perm, expected)
+        decision = select_ordering(graph, query_volume=10**12)
+        perm = compute_ordering("auto", graph, query_volume=10**12)
+        assert np.array_equal(perm, decision.chosen.config.compute(graph))
 
     def test_registry_route_matches_direct_call(self, graph):
         via_registry = compute_ordering(
-            "auto", graph, seed=0, candidates=LIGHT
+            "auto", graph, seed=0, query_volume=10**12, window=3
         )
-        direct = auto_order(graph, seed=0, candidates=LIGHT)
+        direct = select_ordering(
+            graph,
+            query_volume=10**12,
+            candidates=default_candidates(window=3),
+        ).chosen.perm
         assert np.array_equal(via_registry, direct)
 
     def test_unknown_params_dropped(self, graph):
         """The registry's signature filter covers ``auto`` too."""
         perm = compute_ordering(
-            "auto", graph, candidates=LIGHT, temperature=0.5, passes=3,
-            workers=2,
+            "auto", graph, query_volume=0, temperature=0.5, passes=3,
+            workers=2, clock_hz=1e9, candidates=LIGHT, dataset="x",
         )
         assert_valid_permutation(perm, graph.num_nodes)
 

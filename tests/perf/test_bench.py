@@ -396,18 +396,26 @@ class TestFrontierBench:
         assert frontier_payload["bench"] == "selector_frontier"
         assert frontier_payload["within_tolerance"] is True
         assert frontier_payload["max_regret"] >= 0
+        assert frontier_payload["max_suite_regret"] >= 0
+        assert frontier_payload["workload"]["suite"] == [
+            "nq", "bfs", "dfs", "scc", "sp", "pr", "ds", "kcore", "diam",
+        ]
+        assert "pruned" not in json.dumps(frontier_payload)
         assert "manifest" in frontier_payload
 
     def test_dataset_entries(self, frontier_payload):
         for entry in frontier_payload["datasets"].values():
             assert entry["nodes"] > 0
-            assert entry["selected"]["probe_cycles"] > 0
-            assert entry["oracle"]["probe_cycles"] > 0
+            assert entry["selected"]["cycles"] > 0
+            assert entry["oracle"]["cycles"] > 0
             assert entry["regret"] >= 0
             assert entry["within_tolerance"] is True
-            labels = [p["label"] for p in entry["probes"]]
+            labels = [row["label"] for row in entry["rows"]]
             assert entry["selected"]["label"] in labels
             assert entry["oracle"]["label"] in labels
+            # The suite measured the same candidates, in order.
+            assert [row["label"] for row in entry["suite_rows"]] == labels
+            assert entry["suite_best"] in labels
             assert entry["predictors"]["degree_skew"] >= 1.0
 
     def test_selector_within_tolerance_of_oracle(
@@ -416,9 +424,22 @@ class TestFrontierBench:
         """Acceptance: chosen probe cycles within 10% of oracle-best
         on every benchmarked dataset."""
         for entry in frontier_payload["datasets"].values():
-            oracle = entry["oracle"]["probe_cycles"]
-            chosen = entry["selected"]["probe_cycles"]
+            oracle = entry["oracle"]["cycles"]
+            chosen = entry["selected"]["cycles"]
             assert chosen <= 1.10 * oracle
+
+    def test_selector_within_tolerance_of_suite(self, frontier_payload):
+        """Acceptance: the chosen candidate's suite cycles within 10%
+        of the suite's best candidate on every benchmarked dataset."""
+        for entry in frontier_payload["datasets"].values():
+            suite = {
+                row["label"]: row["cycles"] for row in entry["suite_rows"]
+            }
+            chosen = suite[entry["selected"]["label"]]
+            best = min(suite.values())
+            assert suite[entry["suite_best"]] == best
+            assert entry["suite_regret"] == pytest.approx(chosen / best - 1)
+            assert entry["suite_regret"] <= 0.10
 
     def test_json_round_trip(self, frontier_payload, tmp_path):
         path = write_bench_json(
@@ -463,7 +484,7 @@ class TestFrontierBench:
             decision = real(graph, **kwargs)
             inflated = replace(
                 decision.chosen,
-                probe_cycles=decision.chosen.probe_cycles * 10,
+                cycles=decision.chosen.cycles * 10,
             )
             return replace(decision, chosen=inflated)
 
@@ -472,6 +493,33 @@ class TestFrontierBench:
         )
         with pytest.raises(BenchRegressionError, match="frontier"):
             run_frontier_bench(quick_frontier_config())
+
+    def test_suite_guard_raises_past_tolerance(self, monkeypatch):
+        """A pick that wins its probe but loses the suite it stands
+        for fails the benchmark too."""
+        from dataclasses import replace
+
+        from repro.ordering import select as select_module
+        from repro.perf.bench import (
+            quick_frontier_config,
+            run_frontier_bench,
+        )
+
+        real = select_module.amortization_table
+
+        def baseline_wins_suite(workload, graph, configs, seed=0):
+            rows = real(workload, graph, configs, seed)
+            if workload is select_module.PROBE:
+                return rows
+            return [rows[0]] + [
+                replace(row, cycles=row.cycles * 10) for row in rows[1:]
+            ]
+
+        monkeypatch.setattr(
+            select_module, "amortization_table", baseline_wins_suite
+        )
+        with pytest.raises(BenchRegressionError, match="suite"):
+            run_frontier_bench(quick_frontier_config(query_volume=1e12))
 
 
 class TestFrontierBenchCLI:

@@ -77,17 +77,20 @@ def algos_payload(scalar=0.9, runtime=0.2):
     }
 
 
-def selector_payload(regret=0.0, seconds=1.5, cycles=2.0e5):
+def selector_payload(
+    regret=0.0, seconds=1.5, cycles=2.0e5, suite_regret=0.01
+):
     return {
         "schema_version": 1,
         "bench": "selector_frontier",
         "quick": False,
         "datasets": {
-            "epinion": {"selected": {"probe_cycles": cycles}},
-            "pokec": {"selected": {"probe_cycles": cycles / 2}},
+            "epinion": {"selected": {"cycles": cycles}},
+            "pokec": {"selected": {"cycles": cycles / 2}},
         },
         "totals": {"selection_seconds": seconds},
         "max_regret": regret,
+        "max_suite_regret": suite_regret,
         "within_tolerance": True,
         "manifest": {"git_sha": "abc", "machine": "ci"},
     }
@@ -127,6 +130,7 @@ class TestBenchMetrics:
     def test_selector_metrics(self):
         metrics = bench_metrics(selector_payload())
         assert metrics["selector_max_regret"] == 0.0
+        assert metrics["selector_suite_regret"] == 0.01
         assert metrics["selector_selection_seconds"] == 1.5
         assert metrics["selector_chosen_cycles_total"] == (
             pytest.approx(3.0e5)
@@ -157,6 +161,17 @@ class TestBenchMetrics:
         assert not report.ok
         assert any(
             row.metric == "selector_max_regret" and row.regressed
+            for row in report.rows
+        )
+
+    def test_selector_suite_regret_regression_gates(self):
+        records = [
+            history_record(selector_payload(suite_regret=r))
+            for r in (0.02, 0.02, 0.02, 0.08)
+        ]
+        report = trend_report(records)
+        assert any(
+            row.metric == "selector_suite_regret" and row.regressed
             for row in report.rows
         )
 

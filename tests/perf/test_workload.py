@@ -1,5 +1,7 @@
-"""Tests for workloads and amortisation analysis."""
+"""Tests for workloads and the amortisation table (through the
+``repro.perf`` re-exports)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import (
@@ -7,6 +9,7 @@ from repro.errors import (
     UnknownAlgorithmError,
 )
 from repro.graph import generators
+from repro.ordering import OrderingConfig, compute_ordering
 from repro.perf import Workload, amortization_table
 
 
@@ -60,7 +63,8 @@ class TestAmortization:
         )
         by_name = {row.ordering: row for row in rows}
         assert by_name["original"].speedup == pytest.approx(1.0)
-        assert by_name["original"].break_even_runs == float("inf")
+        # The first ordering is the baseline: nothing to pay back.
+        assert by_name["original"].break_even_runs == 0.0
         assert by_name["gorder"].speedup > 1.05
         assert by_name["gorder"].break_even_runs < float("inf")
         assert by_name["random"].speedup < 1.0
@@ -68,7 +72,7 @@ class TestAmortization:
 
     def test_cheap_ordering_amortises_faster(self, graph, pipeline):
         rows = amortization_table(
-            pipeline, graph, ["chdfs", "gorder"]
+            pipeline, graph, ["original", "chdfs", "gorder"]
         )
         by_name = {row.ordering: row for row in rows}
         if by_name["chdfs"].speedup > 1.0:
@@ -77,11 +81,33 @@ class TestAmortization:
                 < by_name["gorder"].break_even_runs
             )
 
-    def test_clock_validation(self, graph, pipeline):
+    def test_needs_an_ordering(self, graph, pipeline):
         with pytest.raises(InvalidParameterError):
-            amortization_table(
-                pipeline, graph, ["original"], clock_hz=0
-            )
+            amortization_table(pipeline, graph, [])
+
+    def test_baseline_computed_once(self, graph, pipeline, monkeypatch):
+        from repro.ordering import base
+
+        calls = []
+        real = base.compute_ordering
+
+        def counting(name, *args, **kwargs):
+            calls.append(name)
+            return real(name, *args, **kwargs)
+
+        monkeypatch.setattr(base, "compute_ordering", counting)
+        amortization_table(pipeline, graph, ["original", "dbg"])
+        assert calls == ["original", "dbg"]
+
+    def test_configs_carry_params(self, graph, pipeline):
+        rows = amortization_table(
+            pipeline, graph,
+            ["original", OrderingConfig("gorder", 0, {"window": 3})],
+        )
+        assert rows[1].label == "gorder[window=3]"
+        assert np.array_equal(
+            rows[1].perm, compute_ordering("gorder", graph, window=3)
+        )
 
 
 class TestExtensionWorkloads:
@@ -97,3 +123,4 @@ class TestExtensionWorkloads:
         rows = amortization_table(mixed, graph, ["gorder"])
         assert rows[0].ordering == "gorder"
         assert rows[0].cycles > 0
+        assert rows[0].speedup == 1.0

@@ -95,6 +95,14 @@ class TestOrderRequest:
             {"dataset": "epinion", "deadline_seconds": "fast"},
             {"dataset": "epinion", "ordering_params": [1]},
             {"dataset": "epinion", "include_permutation": "yes"},
+            # auto's removed knobs: a module constant, a library-only
+            # argument, and the graph's own name.
+            {"dataset": "epinion", "ordering": "auto",
+             "ordering_params": {"clock_hz": 1e9}},
+            {"dataset": "epinion", "ordering": "auto",
+             "ordering_params": {"candidates": ["dbg"]}},
+            {"dataset": "epinion", "ordering": "auto",
+             "ordering_params": {"dataset": "wiki"}},
         ],
     )
     def test_rejects(self, payload):
