@@ -48,14 +48,16 @@ def main() -> None:
             f"{pays_off:>14s}"
         )
 
+    fastest = min(rows, key=lambda row: row.cycles)
+    costliest = max(rows, key=lambda row: row.ordering_seconds)
     print(
-        "\nInterpretation: Gorder gives the fastest pipeline, but its"
-        "\nordering cost is the largest - it only pays off for"
-        "\nworkloads that re-run the pipeline many times (the"
-        "\nreplication's closing observation).  Simpler orders like"
-        "\nChDFS amortise almost immediately."
+        f"\nInterpretation: {fastest.ordering} gives the fastest pipeline,"
+        f"\nand {costliest.ordering} has the largest ordering cost"
+        f" ({costliest.ordering_seconds:.2f}s)."
+        "\nAn ordering only pays off for workloads that re-run the"
+        "\npipeline more often than its break-even count (the"
+        "\nreplication's closing observation)."
     )
-
 
 if __name__ == "__main__":
     main()

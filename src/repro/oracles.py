@@ -12,6 +12,11 @@ the production path matches these literal implementations:
   batched Gorder kernel must match byte for byte, and
   :func:`window_scores_reference`, the per-pair definition of the
   window score;
+* :func:`anneal_reference`, the literal MinLA/MinLogA annealing loop
+  over numpy scalars that
+  :func:`~repro.ordering.minla.minla_order` and
+  :func:`~repro.ordering.minla.minloga_order` must match byte for
+  byte;
 * :func:`dbg_classes_reference`, the pure-python DBG degree classes.
 
 Only tests and the ``bench`` comparisons import this module.  It
@@ -24,6 +29,7 @@ graphs with RNG, file I/O and telemetry patched to raise.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Any, Callable, Sequence
 
@@ -47,12 +53,14 @@ from repro.algorithms.sp import (
 from repro.cache.layout import Memory, TracedArray
 from repro.errors import InvalidParameterError
 from repro.graph.csr import CSRGraph
+from repro.graph.permute import identity_permutation
 from repro.ordering.gorder import DEFAULT_WINDOW, _validate_gorder_params
 from repro.ordering.metrics import pair_score
 from repro.ordering.unit_heap import UnitHeap
 
 __all__ = [
     "TRACED_SCALAR",
+    "anneal_reference",
     "breadth_first_search_traced_scalar",
     "dbg_classes_reference",
     "diameter_traced_scalar",
@@ -345,6 +353,84 @@ def gorder_sequence_reference(
         sequence[i] = chosen
         apply(chosen, entering=True)
     return sequence
+
+
+def anneal_reference(
+    graph: CSRGraph,
+    seed: int,
+    steps: int | None,
+    standard_energy: float | None,
+    logarithmic: bool,
+) -> np.ndarray:
+    """Literal simulated annealing for MinLA (``logarithmic=False``)
+    and MinLogA: one numpy scalar read per position and step.
+
+    The oracle :func:`~repro.ordering.minla.minla_order` and
+    :func:`~repro.ordering.minla.minloga_order` are tested against
+    (byte-identical output, see that module's docstring).
+    """
+    n = graph.num_nodes
+    if n <= 1:
+        return identity_permutation(n)
+    if steps is None:
+        steps = graph.num_edges
+    if steps < 0:
+        raise InvalidParameterError(f"steps must be >= 0, got {steps}")
+    if standard_energy is None:
+        standard_energy = graph.num_edges / n
+    if standard_energy < 0:
+        raise InvalidParameterError(
+            f"standard_energy must be >= 0, got {standard_energy}"
+        )
+    # Incident lists on the undirected view: a swap of u's position only
+    # changes energy terms of edges touching u.
+    undirected = graph.undirected()
+    offsets = undirected.offsets
+    adjacency = undirected.adjacency
+    rng = np.random.default_rng(seed)
+    position = identity_permutation(n)
+    log = math.log
+    use_log = logarithmic
+    k = standard_energy
+    pairs = rng.integers(0, n, size=(steps, 2))
+    coins = rng.random(steps)
+    for step in range(steps):
+        u = int(pairs[step, 0])
+        v = int(pairs[step, 1])
+        if u == v:
+            continue
+        pos_u = int(position[u])
+        pos_v = int(position[v])
+        delta = 0.0
+        for w in adjacency[offsets[u]:offsets[u + 1]]:
+            w = int(w)
+            if w == v:
+                continue  # the (u, v) term is invariant under the swap
+            pos_w = int(position[w])
+            if use_log:
+                delta += log(abs(pos_v - pos_w)) - log(abs(pos_u - pos_w))
+            else:
+                delta += abs(pos_v - pos_w) - abs(pos_u - pos_w)
+        for w in adjacency[offsets[v]:offsets[v + 1]]:
+            w = int(w)
+            if w == u:
+                continue
+            pos_w = int(position[w])
+            if use_log:
+                delta += log(abs(pos_u - pos_w)) - log(abs(pos_v - pos_w))
+            else:
+                delta += abs(pos_u - pos_w) - abs(pos_v - pos_w)
+        if delta > 0.0:
+            if k <= 0.0:
+                continue  # local search: reject all uphill moves
+            temperature = 1.0 - step / steps
+            if temperature <= 0.0:
+                continue
+            if coins[step] >= math.exp(-delta / (k * temperature)):
+                continue
+        position[u] = pos_v
+        position[v] = pos_u
+    return position
 
 
 def window_scores_reference(

@@ -5,6 +5,7 @@ is set (it sweeps every ordering over a 4 000-node crawl).
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -58,3 +59,14 @@ def test_pipeline_example_runs():
     result = run_example("web_crawl_pipeline.py")
     assert result.returncode == 0, result.stderr
     assert "pays off" in result.stdout
+    # The closing text names the costliest ordering of its own table.
+    costs = {
+        fields[0]: float(fields[3].rstrip("s"))
+        for fields in map(str.split, result.stdout.splitlines())
+        if len(fields) >= 5 and fields[3].endswith("s")
+        and fields[2].endswith("x")
+    }
+    named = re.search(
+        r"(\S+) has the largest ordering cost", result.stdout
+    ).group(1)
+    assert costs[named] == max(costs.values()), (named, costs)

@@ -93,6 +93,7 @@ ORACLE_CALLS = {
         (g, np.arange(g.num_nodes)[::-1]), {"window": 3}
     ),
     "dbg_classes_reference": lambda g: ((g.in_degrees(), 4), {}),
+    "anneal_reference": lambda g: ((g, 3, None, None, True), {}),
 }
 
 
