@@ -5,6 +5,7 @@ from repro.algorithms.base import (
     ALGORITHM_NAMES,
     REGISTRY,
     AlgorithmSpec,
+    run_arranged,
     spec,
     traced_fn,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "AlgorithmSpec",
     "spec",
     "traced_fn",
+    "run_arranged",
     "neighbor_query",
     "neighbor_query_traced",
     "breadth_first_search",

@@ -3,7 +3,7 @@
 Each entry couples the *pure* implementation (returns results, used by
 tests and examples) with its *traced* twin (drives the cache
 simulator).  ``source_params`` names parameters holding logical node
-ids; the experiment runner maps those through each ordering's
+ids; :func:`run_arranged` maps those through each ordering's
 permutation so every ordering performs identical logical work.
 """
 
@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Callable
+
+import numpy as np
 
 from repro.algorithms.bfs import (
     breadth_first_search,
@@ -53,7 +55,16 @@ from repro.algorithms.wcc import (
     weakly_connected_components,
     weakly_connected_components_traced,
 )
+from repro.cache import (
+    DEFAULT_COST_MODEL,
+    CacheHierarchy,
+    CacheStats,
+    CostModel,
+    Memory,
+    RunCost,
+)
 from repro.errors import InvalidParameterError, UnknownAlgorithmError
+from repro.graph.csr import CSRGraph
 
 
 @dataclass(frozen=True)
@@ -175,3 +186,39 @@ def spec(name: str) -> AlgorithmSpec:
         raise UnknownAlgorithmError(
             f"unknown algorithm {name!r}; known algorithms: {known}"
         ) from None
+
+
+def run_arranged(
+    algorithm: str,
+    arranged: CSRGraph,
+    perm: np.ndarray,
+    params: dict | None = None,
+    hierarchy: CacheHierarchy | None = None,
+    cost_model: CostModel = DEFAULT_COST_MODEL,
+    cache_backend: str = "replay",
+    algo_backend: str = "runtime",
+) -> tuple[RunCost, CacheStats]:
+    """Run ``algorithm`` traced on ``arranged``, the graph relabelled
+    by ``perm``, on a fresh :class:`~repro.cache.Memory`.
+
+    A parameter named in the algorithm's ``source_params`` holds
+    *logical* node ids of the original graph; they are mapped through
+    ``perm``, so every arrangement does the same logical work.
+    ``hierarchy`` defaults to a fresh scaled hierarchy.
+    """
+    algorithm_spec = spec(algorithm)
+    traced = traced_fn(algorithm_spec, algo_backend)
+    run_params = dict(params or {})
+    for key in algorithm_spec.source_params:
+        if key in run_params:
+            value = run_params[key]
+            if np.isscalar(value):
+                run_params[key] = int(perm[int(value)])
+            else:
+                run_params[key] = [int(perm[int(v)]) for v in value]
+    memory = Memory(
+        hierarchy, cost_model=cost_model, cache_backend=cache_backend
+    )
+    traced(arranged, memory, **run_params)
+    # Reading the cost runs the lazy replay, if any.
+    return memory.cost(), memory.stats()

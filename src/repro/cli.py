@@ -411,16 +411,46 @@ def _cmd_window(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    from repro.ordering import OrderingEvaluation, evaluate_all
+    from repro.ordering import (
+        amortization_table,
+        average_gap,
+        bandwidth,
+        bits_per_edge,
+        gorder_score,
+        minla_energy,
+    )
+    from repro.ordering.select import PROBE
 
     graph = _load_graph(args)
-    evaluations = evaluate_all(graph, seed=args.seed)
+    rows = amortization_table(PROBE, graph, ORDERING_NAMES, args.seed)
+    headers = [
+        "ordering", "F(pi)", "E_LA", "avg-gap", "bandwidth",
+        "bits/edge", "L1-mr", "Cache-mr", "NQ cycles", "speedup",
+        "order-s", "break-even",
+    ]
+    table = [
+        [
+            row.ordering,
+            gorder_score(graph, row.perm),
+            minla_energy(graph, row.perm),
+            f"{average_gap(graph, row.perm):.0f}",
+            bandwidth(graph, row.perm),
+            f"{bits_per_edge(graph, row.perm):.2f}",
+            f"{100 * row.stats.l1_miss_rate:.1f}%",
+            f"{100 * row.stats.cache_miss_rate:.1f}%",
+            f"{row.cycles / 1e6:.2f}M",
+            f"{row.speedup:.3f}",
+            f"{row.ordering_seconds:.3f}",
+            report.format_break_even(row.break_even_runs),
+        ]
+        for row in sorted(rows, key=lambda row: row.cycles)
+    ]
     print(
         report.render_table(
-            OrderingEvaluation.headers(),
-            [evaluation.as_row() for evaluation in evaluations],
+            headers, table,
             title=f"Ordering quality on {graph.name} "
-            "(fastest probe first)",
+            f"(fastest probe first; speedup and break-even against "
+            f"{rows[0].ordering})",
         )
     )
     return 0
@@ -493,11 +523,14 @@ def _cmd_reuse(args: argparse.Namespace) -> int:
 
 
 def _cmd_annealing(args: argparse.Namespace) -> int:
-    results = perf.annealing_sweep(dataset_name=args.dataset)
-    headers = ["steps_x", "k_x", "energy"]
+    minla = perf.annealing_sweep(dataset_name=args.dataset)
+    minloga = perf.annealing_sweep(
+        dataset_name=args.dataset, logarithmic=True
+    )
+    headers = ["steps_x", "k_x", "MinLA energy", "MinLogA energy"]
     rows = [
-        [s, k, f"{energy:,.0f}"]
-        for (s, k), energy in sorted(results.items())
+        [s, k, f"{energy:,.0f}", f"{minloga[s, k]:,.0f}"]
+        for (s, k), energy in sorted(minla.items())
     ]
     print(
         report.render_table(

@@ -20,7 +20,6 @@ from repro.graph.permute import (
 )
 from repro.graph.stats import GraphSummary, summarize
 from repro.graph.subgraph import induced_subgraph
-from repro.graph.validation import ValidationReport, validate_graph
 
 __all__ = [
     "CSRGraph",
@@ -39,8 +38,6 @@ __all__ = [
     "load_permutation",
     "summarize",
     "GraphSummary",
-    "validate_graph",
-    "ValidationReport",
     "validate_permutation",
     "identity_permutation",
     "invert_permutation",

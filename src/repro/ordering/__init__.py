@@ -17,12 +17,6 @@ from repro.ordering.compression import (
     elias_gamma_bits,
     gap_encoding_bits,
 )
-from repro.ordering.evaluation import (
-    OrderingEvaluation,
-    evaluate_all,
-    evaluate_ordering,
-    probe_arrangement,
-)
 from repro.ordering.gorder import (
     DEFAULT_WINDOW,
     gorder_naive,
@@ -111,10 +105,6 @@ __all__ = [
     "partition_nodes",
     "gorder_extend",
     "append_identity",
-    "OrderingEvaluation",
-    "evaluate_ordering",
-    "evaluate_all",
-    "probe_arrangement",
     "LINE_NODES",
     "StructuralPredictors",
     "compute_predictors",

@@ -14,7 +14,8 @@ nightly pipeline: 3-iteration PageRank + SCC + two diameter probes").
 :class:`~repro.ordering.base.OrderingConfig` — the ordering's
 wall-time measured, the relabelled graph simulated — and reports one
 :class:`AmortizationRow` per candidate, with the break-even run count
-against the first candidate (the baseline).
+against the first candidate (the baseline).  ``repro-gorder evaluate``
+prints this table over the probe for every headline ordering.
 
 :func:`select_ordering` is that table over the NQ probe workload
 (:data:`PROBE`), followed by an argmin of amortised seconds at the
@@ -35,7 +36,7 @@ import numpy as np
 
 from repro import obs
 from repro.algorithms import base as algorithms
-from repro.cache import Memory, scaled_hierarchy
+from repro.cache import CacheStats
 from repro.errors import InvalidParameterError
 from repro.graph.csr import CSRGraph
 from repro.graph.permute import relabel
@@ -60,9 +61,10 @@ DEFAULT_QUERY_VOLUME = 100_000
 class Workload:
     """A repeatable mix of algorithm runs over one graph.
 
-    Step parameters reach every arrangement unchanged: a node id in
-    them (an SP source, Diam sources) names a node of the relabelled
-    graph, not of the original one.
+    A node id in a step's parameters (an SP source, Diam sources)
+    names a node of the original graph: each arrangement maps it
+    through its permutation, as :func:`~repro.perf.simulate` does, so
+    every arrangement does the same logical work.
     """
 
     name: str
@@ -86,15 +88,22 @@ class Workload:
             algorithms.spec(algorithm)  # validate names eagerly
         return cls(name, tuple(normalised))
 
-    def cycles(self, graph: CSRGraph) -> float:
-        """Total simulated cycles of one workload execution, each
+    def run(
+        self, graph: CSRGraph, perm: np.ndarray
+    ) -> tuple[float, CacheStats]:
+        """Total simulated cycles and summed cache statistics of one
+        workload execution on ``graph`` arranged by ``perm``, each
         step on a cold scaled hierarchy."""
-        total = 0.0
+        arranged = relabel(graph, perm)
+        cycles = 0.0
+        stats = CacheStats.zero()
         for algorithm, params in self.steps:
-            memory = Memory(scaled_hierarchy())
-            algorithms.spec(algorithm).traced(graph, memory, **params)
-            total += memory.cost().total_cycles
-        return total
+            cost, step_stats = algorithms.run_arranged(
+                algorithm, arranged, perm, params
+            )
+            cycles += cost.total_cycles
+            stats += step_stats
+        return cycles, stats
 
 
 #: The selector's probe: one cold NQ run, a query's access pattern.
@@ -110,6 +119,8 @@ class AmortizationRow:
     config: OrderingConfig
     #: Simulated cycles of one workload run on the arranged graph.
     cycles: float
+    #: Cache statistics of that run, summed over its steps.
+    stats: CacheStats
     #: Baseline cycles over these cycles.
     speedup: float
     ordering_seconds: float
@@ -176,7 +187,7 @@ def amortization_table(
         start = time.perf_counter()
         perm = config.compute(graph)
         ordering_seconds = time.perf_counter() - start
-        cycles = workload.cycles(relabel(graph, perm))
+        cycles, stats = workload.run(graph, perm)
         baseline = rows[0].cycles if rows else cycles
         saved_seconds = (baseline - cycles) / CLOCK_HZ
         if not rows:
@@ -189,6 +200,7 @@ def amortization_table(
             AmortizationRow(
                 config=config,
                 cycles=cycles,
+                stats=stats,
                 speedup=baseline / cycles if cycles else float("inf"),
                 ordering_seconds=ordering_seconds,
                 break_even_runs=break_even,

@@ -107,6 +107,7 @@ from repro.graph.generators import social_graph
 from repro.ioutil import atomic_write_text
 from repro.ordering.gorder import DEFAULT_WINDOW, gorder_sequence
 from repro.ordering.parallel import gorder_partitioned
+from repro.perf.report import format_break_even
 
 #: Current BENCH_gorder.json schema version.
 BENCH_SCHEMA_VERSION = 1
@@ -884,14 +885,6 @@ def run_frontier_bench(
     }
 
 
-def _format_break_even(value: float | None) -> str:
-    if value is None or value == float("inf"):
-        return "never"
-    if value == 0:
-        return "baseline"
-    return f"{value:,.0f} queries"
-
-
 def render_frontier_bench(payload: dict) -> str:
     """Human-readable summary of one frontier benchmark payload."""
     workload = payload["workload"]
@@ -918,7 +911,7 @@ def render_frontier_bench(payload: dict) -> str:
                 f"{row['ordering_seconds']:8.4f}s  "
                 f"suite {suite_cycles[row['label']] / 1e6:8.2f}M  "
                 f"break-even "
-                f"{_format_break_even(row['break_even_runs'])}"
+                f"{format_break_even(row['break_even_runs'])}"
             )
         lines.append(
             f"  selected {entry['selected']['label']} "

@@ -193,6 +193,16 @@ def render_heatmap(
     return "\n".join(lines)
 
 
+def format_break_even(value: float | None) -> str:
+    """An amortisation break-even in NQ probe runs (queries); ``None``
+    is JSON's ``inf``."""
+    if value is None or value == float("inf"):
+        return "never"
+    if value == 0:
+        return "baseline"
+    return f"{value:,.0f} queries"
+
+
 def _fmt(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.3g}" if abs(value) < 1000 else f"{value:,.0f}"

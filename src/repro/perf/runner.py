@@ -39,7 +39,6 @@ from repro.cache import (
     CacheHierarchy,
     CacheStats,
     CostModel,
-    Memory,
     RunCost,
     scaled_hierarchy,
 )
@@ -571,10 +570,10 @@ def simulate(
 ) -> RunResult:
     """Run ``algorithm`` on ``graph`` arranged by ``config``.
 
-    ``params`` are forwarded to the traced algorithm; any parameter
-    named in the algorithm's ``source_params`` is interpreted as
-    *logical* node ids on the original graph and mapped through the
-    ordering's permutation, so every ordering does identical work.
+    The run itself is :func:`repro.algorithms.run_arranged`: ``params``
+    are forwarded to the traced algorithm, with any parameter named in
+    the algorithm's ``source_params`` read as *logical* node ids on the
+    original graph, so every ordering does identical work.
     ``cache_backend``/``algo_backend`` only forward
     :class:`~repro.perf.experiments.Profile`'s fields to the simulator
     (:class:`~repro.cache.Memory`, :func:`repro.algorithms.traced_fn`);
@@ -582,15 +581,14 @@ def simulate(
     counter-identical to it.
     ``cancel_check`` is a cooperative cancellation hook (the serve
     daemon's deadline enforcement): it is invoked at the phase
-    boundaries of the run — before the ordering is computed, after
-    relabeling, and before the simulation — and while the run waits
+    boundaries of the run — before the ordering is computed, and
+    between relabeling and the simulation — and while the run waits
     on another caller's computation of the same ordering; it should
     raise to abandon the run.
     """
     # None check, not truthiness: an empty OrderingCache is falsy.
     cache = GLOBAL_ORDERING_CACHE if cache is None else cache
     algorithm_spec = algorithms.spec(algorithm)
-    traced = algorithms.traced_fn(algorithm_spec, algo_backend)
     if cancel_check is not None:
         cancel_check()
     relabeled, perm, ordering_seconds = cache.relabeled(
@@ -598,20 +596,7 @@ def simulate(
     )
     if cancel_check is not None:
         cancel_check()
-    run_params = dict(params or {})
-    for key in algorithm_spec.source_params:
-        if key in run_params:
-            value = run_params[key]
-            if np.isscalar(value):
-                run_params[key] = int(perm[int(value)])
-            else:
-                run_params[key] = [int(perm[int(v)]) for v in value]
     hierarchy = hierarchy or scaled_hierarchy()
-    memory = Memory(
-        hierarchy, cost_model=cost_model, cache_backend=cache_backend
-    )
-    if cancel_check is not None:
-        cancel_check()
     with obs.span(
         "run.simulate",
         dataset=dataset_name or graph.name,
@@ -622,11 +607,11 @@ def simulate(
         algo_backend=algo_backend,
     ):
         start = time.perf_counter()
-        traced(relabeled, memory, **run_params)
-        # Reading cost/stats triggers the lazy replay (if any) inside
-        # the timed simulate span, and before the counter publish.
-        cost = memory.cost()
-        stats = memory.stats()
+        cost, stats = algorithms.run_arranged(
+            algorithm_spec.name, relabeled, perm, params,
+            hierarchy=hierarchy, cost_model=cost_model,
+            cache_backend=cache_backend, algo_backend=algo_backend,
+        )
         simulation_seconds = time.perf_counter() - start
     hierarchy.publish_telemetry()
     return RunResult(

@@ -7,15 +7,15 @@ import pytest
 
 from repro.errors import InvalidParameterError
 from repro.graph import generators
-from repro.graph.permute import relabel
 from repro.ordering import (
     OrderingConfig,
+    amortization_table,
     compute_ordering,
     default_candidates,
-    probe_arrangement,
     select_ordering,
 )
 from repro.ordering.select import PROBE
+from repro.perf import OrderingCache, simulate
 
 from tests.conftest import assert_valid_permutation
 
@@ -76,9 +76,11 @@ class TestSelectOrdering:
     def test_probe_is_one_nq_run(self, graph):
         decision = select_ordering(graph, candidates=LIGHT)
         for row in decision.rows:
-            perm = compute_ordering(row.ordering, graph)
-            assert row.cycles == probe_arrangement(graph, perm)[0]
-            assert row.cycles == PROBE.cycles(relabel(graph, perm))
+            result = simulate(
+                graph, "nq", row.config, cache=OrderingCache()
+            )
+            assert row.cycles == result.cost.total_cycles
+            assert row.stats == result.stats
 
     def test_zero_volume_picks_cheapest_ordering(self, graph):
         # With no queries to amortise over, ordering cost is the whole
@@ -125,6 +127,28 @@ class TestSelectOrdering:
             select_ordering(graph, query_volume=-1)
         with pytest.raises(InvalidParameterError):
             select_ordering(graph, candidates=())
+
+
+class TestProbeTable:
+    """The NQ probe table ``select_ordering`` and ``repro-gorder
+    evaluate`` both read."""
+
+    def test_gorder_probe_beats_random(self, graph):
+        rows = amortization_table(PROBE, graph, ["random", "gorder"], 1)
+        assert rows[1].cycles < rows[0].cycles
+        assert rows[1].speedup > 1.0
+
+    def test_ordering_seconds_recorded(self, graph):
+        for row in amortization_table(
+            PROBE, graph, ["original", "gorder"]
+        ):
+            assert 0 <= row.ordering_seconds < float("inf")
+
+    def test_stats_populated(self, graph):
+        for row in amortization_table(PROBE, graph, LIGHT):
+            assert row.stats.l1_refs > graph.num_nodes
+            assert 0 <= row.stats.l1_miss_rate <= 1
+            assert 0 <= row.stats.cache_miss_rate <= 1
 
 
 class TestAutoOrder:

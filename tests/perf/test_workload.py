@@ -8,9 +8,14 @@ from repro.errors import (
     InvalidParameterError,
     UnknownAlgorithmError,
 )
-from repro.graph import generators
+from repro.graph import generators, identity_permutation
 from repro.ordering import OrderingConfig, compute_ordering
-from repro.perf import Workload, amortization_table
+from repro.perf import (
+    OrderingCache,
+    Workload,
+    amortization_table,
+    simulate,
+)
 
 
 @pytest.fixture(scope="module")
@@ -44,16 +49,49 @@ class TestWorkload:
             Workload.of("w", "frobnicate")
 
     def test_cycles_positive_and_deterministic(self, graph, pipeline):
-        a = pipeline.cycles(graph)
-        b = pipeline.cycles(graph)
-        assert a > 0
+        identity = identity_permutation(graph.num_nodes)
+        a = pipeline.run(graph, identity)
+        b = pipeline.run(graph, identity)
+        assert a[0] > 0
         assert a == b
 
     def test_cycles_additive(self, graph):
-        nq_only = Workload.of("a", "nq").cycles(graph)
-        double = Workload.of("b", "nq", "nq").cycles(graph)
+        identity = identity_permutation(graph.num_nodes)
+        nq_only, nq_stats = Workload.of("a", "nq").run(graph, identity)
+        double, double_stats = Workload.of("b", "nq", "nq").run(
+            graph, identity
+        )
         # Two cold runs cost exactly twice one cold run (fresh caches).
         assert double == pytest.approx(2 * nq_only)
+        assert double_stats == nq_stats + nq_stats
+
+
+class TestMatchesSimulate:
+    """A workload step does the logical work ``simulate`` does: node
+    ids in its parameters are mapped through each arrangement."""
+
+    @pytest.mark.parametrize("ordering", ["dbg", "gorder"])
+    @pytest.mark.parametrize(
+        "step",
+        [
+            ("sp", {"source": 3}),
+            ("dsssp", {"source": 5}),
+            ("diam", {"sources": [1, 4]}),
+        ],
+        ids=lambda step: step[0],
+    )
+    def test_step_equals_simulate(self, graph, step, ordering):
+        algorithm, params = step
+        config = OrderingConfig(ordering)
+        cycles, stats = Workload.of("one", step).run(
+            graph, config.compute(graph)
+        )
+        result = simulate(
+            graph, algorithm, config, params=params,
+            cache=OrderingCache(),
+        )
+        assert cycles == result.cost.total_cycles
+        assert stats == result.stats
 
 
 class TestAmortization:
@@ -116,7 +154,10 @@ class TestExtensionWorkloads:
         mixed = Workload.of(
             "analytics", "wcc", "tc", ("lp", {"iterations": 2})
         )
-        assert mixed.cycles(graph) > 0
+        cycles, _ = mixed.run(
+            graph, identity_permutation(graph.num_nodes)
+        )
+        assert cycles > 0
 
     def test_amortization_on_extension_workload(self, graph):
         mixed = Workload.of("analytics", "wcc")
@@ -124,3 +165,4 @@ class TestExtensionWorkloads:
         assert rows[0].ordering == "gorder"
         assert rows[0].cycles > 0
         assert rows[0].speedup == 1.0
+        assert rows[0].stats.l1_refs > 0

@@ -143,7 +143,9 @@ class TestCommands:
 
     def test_annealing(self, capsys):
         assert main(["annealing", "--dataset", "epinion"]) == 0
-        assert "energy" in capsys.readouterr().out
+        output = capsys.readouterr().out
+        assert "MinLA energy" in output
+        assert "MinLogA energy" in output
 
     def test_error_reported_cleanly(self, capsys):
         assert main(["run", "--dataset", "doesnotexist"]) == 1
@@ -188,6 +190,58 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "F(pi)" in output
         assert "bits/edge" in output
+
+
+class TestEvaluate:
+    """``evaluate`` is the NQ probe's amortisation table over every
+    headline ordering, plus the locality columns."""
+
+    HEADERS = [
+        "ordering", "F(pi)", "E_LA", "avg-gap", "bandwidth",
+        "bits/edge", "L1-mr", "Cache-mr", "NQ cycles", "speedup",
+        "order-s", "break-even",
+    ]
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        import contextlib
+        import io
+
+        from repro.ordering import ORDERING_NAMES
+
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["evaluate", "--dataset", "epinion"]) == 0
+        lines = out.getvalue().splitlines()
+        rows = [line.split() for line in lines[3:] if line.strip()]
+        assert len(rows) == len(ORDERING_NAMES)
+        return lines[1], rows
+
+    def test_headers(self, table):
+        header_line, _ = table
+        positions = [header_line.find(name) for name in self.HEADERS]
+        assert -1 not in positions
+        assert positions == sorted(positions)
+
+    def test_one_row_per_ordering(self, table):
+        from repro.ordering import ORDERING_NAMES
+
+        _, rows = table
+        assert sorted(row[0] for row in rows) == sorted(ORDERING_NAMES)
+
+    def test_fastest_probe_first(self, table):
+        _, rows = table
+        speedups = [float(row[self.HEADERS.index("speedup")])
+                    for row in rows]
+        assert speedups == sorted(speedups, reverse=True)
+
+    def test_break_even_against_original(self, table):
+        _, rows = table
+        by_name = {row[0]: row for row in rows}
+        assert by_name["original"][-1] == "baseline"
+        assert by_name["original"][self.HEADERS.index("speedup")] == (
+            "1.000"
+        )
 
 
 class TestRetiredBackendFlags:

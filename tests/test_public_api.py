@@ -63,3 +63,33 @@ class TestExports:
             if not (module.__doc__ or "").strip():
                 missing.append(module_info.name)
         assert not missing, f"modules without docstrings: {missing}"
+
+
+#: Names deleted from the public packages, with the package that
+#: exported them.  ``repro-gorder evaluate`` is the NQ probe's
+#: amortisation table now, and nothing used the graph validator.
+REMOVED = [
+    (ordering, "OrderingEvaluation"),
+    (ordering, "evaluate_ordering"),
+    (ordering, "evaluate_all"),
+    (ordering, "probe_arrangement"),
+    (graph, "validate_graph"),
+    (graph, "ValidationReport"),
+]
+
+
+class TestRemovedNames:
+    @pytest.mark.parametrize(
+        "package, name", REMOVED,
+        ids=lambda item: getattr(item, "__name__", item),
+    )
+    def test_absent(self, package, name):
+        assert not hasattr(package, name)
+        assert name not in getattr(package, "__all__", [])
+
+    @pytest.mark.parametrize(
+        "module", ["repro.ordering.evaluation", "repro.graph.validation"]
+    )
+    def test_module_gone(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            __import__(module)
