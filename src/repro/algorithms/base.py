@@ -9,6 +9,7 @@ permutation so every ordering performs identical logical work.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -203,22 +204,34 @@ def run_arranged(
 
     A parameter named in the algorithm's ``source_params`` holds
     *logical* node ids of the original graph; they are mapped through
-    ``perm``, so every arrangement does the same logical work.
+    ``perm``, so every arrangement does the same logical work.  An
+    omitted scalar source is the traced function's default, mapped the
+    same way (an omitted ``None`` stays the function's own choice).
     ``hierarchy`` defaults to a fresh scaled hierarchy.
     """
     algorithm_spec = spec(algorithm)
     traced = traced_fn(algorithm_spec, algo_backend)
     run_params = dict(params or {})
+    defaults = inspect.signature(traced).parameters
     for key in algorithm_spec.source_params:
-        if key in run_params:
-            value = run_params[key]
-            if np.isscalar(value):
-                run_params[key] = int(perm[int(value)])
-            else:
-                run_params[key] = [int(perm[int(v)]) for v in value]
+        value = run_params.get(key, defaults[key].default)
+        if value is None:
+            continue
+        if np.isscalar(value):
+            run_params[key] = _arranged_id(perm, value)
+        else:
+            run_params[key] = [_arranged_id(perm, v) for v in value]
     memory = Memory(
         hierarchy, cost_model=cost_model, cache_backend=cache_backend
     )
     traced(arranged, memory, **run_params)
     # Reading the cost runs the lazy replay, if any.
     return memory.cost(), memory.stats()
+
+
+def _arranged_id(perm: np.ndarray, node) -> int:
+    """The id of logical ``node`` in the arrangement ``perm``.  An id
+    outside the graph passes through unchanged, so the algorithm's own
+    range check reports it."""
+    node = int(node)
+    return int(perm[node]) if 0 <= node < perm.shape[0] else node

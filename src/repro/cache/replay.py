@@ -35,19 +35,38 @@ Two classifier implementations back :func:`hit_mask`:
   offset-packed sorted rows), O(n log^2 n) array work, valid for any
   associativity and any line-id range.
 * the *blocked* fast path — per-set subtraces are chunked into
-  blocks of a power-of-two width; each block is prefixed with the
-  top-``A`` LRU stack entering it (computed once for all blocks by an
-  associative parallel prefix scan over block summaries), after which
-  every block classifies independently: pack-sort for previous
-  occurrences, a level-doubling inversion count for in-window
-  distinct totals.  Work is O(n log ROW) with small numpy constants;
-  it requires ``associativity <= 64`` and line ids below ``2**23``
-  (int32 packing headroom) and silently defers to the reference path
-  otherwise.
+  blocks of a power-of-two width; every block gets the top-``A`` LRU
+  stack entering it (computed once for all blocks by an associative
+  parallel prefix scan over block summaries), after which all blocks
+  classify together, one of two ways:
 
-The mathematics shared by both: within one cache set, an access at
-local time ``t`` to a line previously seen at ``P[t]`` has LRU stack
-distance
+  - *lockstep replay*, when there are at least
+    :data:`LOCKSTEP_MIN_ROWS` blocks: one ``(A, blocks)`` stack array
+    steps through the block columns, each step a comparison OR'd down
+    the ways, a shift of the entries above the match and a push.  That
+    is LRU itself, exact by construction, in about ``A + 5`` numpy
+    calls per column whatever the block count;
+  - the *inversion pyramid* otherwise: each block is prefixed with
+    its incoming stack, a pack-sort finds previous occurrences and a
+    level-doubling inversion count gives in-window distinct totals,
+    hence exact stack distances (the formula below).
+
+  The lockstep needs none of the pyramid's prefix rows, sort keys or
+  count tables, so a full 2**18-access window of the scaled L1 (2 sets
+  x 8 ways, about 1 500 blocks) peaks at 47-55 B per access instead of
+  100-136 B and classifies in about 60-70% of the time.  Narrow
+  windows keep the pyramid: the lockstep's per-column calls run on
+  small arrays, where numpy holds the GIL.  With two threads replaying
+  the 27 traces a serve daemon replays (three datasets, nine
+  algorithms), the median call took 29-30 ms on the pyramid, 35-44 ms
+  with lockstep everywhere and 29-34 ms with the 1024-block rule.
+  The fast path requires ``associativity <= 64`` and line ids below
+  ``2**23`` (int32 packing headroom) and silently defers to the
+  reference path otherwise.
+
+The mathematics shared by the reference and the pyramid: within one
+cache set, an access at local time ``t`` to a line previously seen at
+``P[t]`` has LRU stack distance
 
     ``d(t) = (t - 1 - P[t]) - #{s < t : P[s] > P[t]}``
 
@@ -101,6 +120,13 @@ FAST_MAX_WAYS = 64
 #: costs a fig5-sized trace of 300k accesses a few percent more time
 #: in per-window overhead.
 WINDOW = 1 << 18
+
+#: Fewest blocks for which the blocked classifier replays its blocks
+#: in lockstep (:func:`_lockstep_hits`) instead of building the
+#: inversion pyramid.  The lockstep issues a few numpy calls per block
+#: column whatever the block count, and numpy holds the GIL on small
+#: arrays, so narrow windows keep the pyramid.
+LOCKSTEP_MIN_ROWS = 1024
 
 
 # ----------------------------------------------------------------------
@@ -297,12 +323,13 @@ def _classify_blocks(s_lines, starts, lens, ways: int, data_width: int):
     ``starts[i] : starts[i] + lens[i]``); consecutive equal lines must
     already be collapsed (the caller's distance-0 pass).
     ``data_width`` (a power of two) is the number of trace cells per
-    block; the ``ways``-deep incoming stack prefix lives *outside* the
-    block, so index arithmetic below stays shift-and-mask.
+    block.  Every block's incoming stack comes from a prefix scan of
+    block summaries; the blocks are then classified together, by
+    lockstep replay when there are at least :data:`LOCKSTEP_MIN_ROWS`
+    of them and by the inversion pyramid otherwise.
     """
     n = s_lines.size
     data_bits = data_width.bit_length() - 1
-    row_width = ways + data_width  # prefix + data, prev-pack coords
     num_sets = starts.size
     blocks_per_set = -(-lens // data_width)
     row_offset = np.concatenate([[0], np.cumsum(blocks_per_set)[:-1]])
@@ -321,48 +348,64 @@ def _classify_blocks(s_lines, starts, lens, ways: int, data_width: int):
     )
     data.reshape(-1)[flat] = s_lines
 
-    # ---- block summaries: last `ways` distinct lines, newest first.
-    # Pack-sort (line << data_bits | column) groups equal lines with
-    # ascending positions; the last entry of each group is the line's
-    # final occurrence in the block.  (A negative sentinel times a
-    # power of two has zeroed low bits, so or-ing the column in and
-    # shifting back out is exact for sentinels too.)
-    pack = data << np.int32(data_bits)
-    pack |= cols
-    pack.sort(axis=1)
-    packed_line = pack >> np.int32(data_bits)
-    packed_col = pack & np.int32(data_width - 1)
-    last = np.empty((num_rows, data_width), dtype=bool)
-    last[:, -1] = True
-    np.not_equal(packed_line[:, 1:], packed_line[:, :-1], out=last[:, :-1])
-    last &= packed_line >= 0  # sentinels never enter a summary
-    idx_last = np.flatnonzero(last)
-    row_last = idx_last >> np.int64(data_bits)
-    flags = np.zeros((num_rows, data_width), dtype=bool)
-    flags.reshape(-1)[
-        (row_last << np.int64(data_bits))
-        + packed_col.reshape(-1)[idx_last]
-    ] = True
-    # Bounded by construction: each row holds at most 2*ways <= 32
-    # flags, so the running count fits uint8 with headroom.
-    fwd = np.cumsum(  # repro: noqa[REP004]
-        flags, axis=1, dtype=np.uint8
+    states = _incoming_stacks(
+        _block_summaries(data, ways), row_set, int(blocks_per_set.max())
     )
-    total = fwd[:, -1:]
-    kept = flags & ((total - fwd) < ways)  # newest `ways` finals
-    idx_kept = np.flatnonzero(kept)
-    row_kept = idx_kept >> np.int64(data_bits)
-    rank = (
-        total.reshape(-1)[row_kept] - fwd.reshape(-1)[idx_kept]
-    ).astype(np.int64)
-    summary = np.full((num_rows, ways), _EMPTY_SLOT, dtype=np.int32)
-    summary.reshape(-1)[row_kept * ways + rank] = data.reshape(-1)[idx_kept]
+    if num_rows >= LOCKSTEP_MIN_ROWS:
+        hit = _lockstep_hits(data, states, min(data_width, int(lens.max())))
+    else:
+        hit = _pyramid_hits(data, states)
+    return hit.reshape(-1)[flat]
 
-    # ---- incoming stack per block: masked inclusive prefix scan of
-    # summaries within each set (Hillis–Steele; _compose associates).
+
+def _block_summaries(data, ways: int) -> np.ndarray:
+    """Each row's last ``ways`` distinct lines, newest first, as a
+    ``(rows, ways)`` int32 array padded with :data:`_EMPTY_SLOT`.
+
+    Pack-sort (line << data_bits | column) groups equal lines with
+    ascending positions; the last entry of each group is the line's
+    final occurrence in the block.  (A negative sentinel times a power
+    of two has zeroed low bits, so or-ing the column in and shifting
+    back out is exact for sentinels too.)  Each final occurrence is
+    then repacked as (age << 23 | line), age 0 being the row's last
+    column, every other cell as a key above them all; the ``ways``
+    smallest keys of a row are its summary, newest first.
+    """
+    num_rows, data_width = data.shape
+    data_bits = data_width.bit_length() - 1
+    pack = data << np.int32(data_bits)
+    pack |= np.arange(data_width, dtype=np.int32)
+    pack.sort(axis=1)
+    line = pack >> np.int32(data_bits)
+    final = np.empty((num_rows, data_width), dtype=bool)
+    final[:, -1] = True
+    np.not_equal(line[:, 1:], line[:, :-1], out=final[:, :-1])
+    final &= line >= 0  # sentinels never enter a summary
+    # The key fits int32: age < data_width <= 128 above 23 line bits.
+    pack &= np.int32(data_width - 1)
+    np.subtract(np.int32(data_width - 1), pack, out=pack)
+    pack <<= np.int32(23)
+    pack |= line
+    stale = np.int32(data_width << 23)
+    np.copyto(pack, stale, where=~final)
+    take = min(ways, data_width)
+    if take < data_width:
+        pack = np.partition(pack, take - 1, axis=1)[:, :take]
+    pack.sort(axis=1)
+    summary = np.full((num_rows, ways), _EMPTY_SLOT, dtype=np.int32)
+    summary[:, :take] = np.where(
+        pack < stale, pack & np.int32(FAST_LINE_LIMIT - 1), _EMPTY_SLOT
+    )
+    return summary
+
+
+def _incoming_stacks(summary, row_set, max_blocks: int) -> np.ndarray:
+    """Each row's incoming stack, newest first: a masked exclusive
+    prefix scan of the block summaries within each set (Hillis–Steele;
+    :func:`_compose` associates).  A set's first row starts empty."""
+    num_rows, ways = summary.shape
     comp = summary.copy()
     shift = 1
-    max_blocks = int(blocks_per_set.max())
     while shift < max_blocks:
         idx = np.arange(shift, num_rows)
         ok = row_set[idx] == row_set[idx - shift]
@@ -373,6 +416,16 @@ def _classify_blocks(s_lines, starts, lens, ways: int, data_width: int):
     has_prev = np.zeros(num_rows, dtype=bool)
     has_prev[1:] = row_set[1:] == row_set[:-1]
     states[has_prev] = comp[np.flatnonzero(has_prev) - 1]
+    return states
+
+
+def _pyramid_hits(data, states) -> np.ndarray:
+    """Hit mask of ``data`` (``(rows, width)`` int32, negative padding)
+    from exact in-row stack distances, all rows at once."""
+    num_rows, data_width = data.shape
+    ways = states.shape[1]
+    data_bits = data_width.bit_length() - 1
+    row_width = ways + data_width  # prefix + data, prev-pack coords
 
     # ---- full rows: replaying the incoming stack deepest-first as
     # `ways` prefix accesses reproduces it exactly, so in-row stack
@@ -467,7 +520,39 @@ def _classify_blocks(s_lines, starts, lens, ways: int, data_width: int):
     prev = prev1.astype(np.int16) - 1
     distance = (local_t - 1 - prev) - inversions
     hit = (prev >= 0) & (distance < ways)
-    return hit.reshape(-1)[flat]
+    return hit
+
+
+def _lockstep_hits(data, states, columns: int) -> np.ndarray:
+    """Hit mask of ``data`` (``(rows, width)`` int32, negative padding)
+    by replaying every row's LRU stack at once, one column per step.
+
+    ``states`` holds each row's incoming stack, newest first.  The
+    stacks are held as one ``(ways, rows)`` array: a column's line is
+    found by one comparison OR'd down the ways, the entries above the
+    match shift down one and the line goes on top (on a miss the whole
+    stack shifts and the bottom drops out).  That is LRU itself, so the
+    verdicts are exact.  Padding lines are negative and distinct from
+    every stack sentinel, so they never hit, and they only ever follow
+    a row's data.  Only the first ``columns`` columns are replayed.
+    """
+    num_rows, ways = states.shape
+    stack = np.ascontiguousarray(states.T)
+    lines = np.ascontiguousarray(data[:, :columns].T)
+    hits = np.empty((columns, num_rows), dtype=bool)
+    found = np.empty((ways, num_rows), dtype=bool)
+    moved = np.empty((ways - 1, num_rows), dtype=np.int32)
+    for column, line in enumerate(lines):
+        np.equal(stack, line, out=found)
+        for way in range(1, ways):
+            np.logical_or(found[way], found[way - 1], out=found[way])
+        hits[column] = found[-1]
+        np.copyto(moved, stack[:-1])
+        np.copyto(stack[1:], moved, where=~found[:-1])
+        stack[0] = line
+    hit = np.zeros(data.shape, dtype=bool)
+    hit[:, :columns] = hits.T
+    return hit
 
 
 def _data_width_for(mean_len: float) -> int:

@@ -493,9 +493,8 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 
 
 def _cmd_reuse(args: argparse.Namespace) -> int:
-    from repro.algorithms import spec as algorithm_spec
+    from repro.algorithms import run_arranged
     from repro.cache import (
-        Memory,
         RecordingHierarchy,
         median_reuse_distance,
         miss_curve,
@@ -507,8 +506,10 @@ def _cmd_reuse(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     perm = compute_ordering(args.ordering, graph, seed=0)
     recorder = RecordingHierarchy(scaled_hierarchy())
-    algorithm_spec(args.algorithm).traced(
-        relabel(graph, perm), Memory(recorder)
+    # Through run_arranged, so a source names the same logical node
+    # under every ordering; the recorder makes the run step scalar.
+    run_arranged(
+        args.algorithm, relabel(graph, perm), perm, hierarchy=recorder
     )
     distances = reuse_distances(recorder.trace())
     curve = miss_curve(distances, [16, 64, 256, 1024])

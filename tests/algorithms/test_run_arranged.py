@@ -5,8 +5,11 @@ import pytest
 
 from repro.algorithms import REGISTRY, run_arranged, traced_fn
 from repro.cache import Memory, scaled_hierarchy
-from repro.graph import generators, relabel
-from repro.ordering import compute_ordering
+from repro.errors import InvalidParameterError
+from repro.graph import datasets, generators, relabel
+from repro.ordering import OrderingConfig, compute_ordering
+from repro.ordering.select import Workload
+from repro.perf import simulate
 
 
 @pytest.fixture(scope="module")
@@ -66,3 +69,49 @@ class TestRunArranged:
         params = {"sources": [3, 7]}
         run_arranged("diam", arranged_graph, perm, params)
         assert params == {"sources": [3, 7]}
+
+    @pytest.mark.parametrize("name", ["sp", "dsssp"])
+    def test_omitted_source_is_logical_node_zero(self, arranged, name):
+        arranged_graph, perm = arranged
+        assert int(perm[0]) != 0  # the arrangement moves node 0
+        cost, stats = run_arranged(name, arranged_graph, perm)
+        oracle_cost, oracle_stats = oracle_run(
+            name, arranged_graph, source=int(perm[0])
+        )
+        assert cost.total_cycles == oracle_cost.total_cycles
+        assert stats == oracle_stats
+
+    @pytest.mark.parametrize("source", [-1, 500])
+    def test_source_outside_the_graph_is_reported(self, arranged, source):
+        arranged_graph, perm = arranged
+        with pytest.raises(InvalidParameterError, match="out of range"):
+            run_arranged("sp", arranged_graph, perm, {"source": source})
+
+
+class TestOmittedSourceEndToEnd:
+    """Under ``random`` on epinion, node 0 of the relabelled graph is
+    logical node 163: SP from it took 424 558 cycles, SP from logical
+    node 0 takes 419 048."""
+
+    CYCLES = 419_048
+
+    @pytest.fixture(scope="class")
+    def epinion(self):
+        return datasets.load("epinion")
+
+    def test_simulate(self, epinion):
+        config = OrderingConfig("random")
+        omitted = simulate(epinion, "sp", config)
+        explicit = simulate(epinion, "sp", config, {"source": 0})
+        assert omitted.cycles == explicit.cycles == self.CYCLES
+        assert omitted.stats == explicit.stats
+
+    def test_workload_step(self, epinion):
+        perm = compute_ordering("random", epinion)
+        assert int(perm[0]) == 163
+        omitted = Workload.of("sp", "sp").run(epinion, perm)
+        explicit = Workload.of("sp", ("sp", {"source": 0})).run(
+            epinion, perm
+        )
+        assert omitted == explicit
+        assert omitted[0] == self.CYCLES
