@@ -233,7 +233,7 @@ def delta_stepping_traced(
 
 
 def _check_params(graph: CSRGraph, source: int, delta: int) -> None:
-    if not 0 <= source < max(graph.num_nodes, 1):
+    if not 0 <= source < graph.num_nodes:
         raise InvalidParameterError(
             f"source {source} out of range for {graph.num_nodes} nodes"
         )

@@ -131,7 +131,7 @@ def _propagate(
         traced_adjacency = memory.array(
             "u_adjacency", undirected.num_edges, 4
         )
-        touch_label_all = memory.array("labels", n, 4).touch_all
+        touch_label_many = memory.array("labels", n, 4).touch_many
         touch_next = memory.array("next_labels", n, 4).touch
     for _ in range(iterations):
         changed = False
@@ -143,7 +143,7 @@ def _propagate(
             if memory is not None:
                 traced_offsets.touch(u)
                 traced_adjacency.touch_run(start, end - start)
-                touch_label_all(adjacency[start:end])
+                touch_label_many(adjacency[start:end])
             counts: dict[int, int] = {}
             for v in adjacency[start:end].tolist():
                 label = int(labels[v])

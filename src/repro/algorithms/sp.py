@@ -117,7 +117,7 @@ def shortest_paths_traced(
 
 
 def _check_source(graph: CSRGraph, source: int) -> None:
-    if not 0 <= source < max(graph.num_nodes, 1):
+    if not 0 <= source < graph.num_nodes:
         raise InvalidParameterError(
             f"source {source} out of range for {graph.num_nodes} nodes"
         )

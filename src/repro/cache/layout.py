@@ -80,7 +80,7 @@ class TracedArray:
 
     Create via :meth:`Memory.array`.  ``touch(i)`` models reading or
     writing element ``i``; ``touch_many(indices)`` models one reference
-    per index, in order (``touch_all`` is a retained alias);
+    per index, in order;
     ``touch_run(start, count)`` models a sequential scan and exploits
     the guarantee that consecutive elements on one line hit L1 after
     the line is first referenced; ``touch_runs(starts, lengths)`` is
@@ -131,10 +131,12 @@ class TracedArray:
     def touch_many(self, indices) -> None:
         """Model one reference per element of ``indices``, in order.
 
-        Semantically ``for i in indices: self.touch(i)``; in replay
-        mode the whole batch is captured as one vectorised trace
-        segment, which removes the per-edge Python from the traced
-        algorithms' hot loops.
+        Semantically ``for i in indices: self.touch(i)``.  In replay
+        mode the batch is appended to the record as touch codes in one
+        call, so it is decoded and bounds-checked when results are read,
+        like a :meth:`Memory.touch_sink` code; only an index that would
+        carry into another array's slot (outside ``±2**47``) is
+        rejected here.
         """
         idx = np.asarray(indices)
         if idx.ndim != 1:
@@ -149,28 +151,24 @@ class TracedArray:
         if idx.shape[0] == 0:
             return
         memory = self.memory
-        if memory._record:
-            # Deferred: conversion, bounds check and line arithmetic
-            # all happen vectorised at freeze time (see TraceBuffer).
-            memory._trace.record_many(
-                idx, self.base, self.itemsize, self.length, self.name
-            )
-            return
-        idx = idx.astype(np.int64, copy=False)
-        if int(idx.min()) < 0 or int(idx.max()) >= self.length:
+        low, high = (
+            (-INDEX_BIAS, INDEX_BIAS) if memory._record
+            else (0, self.length)
+        )
+        if int(idx.min()) < low or int(idx.max()) >= high:
             raise InvalidParameterError(
                 f"touch_many indices outside array {self.name!r} "
                 f"of length {self.length}"
             )
+        idx = idx.astype(np.int64, copy=False)
+        if memory._record:
+            memory._trace.touches.frombytes((idx + self.code).tobytes())
+            return
         lines = (self.base + idx * self.itemsize) >> memory._line_shift
         counts = memory._level_counts
         access = memory._hierarchy.access
         for line in lines.tolist():
             counts[access(line)] += 1
-
-    def touch_all(self, indices) -> None:
-        """Alias of :meth:`touch_many` (the original spelling)."""
-        self.touch_many(indices)
 
     def touch_run(self, start: int, count: int) -> None:
         """Model a sequential scan of ``count`` elements from ``start``.

@@ -7,17 +7,17 @@ the same way PR 3's batched kernel removed it from the ordering side:
 record now, compute later, array-wise.
 
 * :class:`TraceBuffer` is the record side.  ``Memory`` (in replay
-  mode) appends single demand touches as packed int64 *touch codes*
-  (``slot << 48`` plus a bias plus the element index) to one
-  ``array('q')`` (the hottest path), run-compresses sequential scans
-  and stores bulk touch batches *by reference* — code decoding,
-  bounds checking and line arithmetic are all deferred to
-  ``freeze()``, which interleaves everything back into one flat
-  line-id access stream in a handful of numpy passes.  The frontier runtime
-  (:mod:`repro.algorithms.runtime`) bypasses even the deferred
-  channels: it pre-resolves whole per-iteration access vectors to
-  line ids and demand flags and appends them via ``record_block`` —
-  one Python call per frontier advance instead of one per access.
+  mode) appends single demand touches, and ``touch_many`` batches, as
+  packed int64 *touch codes* (``slot << 48`` plus a bias plus the
+  element index) to one ``array('q')`` (the hottest path).  Everything
+  else is a *segment* in one list in record order: a run-compressed
+  sequential scan, or a block of line ids and demand flags that the
+  frontier runtime (:mod:`repro.algorithms.runtime`) pre-resolves per
+  iteration and appends via ``record_block`` — one Python call per
+  frontier advance instead of one per access.  Code decoding, bounds
+  checking and line arithmetic are deferred to ``freeze()``, which
+  interleaves everything back into one flat line-id access stream in
+  a handful of numpy passes.
 * :func:`hit_mask` classifies every access of a line stream against
   one set-associative LRU level — **exactly**, not approximately.
   ``CacheHierarchy.replay`` chains it level by level (each level's
@@ -87,9 +87,10 @@ scalar stepping for those geometries.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
-from collections.abc import Callable, Sequence
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any
 
 import numpy as np
@@ -780,51 +781,40 @@ def unknown_slot(code: int) -> InvalidParameterError:
 class TraceBuffer:
     """Growable record of touches, cheap to append and cheap to freeze.
 
-    Four channels, interleaved by position at freeze time:
+    The record is two lists, interleaved by position at freeze time:
 
     * ``touches`` — one ``array('q')`` of single demand touches, each a
       packed touch code (see :func:`touch_code`): 8 bytes per touch and
       no int object kept alive.  ``touches.append`` is the hottest
       record-mode operation; :meth:`Memory.touch_sink
       <repro.cache.layout.Memory.touch_sink>` hands it to the
-      sequential emitters directly.  ``slots`` (the declared arrays, in
-      slot order, each with ``name``, ``length``, ``itemsize`` and
-      ``base``) decodes the codes to line ids at freeze time;
-    * runs — ``touch_run`` scans, stored as (first line, line count,
-      element count) triples;
-    * bulk batches — ``touch_all`` index arrays, stored **by
-      reference** together with the owning array's layout.  No numpy
-      work happens at record time; ``freeze()`` converts, bounds-checks
-      and maps all batches to line ids in one vectorised pass.  The
-      caller must not mutate an index array between ``record_many``
-      and ``freeze`` (the traced algorithms never do — they pass
-      adjacency slices that stay untouched).
-    * blocks — pre-resolved interleaved access vectors from the
-      frontier runtime (:meth:`record_block`): line ids and demand
-      flags already in emission order, stored **by reference**.  The
-      block channel is how :mod:`repro.algorithms.runtime` appends a
-      whole frontier advance in one call.
+      sequential emitters directly, and ``TracedArray.touch_many``
+      appends a whole index batch as codes in one call.  ``slots``
+      (the declared arrays, in slot order, each with ``name``,
+      ``length``, ``itemsize`` and ``base``) decodes the codes to line
+      ids at freeze time;
+    * segments — one list, in record order, of ``(position, first
+      line, accesses, extra L1 refs, prefetched lines)``.  A *run*
+      (``touch_run``: the first line demand, the rest prefetched) has
+      ``first line >= 0``.  A *block* (:meth:`record_block`: the
+      frontier runtime's pre-resolved line ids and demand flags in
+      emission order, one call per frontier advance) has ``first line
+      == -1``; its two arrays are kept **by reference** in a dict
+      keyed by the segment's index.
 
-    Each run/batch/block (a *segment*) remembers the ``touches`` length
-    at record time (its interleave position: it precedes that touch)
-    and a global sequence number (its order relative to other segments
-    at the same position).  Both grow with every record, so each
-    channel list is sorted by either.  A :attr:`mark` — a touch count
-    and a sequence number — therefore cuts the record in two, and
-    ``freeze(start, stop)`` freezes the window between two marks;
-    :meth:`window_end` picks marks about :data:`WINDOW` accesses apart.
-    Bounds errors in touch codes and deferred batches surface when
-    their window is frozen — that is, when results are first read —
-    rather than at touch time; the exception type matches the scalar
-    path's.
+    A segment's position is the ``touches`` length at record time: it
+    precedes that touch.  A :attr:`mark` — a touch count and a segment
+    count — therefore cuts the record in two, and ``freeze(start,
+    stop)`` freezes the window between two marks; :meth:`window_end`
+    picks marks about :data:`WINDOW` accesses apart.  Bounds errors in
+    touch codes surface when their window is frozen — that is, when
+    results are first read — rather than at touch time; the exception
+    type matches the scalar path's.
     """
 
     __slots__ = (
         "touches", "slots", "_line_shift",
-        "_runs",
-        "_many_idx", "_many_meta", "_many_names",
-        "_blocks", "_block_meta",
-        "_seq", "_segment_refs",
+        "_segments", "_blocks", "_segment_refs",
         "extra_l1", "prefetched_refs",
     )
 
@@ -834,16 +824,10 @@ class TraceBuffer:
         self.touches = array("q")
         self.slots = slots
         self._line_shift = line_shift
-        #: (seq, position, first line, line count, element count).
-        self._runs: list[tuple[int, int, int, int, int]] = []
-        self._many_idx: list[np.ndarray] = []
-        #: (seq, position, base, itemsize, array length).
-        self._many_meta: list[tuple[int, int, int, int, int]] = []
-        self._many_names: list[str] = []
-        self._blocks: list[tuple[np.ndarray, np.ndarray]] = []
-        #: (seq, position, extra L1 references, prefetched lines).
-        self._block_meta: list[tuple[int, int, int, int]] = []
-        self._seq = 0
+        #: (position, first line, accesses, extra L1, prefetched).
+        self._segments: list[tuple[int, int, int, int, int]] = []
+        #: Block ``(lines, demand)`` arrays by segment index.
+        self._blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._segment_refs = 0
         self.extra_l1 = 0
         self.prefetched_refs = 0
@@ -856,38 +840,19 @@ class TraceBuffer:
     @property
     def mark(self) -> tuple[int, int]:
         """A watermark that moves whenever anything is recorded: the
-        touch count and the next segment sequence number."""
-        return len(self.touches), self._seq
+        touch count and the segment count."""
+        return len(self.touches), len(self._segments)
 
     def record_run(self, line0: int, nlines: int, count: int) -> None:
         """A sequential scan: ``count`` elements spanning ``nlines``
         consecutive lines from ``line0`` (first line demand, the rest
         prefetched, later elements on a line L1 hits)."""
-        self._runs.append(
-            (self._seq, len(self.touches), line0, nlines, count)
+        self._segments.append(
+            (len(self.touches), line0, nlines, count - 1, nlines - 1)
         )
-        self._seq += 1
         self._segment_refs += count
         self.extra_l1 += count - 1
         self.prefetched_refs += nlines - 1
-
-    def record_many(
-        self,
-        indices: np.ndarray,
-        base: int,
-        itemsize: int,
-        length: int,
-        name: str,
-    ) -> None:
-        """A batch of single-element demand touches, deferred: the
-        index array is kept by reference and resolved at freeze."""
-        self._many_meta.append(
-            (self._seq, len(self.touches), base, itemsize, length)
-        )
-        self._many_idx.append(indices)
-        self._many_names.append(name)
-        self._seq += 1
-        self._segment_refs += int(indices.shape[0])
 
     def record_runs(
         self,
@@ -899,18 +864,15 @@ class TraceBuffer:
         :meth:`record_run` once per element (all arrays int64, aligned,
         every count >= 1)."""
         num = line0s.shape[0]
-        pos = len(self.touches)
-        seq0 = self._seq
-        self._runs.extend(
+        self._segments.extend(
             zip(
-                range(seq0, seq0 + num),
-                (pos,) * num,
+                (len(self.touches),) * num,
                 line0s.tolist(),
                 nlines.tolist(),
-                counts.tolist(),
+                (counts - 1).tolist(),
+                (nlines - 1).tolist(),
             )
         )
-        self._seq += num
         total = int(counts.sum())
         self._segment_refs += total
         self.extra_l1 += total - num
@@ -931,11 +893,10 @@ class TraceBuffer:
         run-compressed element references that are L1 hits by
         construction; ``prefetched`` is the prefetched-line count the
         block contributes to ``Memory.prefetched_refs``."""
-        self._block_meta.append(
-            (self._seq, len(self.touches), extra_l1, prefetched)
+        self._blocks[len(self._segments)] = (lines, demand)
+        self._segments.append(
+            (len(self.touches), -1, lines.shape[0], extra_l1, prefetched)
         )
-        self._blocks.append((lines, demand))
-        self._seq += 1
         self._segment_refs += int(demand.sum()) + extra_l1
         self.extra_l1 += extra_l1
         self.prefetched_refs += prefetched
@@ -950,50 +911,28 @@ class TraceBuffer:
         holds at least one.  Never past the current :attr:`mark`.
         """
         t0, s0 = start
-        t_end, _ = self.mark
-        limit = t0 + WINDOW  # a segment placed later cannot fit
-        seqs: list[int] = []
-        positions: list[int] = []
-        sizes: list[int] = []
-        next_pos = t_end
-        # Each channel's entries with the access count of entry ``i``.
-        channels: tuple[
-            tuple[Sequence[tuple[int, ...]], Callable[[int], int]], ...
-        ] = (
-            (self._runs, lambda i: self._runs[i][3]),
-            (self._many_meta, lambda i: self._many_idx[i].shape[0]),
-            (self._block_meta, lambda i: self._blocks[i][0].shape[0]),
+        t_end, s_end = self.mark
+        segments = self._segments
+        # A segment placed after touch t0 + WINDOW cannot fit, and each
+        # segment but an empty block spans >= 1 access, so at most
+        # WINDOW + 1 of them can matter.
+        hi = min(
+            bisect_right(segments, t0 + WINDOW, s0, key=itemgetter(0)),
+            s0 + WINDOW + 1,
         )
-        for entries, size in channels:
-            lo = bisect_left(entries, (s0,))
-            # Each segment but an empty block spans >= 1 access, so at
-            # most WINDOW + 1 of them can matter.
-            hi = min(
-                bisect_right(entries, limit, lo, key=_position),
-                lo + WINDOW + 1,
-            )
-            if hi < len(entries):
-                next_pos = min(next_pos, entries[hi][1])
-            for i in range(lo, hi):
-                seqs.append(entries[i][0])
-                positions.append(entries[i][1])
-                sizes.append(size(i))
-        order = np.argsort(np.asarray(seqs, dtype=np.int64))
-        seq = np.asarray(seqs, dtype=np.int64)[order]
-        # Only an unbroken run of sequence numbers from s0 is known to
-        # hold every segment up to its end.
-        gap = np.flatnonzero(seq != s0 + np.arange(seq.shape[0]))
-        count = int(gap[0]) if gap.shape[0] else seq.shape[0]
-        pos = np.asarray(positions, dtype=np.int64)[order][:count]
-        cum = np.cumsum(np.asarray(sizes, dtype=np.int64)[order][:count])
-        # Accesses from the window start to the end of each segment.
-        ends = pos - t0 + cum
-        fit = int(np.searchsorted(ends, WINDOW, side="right"))
-        if fit < count:
-            next_pos = int(pos[fit])
-        before = int(cum[fit - 1]) if fit else 0
+        next_pos = segments[hi][0] if hi < s_end else t_end
+        fit = before = 0
+        if hi > s0:
+            table = np.asarray(segments[s0:hi], dtype=np.int64)
+            cum = np.cumsum(table[:, 2])
+            # Accesses from the window start to the end of each segment.
+            ends = table[:, 0] - t0 + cum
+            fit = int(np.searchsorted(ends, WINDOW, side="right"))
+            if fit < hi - s0:
+                next_pos = int(table[fit, 0])
+            before = int(cum[fit - 1]) if fit else 0
         touch = min(t0 + WINDOW - before, next_pos, t_end)
-        if touch == t0 and not fit and count:
+        if touch == t0 and not fit and hi > s0:
             fit = 1  # one oversized segment opens the window
         return touch, s0 + fit
 
@@ -1031,146 +970,58 @@ class TraceBuffer:
         codes >>= np.int64(self._line_shift)
         return codes
 
-    # ------------------------------------------------------------------
-    def _resolve_batches(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
-        """Convert deferred batches ``lo:hi``: one concatenation, one
-        bounds check, one line-id computation for all of them."""
-        meta = np.asarray(self._many_meta[lo:hi], dtype=np.int64)
-        batches = self._many_idx[lo:hi]
-        lens = np.fromiter(
-            (a.shape[0] for a in batches),
-            dtype=np.int64,
-            count=len(batches),
-        )
-        idx = np.concatenate(batches).astype(np.int64, copy=False)
-        lengths = np.repeat(meta[:, 4], lens)
-        bad = (idx < 0) | (idx >= lengths)
-        if bad.any():
-            first = int(np.argmax(bad))
-            batch = int(np.searchsorted(np.cumsum(lens), first, side="right"))
-            raise InvalidParameterError(
-                f"touch_many indices outside array "
-                f"{self._many_names[lo + batch]!r} of length "
-                f"{int(meta[batch, 4])}"
-            )
-        lines = (
-            np.repeat(meta[:, 2], lens) + idx * np.repeat(meta[:, 3], lens)
-        ) >> np.int64(self._line_shift)
-        return meta[:, 0], meta[:, 1], lens, lines
-
     def freeze(
         self,
         start: tuple[int, int] = (0, 0),
         stop: tuple[int, int] | None = None,
     ) -> CacheTrace:
-        """Interleave the channels into one flat :class:`CacheTrace`:
-        the whole record by default, or the window between two marks
-        (``stop`` defaults to the current :attr:`mark`)."""
+        """Interleave touches and segments into one flat
+        :class:`CacheTrace`: the whole record by default, or the window
+        between two marks (``stop`` defaults to the current
+        :attr:`mark`)."""
         t0, s0 = start
         t1, s1 = self.mark if stop is None else stop
         touches = self._resolve_touches(t0, t1)
-        num_touches = touches.shape[0]
-        lo = bisect_left(self._runs, (s0,))
-        hi = bisect_left(self._runs, (s1,), lo)
-        if hi > lo:
-            runs = np.asarray(self._runs[lo:hi], dtype=np.int64)
-            run_seq, run_pos = runs[:, 0], runs[:, 1] - t0
-            run_line0, run_nlines = runs[:, 2], runs[:, 3]
-            extra_l1 = int(runs[:, 4].sum()) - runs.shape[0]
-            prefetched = int(run_nlines.sum()) - runs.shape[0]
-        else:
-            run_seq = run_pos = run_line0 = run_nlines = _EMPTY
-            extra_l1 = prefetched = 0
-        lo = bisect_left(self._many_meta, (s0,))
-        hi = bisect_left(self._many_meta, (s1,), lo)
-        if hi > lo:
-            many_seq, many_pos, many_lens, many_lines = (
-                self._resolve_batches(lo, hi)
-            )
-            many_pos = many_pos - t0
-        else:
-            many_seq = many_pos = many_lens = many_lines = _EMPTY
-        lo = bisect_left(self._block_meta, (s0,))
-        hi = bisect_left(self._block_meta, (s1,), lo)
-        blocks = self._blocks[lo:hi]
-        if blocks:
-            block_meta = np.asarray(self._block_meta[lo:hi], dtype=np.int64)
-            block_seq, block_pos = block_meta[:, 0], block_meta[:, 1] - t0
-            extra_l1 += int(block_meta[:, 2].sum())
-            prefetched += int(block_meta[:, 3].sum())
-            block_lens = np.fromiter(
-                (b.shape[0] for b, _ in blocks),
-                dtype=np.int64,
-                count=len(blocks),
-            )
-        else:
-            block_seq = block_pos = block_lens = _EMPTY
-        num_runs = run_seq.shape[0]
-        num_batches = many_seq.shape[0]
-        num_blocks = block_seq.shape[0]
-        num_segments = num_runs + num_batches + num_blocks
-        # Merge the three (each already seq-sorted) segment channels:
-        # rank every segment by its global sequence number.
-        seq_all = np.concatenate([run_seq, many_seq, block_seq])
-        rank = np.empty(num_segments, dtype=np.int64)
-        rank[np.argsort(seq_all, kind="stable")] = np.arange(num_segments)
-        run_at = rank[:num_runs]
-        many_at = rank[num_runs:num_runs + num_batches]
-        block_at = rank[num_runs + num_batches:]
-        seg_pos = np.empty(num_segments, dtype=np.int64)
-        seg_pos[run_at] = run_pos
-        seg_pos[many_at] = many_pos
-        seg_pos[block_at] = block_pos
-        seg_len = np.empty(num_segments, dtype=np.int64)
-        seg_len[run_at] = run_nlines
-        seg_len[many_at] = many_lens
-        seg_len[block_at] = block_lens
-        cum_len = np.cumsum(seg_len)
-        # A segment recorded at position p precedes touches[p]; its
-        # expanded start is p singles plus every earlier segment.
-        seg_start = seg_pos + cum_len - seg_len
-        total = num_touches + (int(cum_len[-1]) if num_segments else 0)
-        touch_at = np.arange(num_touches, dtype=np.int64)
-        if num_segments:
-            before = np.searchsorted(seg_pos, touch_at, side="right")
-            touch_at = touch_at + np.where(
-                before > 0, cum_len[np.maximum(before - 1, 0)], 0
-            )
+        table = np.asarray(self._segments[s0:s1], dtype=np.int64)
+        table = table.reshape(-1, 5)
+        pos, first, size = table[:, 0] - t0, table[:, 1], table[:, 2]
+        # A segment recorded at position p precedes touches[p]: it
+        # starts after p singles and every earlier segment, and each
+        # touch comes after every segment placed at or before it.
+        cum = np.zeros(size.shape[0] + 1, dtype=np.int64)
+        np.cumsum(size, out=cum[1:])
+        seg_start = pos + cum[:-1]
+        touch_at = np.arange(touches.shape[0], dtype=np.int64)
+        touch_at += cum[np.searchsorted(pos, touch_at, side="right")]
+        total = touches.shape[0] + int(cum[-1])
         lines = np.empty(total, dtype=np.int64)
         lines[touch_at] = touches
         demand = np.ones(total, dtype=bool)
-        if num_runs:
-            run_cum = np.cumsum(run_nlines)
-            ramp = np.arange(int(run_cum[-1]), dtype=np.int64) - np.repeat(
-                run_cum - run_nlines, run_nlines
-            )
-            at = np.repeat(seg_start[run_at], run_nlines) + ramp
-            lines[at] = np.repeat(run_line0, run_nlines) + ramp
-            demand[at[ramp > 0]] = False  # prefetched fills
-        if num_batches:
-            batch_cum = np.cumsum(many_lens)
-            ramp = np.arange(
-                int(batch_cum[-1]), dtype=np.int64
-            ) - np.repeat(batch_cum - many_lens, many_lens)
-            lines[np.repeat(seg_start[many_at], many_lens) + ramp] = (
-                many_lines
-            )
-        if num_blocks:
-            block_cum = np.cumsum(block_lens)
-            ramp = np.arange(
-                int(block_cum[-1]), dtype=np.int64
-            ) - np.repeat(block_cum - block_lens, block_lens)
-            at = np.repeat(seg_start[block_at], block_lens) + ramp
-            lines[at] = np.concatenate([b for b, _ in blocks])
-            demand[at] = np.concatenate([d for _, d in blocks])
+        run = first >= 0
+        at, ramp = _spans(seg_start[run], size[run])
+        lines[at] = np.repeat(first[run], size[run]) + ramp
+        demand[at[ramp > 0]] = False  # prefetched fills
+        blocks = np.flatnonzero(~run)
+        if blocks.shape[0]:
+            at, _ = _spans(seg_start[blocks], size[blocks])
+            arrays = [self._blocks[s0 + i] for i in blocks.tolist()]
+            lines[at] = np.concatenate([b for b, _ in arrays])
+            demand[at] = np.concatenate([d for _, d in arrays])
         return CacheTrace(
             lines=lines,
             demand_idx=np.flatnonzero(demand),
-            extra_l1=extra_l1,
-            prefetched_refs=prefetched,
+            extra_l1=int(table[:, 3].sum()),
+            prefetched_refs=int(table[:, 4].sum()),
         )
 
 
-def _position(entry: tuple[int, ...]) -> int:
-    """A segment entry's interleave position (its second field)."""
-    return entry[1]
+def _spans(
+    starts: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``starts[i] + k`` for ``k < sizes[i]``, concatenated, and
+    the offsets ``k``."""
+    ends = np.cumsum(sizes)
+    offset = np.arange(
+        int(ends[-1]) if ends.shape[0] else 0, dtype=np.int64
+    ) - np.repeat(ends - sizes, sizes)
+    return np.repeat(starts, sizes) + offset, offset

@@ -88,14 +88,14 @@ def neighbor_query_traced_scalar(
     adjacency = graph.adjacency
     degrees = graph.out_degrees()
     q = np.zeros(n, dtype=np.int64)
-    touch_degree_all = traced_degree.touch_all
+    touch_degree_many = traced_degree.touch_many
     for u in range(n):
         traced.offsets.touch(u)
         start = int(offsets[u])
         end = int(offsets[u + 1])
         traced.adjacency.touch_run(start, end - start)
         neighbors = adjacency[start:end]
-        touch_degree_all(neighbors)
+        touch_degree_many(neighbors)
         traced_q.touch(u)
         q[u] = degrees[neighbors].sum()
     return q
@@ -224,7 +224,7 @@ def pagerank_traced_scalar(
     rank = np.full(n, 1.0 / n, dtype=np.float64)
     next_rank = np.zeros(n, dtype=np.float64)
     teleport = (1.0 - damping) / n
-    touch_next_all = traced_next.touch_all
+    touch_next_many = traced_next.touch_many
     for _ in range(iterations):
         next_rank[:] = 0.0
         dangling_mass = 0.0
@@ -240,7 +240,7 @@ def pagerank_traced_scalar(
             start = int(offsets[u])
             traced.adjacency.touch_run(start, degree)
             neighbors = adjacency[start:start + degree]
-            touch_next_all(neighbors)  # the random per-edge writes
+            touch_next_many(neighbors)  # the random per-edge writes
             # np.add.at applies element-wise in index order — the
             # float accumulation is bitwise the per-edge loop's, and
             # next_rank is this iteration's local accumulator, so the

@@ -229,11 +229,11 @@ def run_gorder_bench(
         run_batched = lambda: gorder_sequence(  # noqa: E731
             graph, window=config.window
         )
-        loop_seq, loop_seconds = _timed(run_loop, config.repeats)
-        batched_seq, batched_seconds = _timed(
+        loop_sequence, loop_seconds = _timed(run_loop, config.repeats)
+        batched_sequence, batched_seconds = _timed(
             run_batched, config.repeats
         )
-        identical = bool(np.array_equal(loop_seq, batched_seq))
+        identical = bool(np.array_equal(loop_sequence, batched_sequence))
         if not identical:
             raise BenchRegressionError(
                 "Gorder diverged from its loop reference on "

@@ -1,12 +1,13 @@
 """``run_arranged``: the one function that runs an algorithm on an
 arranged graph, checked against the simulator and emitter oracles."""
 
+import numpy as np
 import pytest
 
 from repro.algorithms import REGISTRY, run_arranged, traced_fn
 from repro.cache import Memory, scaled_hierarchy
 from repro.errors import InvalidParameterError
-from repro.graph import datasets, generators, relabel
+from repro.graph import datasets, empty_graph, generators, relabel
 from repro.ordering import OrderingConfig, compute_ordering
 from repro.ordering.select import Workload
 from repro.perf import simulate
@@ -115,3 +116,27 @@ class TestOmittedSourceEndToEnd:
         )
         assert omitted == explicit
         assert omitted[0] == self.CYCLES
+
+
+class TestEmptyGraph:
+    """A graph with no nodes has no source: SP and DSSSP report it as
+    a parameter error on every path, as Diam does."""
+
+    @pytest.fixture(scope="class")
+    def empty(self):
+        return empty_graph(0)
+
+    @pytest.mark.parametrize("name", ["sp", "dsssp"])
+    @pytest.mark.parametrize(
+        "path", ["pure", "runtime", "scalar", "run_arranged", "simulate"]
+    )
+    def test_source_is_reported(self, empty, name, path):
+        with pytest.raises(InvalidParameterError, match="out of range"):
+            if path == "pure":
+                REGISTRY[name].pure(empty)
+            elif path in ("runtime", "scalar"):
+                traced_fn(REGISTRY[name], path)(empty, Memory())
+            elif path == "run_arranged":
+                run_arranged(name, empty, np.arange(0))
+            else:
+                simulate(empty, name, OrderingConfig("original", 0))

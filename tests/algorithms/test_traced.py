@@ -10,7 +10,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.algorithms import REGISTRY
+from repro.algorithms import REGISTRY, traced_fn
 from repro.cache import Memory, scaled_hierarchy
 from repro.graph import datasets, from_edges, generators, relabel
 from repro.ordering import gorder_order, random_order
@@ -157,6 +157,77 @@ class TestSequentialTracePins:
     def test_wiki_trace_pinned(self, name):
         memory = Memory()
         REGISTRY[name].traced(datasets.load("wiki"), memory)
+        trace = memory.recorded_trace()
+        digests = tuple(
+            hashlib.sha256(
+                np.ascontiguousarray(array, dtype=np.int64).tobytes()
+            ).hexdigest()
+            for array in (trace.lines, trace.demand_idx)
+        )
+        assert digests == self.PINNED[name]
+
+
+class TestEmitterTracePins:
+    """SHA-256 of the whole-record frozen trace (``lines`` and
+    ``demand_idx``) on ``wiki`` of every other kind of emitter: the
+    frontier runtime's blocks (NQ, BFS, SP, PR, LP, Diam), WKcore's
+    batched runs (``touch_runs``), and the NQ, PR and LP scalar oracles'
+    ``touch_many`` batches.  A scalar oracle records the same accesses
+    in the same order as its runtime port, so the two share a pin."""
+
+    PINNED = {
+        "bfs": (
+            "8be5e6c487c8004ae861b134eb06397e"
+            "89bee89a063078f5ffb3006ae2bfbb4a",
+            "6088ac8addafb881e00ef3e4a1e2b0f4"
+            "dc2c596f4af659ad9f9dbd90dab8267d",
+        ),
+        "diam": (
+            "cb96ca519305266c488f78b0b5bdd9cf"
+            "7b783609499a9b669a18bdc699a25f33",
+            "f2441fa00ee8d1c50d7e075980aa9023"
+            "c0e935f533caceef0b61b20665a23f85",
+        ),
+        "lp": (
+            "95f81b81a651d9608349dc1439a9f428"
+            "252659a8ed50bd49e04f4726d8c98015",
+            "c85f1477a00a2bee84741f8e8690b50d"
+            "aaead4f78157b1149d268b950b4dd896",
+        ),
+        "nq": (
+            "d37769335dc3a580663ec2d8b7147bf0"
+            "3655477dd68cc86bd140e8cf321d2658",
+            "3887a5a757840081d88851d9415f7e9d"
+            "c5860a2ece538c013962a029f76ed25d",
+        ),
+        "pr": (
+            "101143ff3c96ed67dba3b4c0660a858d"
+            "66bbd36d7b107e0fb7e751c1d0994739",
+            "b8c5e96fc8ff4606b360604af75085a8"
+            "63736dc1f2bedf8236ee6e8dd1fdade2",
+        ),
+        "sp": (
+            "1957fa2708ebd86c4ada374d29d92791"
+            "b461dcd4e4f000f64844332406948fe7",
+            "97eda5d323673468685baf26e4637735"
+            "34c722ee0098b9f483fbae9c55a8b3d9",
+        ),
+        "wkcore": (
+            "c1bcfa4a67c2d6e40fdba5e6fbb27798"
+            "90fac97f70e58dac9285d4cdfa3e4e88",
+            "1b271935920ab7dfa65f0c18c4e86365"
+            "7cc3fb009363f6305cec2b432817533e",
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "name, backend",
+        [(name, "runtime") for name in sorted(PINNED)]
+        + [(name, "scalar") for name in ("lp", "nq", "pr")],
+    )
+    def test_wiki_trace_pinned(self, name, backend):
+        memory = Memory()
+        traced_fn(REGISTRY[name], backend)(datasets.load("wiki"), memory)
         trace = memory.recorded_trace()
         digests = tuple(
             hashlib.sha256(

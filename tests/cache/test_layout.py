@@ -336,9 +336,26 @@ class TestBatchTouchApis:
     def test_touch_many_deferred_bounds_raise_at_freeze(self):
         memory = small_replay_memory()
         array = memory.array("edges", 8, 4)
-        array.touch_many(np.asarray([0, 8]))  # recorded by reference
+        array.touch_many(np.asarray([0, 8]))  # recorded as touch codes
         with pytest.raises(InvalidParameterError, match="'edges'"):
             memory.level_counts
+
+    def test_touch_many_rejects_slot_aliasing_indices_at_once(self):
+        # A touch code holds its index in 48 biased bits: an index
+        # outside +-2**47 would decode as another array's element.
+        memory = small_replay_memory()
+        array = memory.array("edges", 8, 4)
+        for bad in (
+            np.asarray([0, 1 << 47]),
+            np.asarray([-(1 << 47) - 1]),
+            np.asarray([1 << 63], dtype=np.uint64),
+        ):
+            with pytest.raises(InvalidParameterError, match="'edges'"):
+                array.touch_many(bad)
+        assert memory.total_refs == 0  # nothing was recorded
+        array.touch_many(np.asarray([-(1 << 47), (1 << 47) - 1]))
+        with pytest.raises(InvalidParameterError, match="'edges'"):
+            memory.level_counts  # in range of the code, not the array
 
     def test_touch_many_rejects_bad_shapes_and_dtypes(self):
         array = small_memory().array("a", 8, 4)

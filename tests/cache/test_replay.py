@@ -209,26 +209,27 @@ class TestTraceBuffer:
         buffer = TraceBuffer(line_shift=6, slots=[slot])
         buffer.touches.append(code + 0)
         buffer.record_run(20, nlines=3, count=5)
-        buffer.touches.append(code + 1)
-        buffer.record_many(
-            np.array([0, 16]), base=0, itemsize=4, length=32,
-            name="a",
+        buffer.record_block(
+            np.array([0, 1, 2]), np.array([True, False, True]),
+            extra_l1=2, prefetched=1,
         )
+        buffer.touches.append(code + 1)
+        buffer.record_run(30, nlines=1, count=1)
         buffer.touches.append(code + 2)
         trace = buffer.freeze()
-        assert trace.lines.tolist() == [10, 20, 21, 22, 11, 0, 1, 12]
-        # Prefetched run fills (21, 22) are not demand accesses.
-        assert trace.demand_idx.tolist() == [0, 1, 4, 5, 6, 7]
-        assert trace.extra_l1 == 4  # 5 run elements, 1 demand line
-        assert trace.prefetched_refs == 2
-        assert trace.total_refs == 6 + 4  # touches+batch+run elements
+        # Segments at one position keep their record order.
+        assert trace.lines.tolist() == [10, 20, 21, 22, 0, 1, 2, 11, 30, 12]
+        # Prefetched run fills (21, 22) and the block's prefetched
+        # line (1) are not demand accesses.
+        assert trace.demand_idx.tolist() == [0, 1, 4, 6, 7, 8, 9]
+        assert trace.extra_l1 == 4 + 2  # 5 run elements on 1 demand line
+        assert trace.prefetched_refs == 2 + 1
+        assert trace.total_refs == buffer.total_refs == 7 + 6
 
     def test_deferred_bounds_error_names_the_array(self):
-        buffer = TraceBuffer(line_shift=6)
-        buffer.record_many(
-            np.array([0, 99]), base=0, itemsize=8, length=10,
-            name="ranks",
-        )
+        slot = SimpleNamespace(name="ranks", length=10, itemsize=8, base=0)
+        buffer = TraceBuffer(line_shift=6, slots=[slot])
+        buffer.touches.extend([touch_code(0) + 0, touch_code(0) + 99])
         with pytest.raises(InvalidParameterError, match="'ranks'"):
             buffer.freeze()
 
@@ -254,7 +255,7 @@ def drive(memory):
     for i in (0, 8, 0, 63, 8):
         array.touch(i)
     array.touch_run(4, 40)
-    other.touch_all(np.array([0, 31, 0, 15]))
+    other.touch_many(np.array([0, 31, 0, 15]))
     array.touch(0)
 
 
@@ -332,25 +333,25 @@ class TestMemoryBackends:
         assert trace.num_accesses == trace.lines.shape[0] > 0
         assert trace.total_refs == memory.total_refs
 
-    def test_touch_all_rejects_bad_indices_lazily(self):
+    def test_touch_many_rejects_bad_indices_lazily(self):
         memory = Memory(
             make_hierarchy([(2, 2)]), cache_backend="replay"
         )
         array = memory.array("scores", 8, 8)
-        array.touch_all(np.array([0, 12]))  # deferred: no error yet
+        array.touch_many(np.array([0, 12]))  # deferred: no error yet
         with pytest.raises(InvalidParameterError, match="'scores'"):
             memory.level_counts
 
-    def test_touch_all_rejects_bad_dtype_and_shape(self):
+    def test_touch_many_rejects_bad_dtype_and_shape(self):
         for backend in ("step", "replay"):
             memory = Memory(
                 make_hierarchy([(2, 2)]), cache_backend=backend
             )
             array = memory.array("a", 8, 8)
             with pytest.raises(InvalidParameterError, match="integer"):
-                array.touch_all(np.array([0.5, 1.0]))
+                array.touch_many(np.array([0.5, 1.0]))
             with pytest.raises(InvalidParameterError, match="1-D"):
-                array.touch_all(np.array([[1], [2]]))
+                array.touch_many(np.array([[1], [2]]))
 
     def test_reset_discards_recorded_trace(self):
         step, replay = lru_memories()

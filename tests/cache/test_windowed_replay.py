@@ -19,11 +19,13 @@ from hypothesis import strategies as st
 
 from repro.cache import CacheHierarchy, CacheLevel, Memory
 from repro.cache import replay as trace_replay
+from repro.cache.layout import ArrayLayout
 from repro.cache.replay import (
     FAST_LINE_LIMIT,
     FAST_MAX_WAYS,
     TraceBuffer,
     lru_stack,
+    touch_code,
 )
 from repro.errors import InvalidParameterError
 
@@ -309,17 +311,14 @@ class TestWindowFailures:
         assert memory.hierarchy.snapshot() == step.stats()
 
     def test_buffer_bounds_error_names_the_batch_in_its_window(self):
-        buffer = TraceBuffer(line_shift=6)
-        buffer.record_many(
-            np.array([0, 1]), base=0, itemsize=8, length=10, name="ok",
-        )
-        buffer.record_many(
-            np.array([0, 99]), base=0, itemsize=8, length=10,
-            name="ranks",
-        )
-        assert buffer.freeze((0, 0), (0, 1)).lines.tolist() == [0, 0]
+        buffer = TraceBuffer(line_shift=6, slots=[
+            ArrayLayout("ok", 10, 8, 0), ArrayLayout("ranks", 10, 8, 128),
+        ])
+        ok, ranks = touch_code(0), touch_code(1)
+        buffer.touches.extend([ok + 0, ok + 1, ranks + 0, ranks + 99])
+        assert buffer.freeze((0, 0), (2, 0)).lines.tolist() == [0, 0]
         with pytest.raises(InvalidParameterError, match="'ranks'"):
-            buffer.freeze((0, 1), (0, 2))
+            buffer.freeze((2, 0), (4, 0))
 
 
 class TestWindowMemory:

@@ -439,7 +439,11 @@ class TestSingleFlight:
         ]
         for thread in threads:
             thread.start()
-        time.sleep(0.05)  # let followers pile onto the flight
+        # Let the followers pile onto the flight: one that arrives
+        # after the leader has finished is no follower.
+        deadline = time.monotonic() + 5
+        while flights.shared < 3 and time.monotonic() < deadline:
+            time.sleep(0.001)
         gate.set()
         for thread in threads:
             thread.join(timeout=5)

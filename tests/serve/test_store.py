@@ -85,7 +85,14 @@ class TestMemoryPath:
         ]
         for thread in threads:
             thread.start()
-        time.sleep(0.05)
+        # Let the followers pile onto the flight: one that arrives
+        # after the leader has finished is no follower.
+        deadline = time.monotonic() + 5
+        while (
+            cache.counts().get("singleflight_shared", 0) < 3
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.001)
         gate.set()
         for thread in threads:
             thread.join(timeout=5)
