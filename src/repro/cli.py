@@ -544,90 +544,10 @@ def _cmd_annealing(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.suite == "algos":
-        base = (
-            perf.quick_algos_config() if args.quick
-            else perf.AlgosBenchConfig()
-        )
-        overrides = {
-            name: value
-            for name, value in [
-                ("dataset", args.dataset),
-                ("iterations", args.iterations),
-                ("hierarchy", args.hierarchy),
-                ("num_sources", args.num_sources),
-                ("repeats", args.repeats),
-            ]
-            if value is not None
-        }
-        config = replace(base, **overrides)
-        payload = perf.run_algos_bench(config)
-        print(perf.render_algos_bench(payload))
-        out = args.out or "BENCH_algos.json"
-    elif args.suite == "cache":
-        base = (
-            perf.quick_cache_config() if args.quick
-            else perf.CacheBenchConfig()
-        )
-        overrides = {
-            name: value
-            for name, value in [
-                ("dataset", args.dataset),
-                ("iterations", args.iterations),
-                ("hierarchy", args.hierarchy),
-                ("repeats", args.repeats),
-            ]
-            if value is not None
-        }
-        config = replace(base, **overrides)
-        payload = perf.run_cache_bench(config)
-        print(perf.render_cache_bench(payload))
-        out = args.out or "BENCH_cache.json"
-    elif args.suite == "frontier":
-        base = (
-            perf.quick_frontier_config() if args.quick
-            else perf.FrontierBenchConfig()
-        )
-        overrides = {
-            name: value
-            for name, value in [
-                (
-                    "datasets",
-                    (args.dataset,) if args.dataset else None,
-                ),
-                ("query_volume", args.query_volume),
-                ("seed", args.seed),
-            ]
-            if value is not None
-        }
-        config = replace(base, **overrides)
-        payload = perf.run_frontier_bench(config)
-        print(perf.render_frontier_bench(payload))
-        out = args.out or "BENCH_selector.json"
-    else:
-        base = (
-            perf.quick_config() if args.quick
-            else perf.GorderBenchConfig()
-        )
-        overrides = {
-            name: value
-            for name, value in [
-                ("nodes", args.nodes),
-                ("edges_per_node", args.edges_per_node),
-                ("window", args.window),
-                ("num_parts", args.num_parts),
-                ("workers", args.workers),
-                ("seed", args.seed),
-                ("repeats", args.repeats),
-            ]
-            if value is not None
-        }
-        if args.skip_partitioned:
-            overrides["include_partitioned"] = False
-        config = replace(base, **overrides)
-        payload = perf.run_gorder_bench(config)
-        print(perf.render_gorder_bench(payload))
-        out = args.out or "BENCH_gorder.json"
+    profile = "quick" if args.quick else "full"
+    payload = perf.run_bench(args.suite, profile)
+    print(perf.render_bench(payload))
+    out = args.out or perf.SUITES[args.suite].out
     path = perf.write_bench_json(payload, out)
     print(f"wrote       : {path}")
     if args.append_history:
@@ -1119,11 +1039,11 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=ALL_ORDERING_NAMES)
 
     p = add("bench", _cmd_bench,
-            help="perf benchmarks (Gorder kernel / cache replay / "
-                 "frontier runtime)")
+            help="perf benchmarks: a fast path against its oracle "
+                 "(Gorder kernel / cache replay / frontier runtime / "
+                 "selector)")
     p.add_argument("--suite",
-                   choices=("gorder", "cache", "algos", "frontier"),
-                   default="gorder",
+                   choices=tuple(perf.SUITES), default="gorder",
                    help="gorder: ordering kernel (BENCH_gorder.json); "
                         "cache: trace-replay simulator backend "
                         "(BENCH_cache.json); algos: frontier-runtime "
@@ -1132,38 +1052,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "probe oracle and the algorithm suite "
                         "(BENCH_selector.json)")
     p.add_argument("--quick", action="store_true",
-                   help="small smoke configuration (CI bench job)")
+                   help="the suite's quick workload (CI smoke); "
+                        "default is full scale")
     p.add_argument("--out", metavar="PATH", default=None,
                    help="output JSON path (default BENCH_<suite>.json)")
-    p.add_argument("--dataset", default=None,
-                   help="cache/algos/frontier suites: dataset for "
-                        "the runs")
-    p.add_argument("--query-volume", type=float, default=None,
-                   help="frontier suite: modelled queries for the "
-                        "amortisation decision")
-    p.add_argument("--iterations", type=int, default=None,
-                   help="cache/algos suites: traced sweep iterations")
-    p.add_argument("--hierarchy", choices=("paper", "scaled"),
-                   default=None,
-                   help="cache/algos suites: simulated hierarchy")
-    p.add_argument("--num-sources", type=int, default=None,
-                   help="algos suite: diameter SP repetitions")
-    p.add_argument("--nodes", type=int, default=None,
-                   help="benchmark graph size (default 50000)")
-    p.add_argument("--edges-per-node", type=int, default=None,
-                   help="average out-degree of the benchmark graph")
-    p.add_argument("--window", type=int, default=None,
-                   help="Gorder window (default 5)")
-    p.add_argument("--num-parts", type=int, default=None,
-                   help="partitions for the partitioned section")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes for the partitioned section")
-    p.add_argument("--seed", type=int, default=None,
-                   help="benchmark graph seed")
-    p.add_argument("--repeats", type=int, default=None,
-                   help="timing repeats per kernel (best-of)")
-    p.add_argument("--skip-partitioned", action="store_true",
-                   help="skip the partitioned workers comparison")
     p.add_argument("--append-history", metavar="PATH", default=None,
                    help="also append the result to this trend-history "
                         "journal (see `trends`)")

@@ -1,11 +1,12 @@
 """Benchmark trend store: a longitudinal perf record with a gate.
 
-The two committed ``BENCH_*.json`` snapshots answer "how fast is this
+The committed ``BENCH_*.json`` snapshots answer "how fast is this
 commit"; they cannot answer "did the replay backend get slower since
 they were written".  This module turns bench results into an
-**append-only JSONL history** — one line per ingested schema-v1 bench
-payload, keyed by its manifest (git SHA, machine, platform, quick
-flag) — and reads per-metric trends back out of it:
+**append-only JSONL history** — one line per ingested schema-v2 bench
+payload, holding its ``metrics`` map and keyed by its manifest (git
+SHA, machine, platform, quick flag) — and reads per-metric trends back
+out of it:
 
 * :func:`append_history` — ``repro-gorder bench --append-history``
   ingests a just-produced payload (flushed + fsynced per line, the
@@ -22,11 +23,14 @@ flag) — and reads per-metric trends back out of it:
 
 A *series* is ``(bench, quick, machine)``: quick CI smoke numbers
 never baseline full acceptance runs, and one machine's timings never
-gate another's.  Direction is per metric — ``*_seconds`` regress by
-growing, ``speedup_*``/``*_per_second`` by shrinking.  A series with
-no prior entries reports ``n/a`` and passes: the first record of a
-fresh history (e.g. the committed BENCH files ingested once) is a
-baseline, not a regression.
+gate another's.  Direction follows the metric's name
+(:func:`~repro.perf.bench.metric_direction`): ``speedup_*`` and
+``*_per_second`` regress by shrinking, every other metric by growing.
+A history line holds metric names and values only, so lines written
+from schema-v1 payloads keep baselining the same metrics of v2 ones.
+A series with no prior entries reports ``n/a`` and passes: the first
+record of a fresh history (e.g. the committed BENCH files ingested
+once) is a baseline, not a regression.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.errors import InvalidParameterError, ReproError
+from repro.perf.bench import BENCH_SCHEMA_VERSION, SUITES, metric_direction
 
 #: Current history-record schema version.
 HISTORY_SCHEMA_VERSION = 1
@@ -57,109 +62,34 @@ class TrendError(ReproError):
     """A bench payload or trend history could not be used."""
 
 
-#: metric name -> direction: ``lower`` is better, or ``higher``.
-METRIC_DIRECTIONS = {
-    "loop_seconds": "lower",
-    "batched_seconds": "lower",
-    "speedup_batched_vs_loop": "higher",
-    "batched_updates_per_second": "higher",
-    "partitioned_workers_n_seconds": "lower",
-    "step_seconds": "lower",
-    "replay_seconds": "lower",
-    "speedup_replay_vs_step": "higher",
-    "replay_accesses_per_second": "higher",
-    "scalar_seconds_total": "lower",
-    "runtime_seconds_total": "lower",
-    "speedup_runtime_vs_scalar": "higher",
-    "selector_max_regret": "lower",
-    "selector_suite_regret": "lower",
-    "selector_selection_seconds": "lower",
-    "selector_chosen_cycles_total": "lower",
-}
-
-
 def bench_metrics(payload: dict) -> dict[str, float]:
-    """The trend-tracked metrics of one schema-v1 bench payload."""
+    """The trend-tracked metrics of one schema-v2 bench payload."""
     bench = payload.get("bench")
-    try:
-        if bench == "gorder_kernel":
-            kernels = payload["kernels"]
-            metrics = {
-                "loop_seconds": kernels["loop"]["seconds"],
-                "batched_seconds": kernels["batched"]["seconds"],
-                "speedup_batched_vs_loop": payload[
-                    "speedup_batched_vs_loop"
-                ],
-                "batched_updates_per_second": kernels["batched"][
-                    "updates_per_second"
-                ],
-            }
-            partitioned = payload.get("partitioned")
-            if partitioned:
-                metrics["partitioned_workers_n_seconds"] = partitioned[
-                    "workers_n_seconds"
-                ]
-        elif bench == "cache_replay":
-            backends = payload["backends"]
-            metrics = {
-                "step_seconds": backends["step"]["seconds"],
-                "replay_seconds": backends["replay"]["seconds"],
-                "speedup_replay_vs_step": payload[
-                    "speedup_replay_vs_step"
-                ],
-                "replay_accesses_per_second": backends["replay"][
-                    "accesses_per_second"
-                ],
-            }
-        elif bench == "algos_runtime":
-            totals = payload["totals"]
-            metrics = {
-                "scalar_seconds_total": totals["scalar_seconds"],
-                "runtime_seconds_total": totals["runtime_seconds"],
-                "speedup_runtime_vs_scalar": payload[
-                    "speedup_runtime_vs_scalar"
-                ],
-            }
-        elif bench == "selector_frontier":
-            metrics = {
-                # max_regret is 0 when the selector matched the
-                # oracle everywhere; the rolling-median gate treats a
-                # 0 -> 0 sequence as flat, and any sustained miss
-                # shows up long before the in-payload tolerance.
-                "selector_max_regret": payload["max_regret"],
-                "selector_suite_regret": payload["max_suite_regret"],
-                "selector_selection_seconds": payload["totals"][
-                    "selection_seconds"
-                ],
-                "selector_chosen_cycles_total": sum(
-                    entry["selected"]["cycles"]
-                    for entry in payload["datasets"].values()
-                ),
-            }
-        else:
-            raise TrendError(
-                f"unknown bench suite {bench!r}; expected "
-                "'gorder_kernel', 'cache_replay', 'algos_runtime' or "
-                "'selector_frontier'"
-            )
-    except (KeyError, TypeError) as exc:
+    known = [suite.bench for suite in SUITES.values()]
+    if bench not in known:
         raise TrendError(
-            f"bench payload for {bench!r} is missing {exc}"
+            f"unknown bench suite {bench!r}; expected one of "
+            + ", ".join(map(repr, known))
+        )
+    try:
+        return {
+            name: float(value)
+            for name, value in payload["metrics"].items()
+        }
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise TrendError(
+            f"bench payload for {bench!r} is missing a numeric metrics "
+            f"map ({exc!r})"
         ) from exc
-    return {
-        name: float(value)
-        for name, value in metrics.items()
-        if value is not None
-    }
 
 
 def history_record(payload: dict) -> dict:
-    """One JSON-ready history line for a schema-v1 bench payload."""
+    """One JSON-ready history line for a schema-v2 bench payload."""
     version = payload.get("schema_version")
-    if version != 1:
+    if version != BENCH_SCHEMA_VERSION:
         raise TrendError(
             f"bench payload has schema_version {version!r}; the "
-            "trend store ingests version 1"
+            f"trend store ingests version {BENCH_SCHEMA_VERSION}"
         )
     manifest = payload.get("manifest") or {}
     return {
@@ -376,7 +306,7 @@ def trend_report(
                     bench=str(latest.get("bench")),
                     quick=bool(latest.get("quick", False)),
                     metric=metric,
-                    direction=METRIC_DIRECTIONS.get(metric, "lower"),
+                    direction=metric_direction(metric),
                     latest=float(value),
                     baseline=baseline,
                     samples=len(baseline_values),

@@ -52,6 +52,15 @@ class TestPartitioned:
             from_edges([], num_nodes=0)
         ).size == 0
 
+    @pytest.mark.slow
+    def test_workers_2_identical_to_workers_1(self, graph):
+        """The process pool is a wall-clock detail, never a different
+        arrangement."""
+        assert np.array_equal(
+            gorder_partitioned(graph, num_parts=4, workers=2),
+            gorder_partitioned(graph, num_parts=4, workers=1),
+        )
+
     def test_beats_random_on_objective(self, graph):
         from repro.ordering import random_order
 

@@ -1,6 +1,12 @@
-"""The Gorder benchmark-regression harness (quick-sized)."""
+"""The benchmark harness: one table of suites, one payload schema.
+
+Each suite runs at its quick workload.  Tests that read a payload lift
+the suite's limits, since speedup floors depend on the host's timing;
+``TestLimits`` checks that every limit still gates.
+"""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,89 +15,215 @@ from repro.cli import main
 from repro.perf import bench
 from repro.perf.bench import (
     BENCH_SCHEMA_VERSION,
+    SUITES,
     BenchRegressionError,
-    GorderBenchConfig,
-    quick_config,
-    render_gorder_bench,
-    run_gorder_bench,
+    metric_direction,
+    render_bench,
+    run_bench,
     write_bench_json,
 )
 
 
+def run_unlimited(name, monkeypatch):
+    monkeypatch.setitem(SUITES, name, replace(SUITES[name], limits={}))
+    return run_bench(name, "quick")
+
+
 @pytest.fixture(scope="module")
-def payload():
-    """One shared quick benchmark run (module-scoped: it costs time)."""
-    return run_gorder_bench(quick_config(nodes=400, workers=2))
+def payloads():
+    """One quick run per suite, shared by the module."""
+    runs = {}
+
+    def get(name):
+        if name not in runs:
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                runs[name] = run_unlimited(name, monkeypatch)
+        return runs[name]
+
+    return get
 
 
-class TestConfig:
-    def test_defaults_meet_acceptance_floor(self):
-        config = GorderBenchConfig()
-        assert config.nodes >= 50_000
-        assert config.nodes * config.edges_per_node >= 500_000
-
-    def test_quick_config_is_small(self):
-        config = quick_config()
-        assert config.quick
-        assert config.nodes < 10_000
-
-    def test_quick_config_overrides(self):
-        config = quick_config(nodes=123, window=2)
-        assert config.nodes == 123
-        assert config.window == 2
-        assert config.quick
+@pytest.fixture
+def payload(request, payloads):
+    return payloads(request.cls.suite)
 
 
-class TestPayloadSchema:
+def bench_cli(name, tmp_path, monkeypatch):
+    """``bench --suite name --quick``; the JSON it wrote."""
+    monkeypatch.setitem(SUITES, name, replace(SUITES[name], limits={}))
+    out = tmp_path / SUITES[name].out
+    code = main(["bench", "--suite", name, "--quick", "--out", str(out)])
+    assert code == 0
+    return json.loads(out.read_text())
+
+
+class SuitePayloadChecks:
+    """The schema-v2 checks every suite's quick payload passes; each
+    suite's class sets ``suite`` and the ``metrics`` it reports."""
+
+    suite: str
+    metrics: set
+
     def test_top_level_fields(self, payload):
-        assert payload["schema_version"] == BENCH_SCHEMA_VERSION
-        assert payload["bench"] == "gorder_kernel"
+        assert set(payload) == {
+            "schema_version", "bench", "quick", "manifest", "workload",
+            "metrics", "rows", "identical",
+        }
+        assert payload["schema_version"] == BENCH_SCHEMA_VERSION == 2
+        assert payload["bench"] == SUITES[self.suite].bench
         assert payload["quick"] is True
         assert payload["identical"] is True
-        assert payload["speedup_batched_vs_loop"] > 0
-        assert "manifest" in payload
+        assert payload["manifest"]["command"] == "bench"
+        quick = SUITES[self.suite].workloads["quick"]
+        assert {
+            key: payload["workload"][key] for key in quick
+        } == dict(quick)
+
+    def test_metric_names(self, payload):
+        """The trend series names; renaming one starts a new series."""
+        assert set(payload["metrics"]) == self.metrics
+        assert all(
+            isinstance(value, float) for value in payload["metrics"].values()
+        )
+
+    def test_rows_share_columns(self, payload):
+        rows = payload["rows"]
+        assert rows
+        assert all(row.keys() == rows[0].keys() for row in rows)
+
+    def test_json_round_trip(self, payload, tmp_path):
+        path = write_bench_json(payload, tmp_path / "bench.json")
+        assert json.loads(path.read_text()) == json.loads(
+            json.dumps(payload)
+        )
+
+    def test_render_mentions_key_numbers(self, payload):
+        text = render_bench(payload)
+        for name in self.metrics:
+            assert name in text
+        assert text.endswith("identical   : yes")
+
+
+class TestSuiteTable:
+    def test_every_suite_is_checked(self):
+        checked = {cls.suite for cls in SuitePayloadChecks.__subclasses__()}
+        assert checked == set(SUITES)
+
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_every_profile_has_a_workload_and_limits(self, name):
+        suite = SUITES[name]
+        assert set(suite.workloads) == {"quick", "standard", "full"}
+        for limits in suite.limits.values():
+            assert set(limits) == set(suite.workloads)
+
+    def test_bench_ids_are_distinct(self):
+        assert len({suite.bench for suite in SUITES.values()}) == len(
+            SUITES
+        )
+
+
+class TestLimits:
+    def test_thresholds(self):
+        """The floors and tolerance the harness enforces."""
+        assert {
+            name: dict(suite.limits) for name, suite in SUITES.items()
+        } == {
+            "gorder": {
+                "speedup_batched_vs_loop": {
+                    "quick": 1.0, "standard": 1.5, "full": 3.0,
+                },
+            },
+            "cache": {
+                "speedup_replay_vs_step": {
+                    "quick": 1.0, "standard": 2.0, "full": 3.0,
+                },
+            },
+            "algos": {
+                "speedup_runtime_vs_scalar": {
+                    "quick": 1.0, "standard": 2.0, "full": 3.0,
+                },
+            },
+            "frontier": {
+                metric: {"quick": 0.1, "standard": 0.1, "full": 0.1}
+                for metric in (
+                    "selector_max_regret", "selector_suite_regret",
+                )
+            },
+        }
+
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_missed_limit_raises(self, name, monkeypatch):
+        """A limit no run can meet fails the suite, by name."""
+        suite = SUITES[name]
+        metric = next(iter(suite.limits))
+        floor = metric_direction(metric) == "higher"
+        impossible = float("inf") if floor else -1.0
+        monkeypatch.setitem(
+            SUITES, name,
+            replace(suite, limits={metric: {"quick": impossible}}),
+        )
+        expected = "below its floor" if floor else "above its ceiling"
+        with pytest.raises(BenchRegressionError, match=expected):
+            run_bench(name, "quick")
+
+
+class TestRemovedFlags:
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--dataset", "epinion"], ["--query-volume", "5"],
+            ["--iterations", "1"], ["--hierarchy", "paper"],
+            ["--num-sources", "1"], ["--nodes", "300"],
+            ["--edges-per-node", "4"], ["--window", "3"],
+            ["--num-parts", "2"], ["--workers", "2"], ["--seed", "1"],
+            ["--repeats", "1"], ["--skip-partitioned"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_exits_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--quick", *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# Gorder kernel suite
+# ----------------------------------------------------------------------
+class TestConfig:
+    def test_defaults_meet_acceptance_floor(self):
+        full = SUITES["gorder"].workloads["full"]
+        assert full["nodes"] >= 50_000
+        assert full["nodes"] * full["edges_per_node"] >= 500_000
+
+    def test_quick_config_is_small(self):
+        assert SUITES["gorder"].workloads["quick"]["nodes"] < 10_000
+
+
+class TestPayloadSchema(SuitePayloadChecks):
+    suite = "gorder"
+    metrics = {
+        "loop_seconds", "batched_seconds", "speedup_batched_vs_loop",
+        "batched_updates_per_second",
+    }
 
     def test_graph_section(self, payload):
-        graph = payload["graph"]
-        assert graph["generator"] == "social_graph"
-        assert graph["nodes"] == 400
-        assert graph["edges"] > 0
+        workload = payload["workload"]
+        assert workload["generator"] == "social_graph"
+        assert workload["nodes"] == 2_000
+        assert workload["edges"] > 0
 
     def test_kernel_sections(self, payload):
-        loop = payload["kernels"]["loop"]
-        batched = payload["kernels"]["batched"]
+        loop, batched = payload["rows"]
+        assert (loop["kernel"], batched["kernel"]) == ("loop", "batched")
         assert loop["seconds"] > 0 and batched["seconds"] > 0
         # Same greedy, so identical event streams.
         assert loop["heap_pops"] == batched["heap_pops"]
         assert loop["unit_updates"] == batched["unit_updates"]
         assert loop["unit_updates"] > 0
-        assert set(loop) == set(batched)
-
-    def test_partitioned_section(self, payload):
-        partitioned = payload["partitioned"]
-        assert partitioned["identical"] is True
-        assert partitioned["workers"] == 2
-        assert partitioned["workers_1_seconds"] > 0
-        assert partitioned["speedup"] > 0
-
-    def test_json_round_trip(self, payload, tmp_path):
-        path = write_bench_json(payload, tmp_path / "bench.json")
-        assert json.loads(path.read_text()) == payload
-
-    def test_render_mentions_key_numbers(self, payload):
-        text = render_gorder_bench(payload)
-        assert "speedup" in text
-        assert "identical   : yes" in text
-        assert "partitioned" in text
-
-
-class TestSkipPartitioned:
-    def test_partitioned_null_when_skipped(self):
-        payload = run_gorder_bench(
-            quick_config(nodes=300, include_partitioned=False)
+        assert payload["metrics"]["speedup_batched_vs_loop"] == (
+            pytest.approx(loop["seconds"] / batched["seconds"])
         )
-        assert payload["partitioned"] is None
-        assert "partitioned" not in render_gorder_bench(payload)
 
 
 class TestRegressionGuard:
@@ -102,111 +234,63 @@ class TestRegressionGuard:
             return np.arange(graph.num_nodes, dtype=np.int64)[::-1].copy()
 
         monkeypatch.setattr(bench, "gorder_sequence", fake_sequence)
-        with pytest.raises(BenchRegressionError):
-            run_gorder_bench(
-                quick_config(nodes=50, include_partitioned=False)
-            )
+        with pytest.raises(BenchRegressionError, match="diverged"):
+            run_bench("gorder", "quick")
 
 
 class TestBenchCLI:
-    def test_quick_bench_writes_json(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_gorder.json"
-        code = main([
-            "bench", "--quick", "--nodes", "300",
-            "--skip-partitioned", "--out", str(out),
-        ])
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["identical"] is True
+    def test_quick_bench_writes_json(self, tmp_path, capsys, monkeypatch):
+        payload = bench_cli("gorder", tmp_path, monkeypatch)
+        assert payload["bench"] == "gorder_kernel"
         assert payload["quick"] is True
-        assert "speedup" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "speedup_batched_vs_loop" in out
+        assert "identical   : yes" in out
 
 
 # ----------------------------------------------------------------------
 # Cache trace-replay suite
 # ----------------------------------------------------------------------
-from repro.perf.bench import (  # noqa: E402
-    CacheBenchConfig,
-    quick_cache_config,
-    render_cache_bench,
-    run_cache_bench,
-)
-
-
-@pytest.fixture(scope="module")
-def cache_payload():
-    """One shared quick cache benchmark run (module-scoped)."""
-    return run_cache_bench(quick_cache_config())
-
-
 class TestCacheConfig:
     def test_defaults_are_the_acceptance_workload(self):
-        config = CacheBenchConfig()
-        assert config.dataset == "sdarc"
-        assert config.iterations == 5
-        assert config.hierarchy == "paper"
+        full = SUITES["cache"].workloads["full"]
+        assert full["dataset"] == "sdarc"
+        assert full["iterations"] == 5
+        assert full["hierarchy"] == "paper"
 
     def test_quick_config_is_small(self):
-        config = quick_cache_config()
-        assert config.quick
-        assert config.dataset != "sdarc"
-
-    def test_quick_config_overrides(self):
-        config = quick_cache_config(iterations=1, repeats=2)
-        assert config.iterations == 1
-        assert config.repeats == 2
-        assert config.quick
-
-    def test_unknown_hierarchy_rejected(self):
-        from repro.errors import InvalidParameterError
-
-        with pytest.raises(InvalidParameterError, match="hierarchy"):
-            run_cache_bench(quick_cache_config(hierarchy="l4"))
+        assert SUITES["cache"].workloads["quick"]["dataset"] != "sdarc"
 
 
-class TestCachePayloadSchema:
-    def test_top_level_fields(self, cache_payload):
-        assert (
-            cache_payload["schema_version"] == BENCH_SCHEMA_VERSION
-        )
-        assert cache_payload["bench"] == "cache_replay"
-        assert cache_payload["quick"] is True
-        assert cache_payload["identical"] is True
+class TestCachePayloadSchema(SuitePayloadChecks):
+    suite = "cache"
+    metrics = {
+        "step_seconds", "replay_seconds", "speedup_replay_vs_step",
+        "replay_accesses_per_second",
+    }
 
-    def test_backend_sections(self, cache_payload):
-        backends = cache_payload["backends"]
-        for name in ("step", "replay"):
-            assert backends[name]["seconds"] >= 0
-            assert backends[name]["accesses_per_second"] > 0
-        assert cache_payload["speedup_replay_vs_step"] > 0
+    def test_backend_sections(self, payload):
+        assert [row["backend"] for row in payload["rows"]] == [
+            "step", "replay",
+        ]
+        for row in payload["rows"]:
+            assert row["seconds"] > 0
+            assert row["accesses_per_second"] > 0
+        assert payload["metrics"]["speedup_replay_vs_step"] > 0
 
-    def test_workload_section(self, cache_payload):
-        workload = cache_payload["workload"]
+    def test_workload_section(self, payload):
+        workload = payload["workload"]
         assert workload["dataset"] == "epinion"
         assert workload["accesses"] > 0
         assert workload["demand_accesses"] <= workload["accesses"]
 
-    def test_end_to_end_section(self, cache_payload):
-        end_to_end = cache_payload["end_to_end"]
-        assert end_to_end["identical"] is True
-        assert end_to_end["speedup"] > 0
+    def test_end_to_end_section(self, payload):
+        for row in payload["rows"]:
+            assert row["end_to_end_seconds"] > 0
 
-    def test_level_counts_sum_to_demand_plus_extra(self, cache_payload):
-        workload = cache_payload["workload"]
-        assert sum(cache_payload["level_counts"]) == (
-            workload["total_refs"]
-        )
-
-    def test_json_round_trip(self, cache_payload, tmp_path):
-        path = write_bench_json(
-            cache_payload, tmp_path / "BENCH_cache.json"
-        )
-        assert json.loads(path.read_text()) == cache_payload
-
-    def test_render_mentions_key_numbers(self, cache_payload):
-        text = render_cache_bench(cache_payload)
-        assert "replay vs step" in text
-        assert "identical   : yes" in text
+    def test_level_counts_sum_to_demand_plus_extra(self, payload):
+        workload = payload["workload"]
+        assert sum(workload["level_counts"]) == workload["total_refs"]
 
 
 class TestCacheRegressionGuard:
@@ -223,287 +307,190 @@ class TestCacheRegressionGuard:
             return serving
 
         monkeypatch.setattr(CacheHierarchy, "replay", corrupted)
-        with pytest.raises(BenchRegressionError):
-            run_cache_bench(quick_cache_config(iterations=1))
+        with pytest.raises(BenchRegressionError, match="diverged"):
+            run_bench("cache", "quick")
 
 
 class TestCacheBenchCLI:
-    def test_quick_cache_bench_writes_json(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_cache.json"
-        code = main(
-            ["bench", "--suite", "cache", "--quick", "--out", str(out)]
-        )
-        assert code == 0
-        payload = json.loads(out.read_text())
+    def test_quick_cache_bench_writes_json(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        payload = bench_cli("cache", tmp_path, monkeypatch)
         assert payload["bench"] == "cache_replay"
-        assert payload["identical"] is True
-        assert "replay vs step" in capsys.readouterr().out
+        assert "speedup_replay_vs_step" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------
 # Algorithm-runtime suite
 # ----------------------------------------------------------------------
-import numpy as np  # noqa: E402
-
-from repro.perf.bench import (  # noqa: E402
-    RUNTIME_ALGORITHMS,
-    AlgosBenchConfig,
-    quick_algos_config,
-    render_algos_bench,
-    run_algos_bench,
-)
-
-
-@pytest.fixture(scope="module")
-def algos_payload():
-    """One shared quick algos benchmark run (module-scoped)."""
-    return run_algos_bench(quick_algos_config())
-
-
 class TestAlgosConfig:
     def test_defaults_are_the_acceptance_workload(self):
-        config = AlgosBenchConfig()
-        assert config.dataset == "sdarc"
-        assert config.hierarchy == "scaled"
-        assert config.iterations == 5
-        assert not config.quick
+        full = SUITES["algos"].workloads["full"]
+        assert full["dataset"] == "sdarc"
+        assert full["hierarchy"] == "scaled"
+        assert full["iterations"] == 5
 
     def test_quick_config_is_small(self):
-        config = quick_algos_config()
-        assert config.quick
-        assert config.dataset != "sdarc"
-
-    def test_quick_config_overrides(self):
-        config = quick_algos_config(iterations=1, repeats=2)
-        assert config.iterations == 1
-        assert config.repeats == 2
-        assert config.quick
-
-    def test_unknown_hierarchy_rejected(self):
-        from repro.errors import InvalidParameterError
-
-        with pytest.raises(InvalidParameterError, match="hierarchy"):
-            run_algos_bench(quick_algos_config(hierarchy="l4"))
+        assert SUITES["algos"].workloads["quick"]["dataset"] != "sdarc"
 
 
-class TestAlgosPayloadSchema:
-    def test_top_level_fields(self, algos_payload):
-        assert algos_payload["schema_version"] == BENCH_SCHEMA_VERSION
-        assert algos_payload["bench"] == "algos_runtime"
-        assert algos_payload["quick"] is True
-        assert algos_payload["identical"] is True
+class TestAlgosPayloadSchema(SuitePayloadChecks):
+    suite = "algos"
+    metrics = {
+        "scalar_seconds_total", "runtime_seconds_total",
+        "speedup_runtime_vs_scalar",
+    }
 
-    def test_every_ported_algorithm_present(self, algos_payload):
-        entries = algos_payload["algorithms"]
-        assert tuple(entries) == RUNTIME_ALGORITHMS
-        for entry in entries.values():
-            assert entry["scalar_seconds"] >= 0
-            assert entry["runtime_seconds"] >= 0
-            assert entry["speedup"] > 0
-            assert entry["identical"] is True
-            assert entry["total_refs"] > 0
-            assert sum(entry["level_counts"]) == entry["total_refs"]
-            sim = entry["simulate_seconds"]
-            assert sim["scalar"] >= 0 and sim["runtime"] >= 0
+    def test_every_ported_algorithm_present(self, payload):
+        from repro.oracles import TRACED_SCALAR
 
-    def test_totals_and_headline(self, algos_payload):
-        totals = algos_payload["totals"]
-        per_algo = algos_payload["algorithms"].values()
-        assert totals["scalar_seconds"] == pytest.approx(
-            sum(e["scalar_seconds"] for e in per_algo)
+        rows = payload["rows"]
+        assert [row["algorithm"] for row in rows] == list(TRACED_SCALAR)
+        for row in rows:
+            assert row["scalar_seconds"] >= 0
+            assert row["runtime_seconds"] >= 0
+            assert row["speedup"] > 0
+            assert row["total_refs"] > 0
+            assert sum(row["level_counts"]) == row["total_refs"]
+            assert row["scalar_simulate_seconds"] >= 0
+            assert row["runtime_simulate_seconds"] >= 0
+
+    def test_totals_and_headline(self, payload):
+        metrics = payload["metrics"]
+        rows = payload["rows"]
+        assert metrics["scalar_seconds_total"] == pytest.approx(
+            sum(row["scalar_seconds"] for row in rows)
         )
-        assert algos_payload["speedup_runtime_vs_scalar"] > 0
-        with_sim = algos_payload["with_simulation"]
-        assert with_sim["scalar_seconds"] >= totals["scalar_seconds"]
-        assert with_sim["speedup"] > 0
+        assert metrics["speedup_runtime_vs_scalar"] == pytest.approx(
+            metrics["scalar_seconds_total"]
+            / metrics["runtime_seconds_total"]
+        )
 
-    def test_workload_section(self, algos_payload):
-        workload = algos_payload["workload"]
+    def test_workload_section(self, payload):
+        from repro.oracles import TRACED_SCALAR
+
+        workload = payload["workload"]
         assert workload["dataset"] == "epinion"
         assert workload["nodes"] > 0
-        assert workload["algorithms"] == list(RUNTIME_ALGORITHMS)
-
-    def test_json_round_trip(self, algos_payload, tmp_path):
-        path = write_bench_json(
-            algos_payload, tmp_path / "BENCH_algos.json"
-        )
-        assert json.loads(path.read_text()) == algos_payload
-
-    def test_render_mentions_key_numbers(self, algos_payload):
-        text = render_algos_bench(algos_payload)
-        assert "runtime vs scalar" in text
-        assert "incl. LRU simulation" in text
-        assert "identical   : yes" in text
+        assert workload["algorithms"] == list(TRACED_SCALAR)
 
 
 class TestAlgosRegressionGuard:
     def test_divergence_raises(self, monkeypatch):
         """An emitter that changes results must never get a timing."""
-        from repro.algorithms import base as algorithms
+        from repro import oracles
 
-        real = algorithms.traced_fn
+        real = oracles.TRACED_SCALAR["pr"]
 
-        def crooked(spec, backend="runtime"):
-            fn = real(spec, backend)
-            if backend != "scalar":
-                return fn
+        def crooked(graph, memory, **params):
+            return np.asarray(real(graph, memory, **params)) + 1
 
-            def wrapper(graph, memory, **params):
-                return np.asarray(fn(graph, memory, **params)) + 1
-
-            return wrapper
-
-        monkeypatch.setattr(algorithms, "traced_fn", crooked)
-        with pytest.raises(BenchRegressionError):
-            run_algos_bench(quick_algos_config())
+        monkeypatch.setitem(oracles.TRACED_SCALAR, "pr", crooked)
+        with pytest.raises(BenchRegressionError, match="'pr'"):
+            run_bench("algos", "quick")
 
 
 class TestAlgosBenchCLI:
-    def test_quick_algos_bench_writes_json(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_algos.json"
-        code = main(
-            ["bench", "--suite", "algos", "--quick", "--out", str(out)]
-        )
-        assert code == 0
-        payload = json.loads(out.read_text())
+    def test_quick_algos_bench_writes_json(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        payload = bench_cli("algos", tmp_path, monkeypatch)
         assert payload["bench"] == "algos_runtime"
-        assert payload["identical"] is True
-        assert "speedup" in capsys.readouterr().out
+        assert "speedup_runtime_vs_scalar" in capsys.readouterr().out
 
 
-@pytest.fixture(scope="module")
-def frontier_payload():
-    from repro.perf.bench import (
-        quick_frontier_config,
-        run_frontier_bench,
-    )
+# ----------------------------------------------------------------------
+# Selector frontier suite
+# ----------------------------------------------------------------------
+class TestFrontierBench(SuitePayloadChecks):
+    suite = "frontier"
+    metrics = {
+        "selector_max_regret", "selector_suite_regret",
+        "selector_selection_seconds", "selector_chosen_cycles_total",
+    }
 
-    return run_frontier_bench(quick_frontier_config())
-
-
-class TestFrontierBench:
     def test_quick_config_is_single_dataset(self):
-        from repro.perf.bench import quick_frontier_config
+        quick = SUITES["frontier"].workloads["quick"]
+        assert quick["datasets"] == ("epinion",)
 
-        config = quick_frontier_config()
-        assert config.quick
-        assert config.datasets == ("epinion",)
-
-    def test_payload_schema(self, frontier_payload):
-        assert (
-            frontier_payload["schema_version"] == BENCH_SCHEMA_VERSION
-        )
-        assert frontier_payload["bench"] == "selector_frontier"
-        assert frontier_payload["within_tolerance"] is True
-        assert frontier_payload["max_regret"] >= 0
-        assert frontier_payload["max_suite_regret"] >= 0
-        assert frontier_payload["workload"]["suite"] == [
+    def test_payload_schema(self, payload):
+        workload = payload["workload"]
+        assert workload["suite"] == [
             "nq", "bfs", "dfs", "scc", "sp", "pr", "ds", "kcore", "diam",
         ]
-        assert "pruned" not in json.dumps(frontier_payload)
-        assert "manifest" in frontier_payload
+        assert set(workload["graphs"]) == {"epinion"}
+        assert "pruned" not in json.dumps(payload)
+        assert payload["metrics"]["selector_chosen_cycles_total"] == sum(
+            row["cycles"] for row in payload["rows"] if row["selected"]
+        )
 
-    def test_dataset_entries(self, frontier_payload):
-        for entry in frontier_payload["datasets"].values():
-            assert entry["nodes"] > 0
-            assert entry["selected"]["cycles"] > 0
-            assert entry["oracle"]["cycles"] > 0
-            assert entry["regret"] >= 0
-            assert entry["within_tolerance"] is True
-            labels = [row["label"] for row in entry["rows"]]
-            assert entry["selected"]["label"] in labels
-            assert entry["oracle"]["label"] in labels
-            # The suite measured the same candidates, in order.
-            assert [row["label"] for row in entry["suite_rows"]] == labels
-            assert entry["suite_best"] in labels
-            assert entry["predictors"]["degree_skew"] >= 1.0
+    def test_dataset_entries(self, payload):
+        for name, graph in payload["workload"]["graphs"].items():
+            assert graph["nodes"] > 0
+            assert graph["predictors"]["degree_skew"] >= 1.0
+            rows = [row for row in payload["rows"] if row["dataset"] == name]
+            # The baseline comes first, and the pick is the least
+            # amortised cost, measured on the probe and the suite alike.
+            assert rows[0]["ordering"] == "original"
+            (selected,) = [row for row in rows if row["selected"]]
+            assert selected["amortised_seconds"] == min(
+                row["amortised_seconds"] for row in rows
+            )
+            assert all(row["suite_cycles"] > 0 for row in rows)
 
-    def test_selector_within_tolerance_of_oracle(
-        self, frontier_payload
-    ):
+    def test_selector_within_tolerance_of_oracle(self, payload):
         """Acceptance: chosen probe cycles within 10% of oracle-best
         on every benchmarked dataset."""
-        for entry in frontier_payload["datasets"].values():
-            oracle = entry["oracle"]["cycles"]
-            chosen = entry["selected"]["cycles"]
-            assert chosen <= 1.10 * oracle
+        for name in payload["workload"]["graphs"]:
+            rows = [row for row in payload["rows"] if row["dataset"] == name]
+            oracle = min(row["cycles"] for row in rows)
+            (selected,) = [row for row in rows if row["selected"]]
+            assert selected["cycles"] <= 1.10 * oracle
+            assert selected["regret"] == pytest.approx(
+                selected["cycles"] / oracle - 1
+            )
 
-    def test_selector_within_tolerance_of_suite(self, frontier_payload):
+    def test_selector_within_tolerance_of_suite(self, payload):
         """Acceptance: the chosen candidate's suite cycles within 10%
         of the suite's best candidate on every benchmarked dataset."""
-        for entry in frontier_payload["datasets"].values():
-            suite = {
-                row["label"]: row["cycles"] for row in entry["suite_rows"]
-            }
-            chosen = suite[entry["selected"]["label"]]
-            best = min(suite.values())
-            assert suite[entry["suite_best"]] == best
-            assert entry["suite_regret"] == pytest.approx(chosen / best - 1)
-            assert entry["suite_regret"] <= 0.10
+        for name in payload["workload"]["graphs"]:
+            rows = [row for row in payload["rows"] if row["dataset"] == name]
+            best = min(row["suite_cycles"] for row in rows)
+            (selected,) = [row for row in rows if row["selected"]]
+            assert selected["suite_regret"] == pytest.approx(
+                selected["suite_cycles"] / best - 1
+            )
+            assert selected["suite_regret"] <= 0.10
+        assert payload["metrics"]["selector_suite_regret"] <= 0.10
 
-    def test_json_round_trip(self, frontier_payload, tmp_path):
-        path = write_bench_json(
-            frontier_payload, tmp_path / "BENCH_selector.json"
-        )
-        assert json.loads(path.read_text()) == frontier_payload
-
-    def test_render_mentions_selection(self, frontier_payload):
-        from repro.perf.bench import render_frontier_bench
-
-        text = render_frontier_bench(frontier_payload)
+    def test_render_mentions_selection(self, payload):
+        text = render_bench(payload)
         assert "selected" in text
-        assert "max regret" in text
-        assert "break-even" in text
+        assert "selector_max_regret" in text
+        assert "break_even_runs" in text
 
-    def test_negative_tolerance_rejected(self):
-        from repro.errors import InvalidParameterError
-        from repro.perf.bench import (
-            quick_frontier_config,
-            run_frontier_bench,
-        )
-
-        with pytest.raises(InvalidParameterError):
-            run_frontier_bench(quick_frontier_config(tolerance=-1.0))
-
-    def test_regression_guard_raises_past_tolerance(
-        self, monkeypatch
-    ):
+    def test_regression_guard_raises_past_tolerance(self, monkeypatch):
         """A selector that misses the oracle by more than the
         tolerance must fail the benchmark, not report it."""
-        from dataclasses import replace
-
         from repro.ordering import select as select_module
-        from repro.perf.bench import (
-            quick_frontier_config,
-            run_frontier_bench,
-        )
 
         real = select_module.select_ordering
 
         def myopic(graph, **kwargs):
             decision = real(graph, **kwargs)
             inflated = replace(
-                decision.chosen,
-                cycles=decision.chosen.cycles * 10,
+                decision.chosen, cycles=decision.chosen.cycles * 10,
             )
             return replace(decision, chosen=inflated)
 
-        monkeypatch.setattr(
-            select_module, "select_ordering", myopic
-        )
-        with pytest.raises(BenchRegressionError, match="frontier"):
-            run_frontier_bench(quick_frontier_config())
+        monkeypatch.setattr(select_module, "select_ordering", myopic)
+        with pytest.raises(BenchRegressionError, match="max_regret"):
+            run_bench("frontier", "quick")
 
     def test_suite_guard_raises_past_tolerance(self, monkeypatch):
         """A pick that wins its probe but loses the suite it stands
         for fails the benchmark too."""
-        from dataclasses import replace
-
         from repro.ordering import select as select_module
-        from repro.perf.bench import (
-            quick_frontier_config,
-            run_frontier_bench,
-        )
 
         real = select_module.amortization_table
 
@@ -518,21 +505,14 @@ class TestFrontierBench:
         monkeypatch.setattr(
             select_module, "amortization_table", baseline_wins_suite
         )
-        with pytest.raises(BenchRegressionError, match="suite"):
-            run_frontier_bench(quick_frontier_config(query_volume=1e12))
+        with pytest.raises(BenchRegressionError, match="suite_regret"):
+            run_bench("frontier", "quick")
 
 
 class TestFrontierBenchCLI:
-    def test_quick_frontier_bench_writes_json(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_selector.json"
-        code = main(
-            [
-                "bench", "--suite", "frontier", "--quick",
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
-        payload = json.loads(out.read_text())
+    def test_quick_frontier_bench_writes_json(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        payload = bench_cli("frontier", tmp_path, monkeypatch)
         assert payload["bench"] == "selector_frontier"
-        assert payload["within_tolerance"] is True
         assert "selected" in capsys.readouterr().out

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from repro import obs
+from repro.cli import main
 from repro.errors import InvalidParameterError
+from repro.perf.bench import metric_direction
 from repro.perf.trends import (
     DEFAULT_TREND_THRESHOLD,
     HISTORY_SCHEMA_VERSION,
@@ -24,17 +26,15 @@ def gorder_payload(
     batched=0.1, loop=0.3, sha="abc123", machine="ci", quick=True
 ):
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "bench": "gorder_kernel",
         "quick": quick,
-        "kernels": {
-            "loop": {"seconds": loop, "updates_per_second": 1e6},
-            "batched": {
-                "seconds": batched,
-                "updates_per_second": 3e6,
-            },
+        "metrics": {
+            "loop_seconds": loop,
+            "batched_seconds": batched,
+            "speedup_batched_vs_loop": loop / batched,
+            "batched_updates_per_second": 3e6,
         },
-        "speedup_batched_vs_loop": loop / batched,
         "manifest": {
             "git_sha": sha,
             "machine": machine,
@@ -47,51 +47,46 @@ def gorder_payload(
 
 def cache_payload(step=0.5, replay=0.05):
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "bench": "cache_replay",
         "quick": False,
-        "backends": {
-            "step": {"seconds": step},
-            "replay": {
-                "seconds": replay,
-                "accesses_per_second": 2e7,
-            },
+        "metrics": {
+            "step_seconds": step,
+            "replay_seconds": replay,
+            "speedup_replay_vs_step": step / replay,
+            "replay_accesses_per_second": 2e7,
         },
-        "speedup_replay_vs_step": step / replay,
         "manifest": {"git_sha": "abc", "machine": "ci"},
     }
 
 
-
 def algos_payload(scalar=0.9, runtime=0.2):
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "bench": "algos_runtime",
         "quick": False,
-        "totals": {
-            "scalar_seconds": scalar,
-            "runtime_seconds": runtime,
+        "metrics": {
+            "scalar_seconds_total": scalar,
+            "runtime_seconds_total": runtime,
+            "speedup_runtime_vs_scalar": scalar / runtime,
         },
-        "speedup_runtime_vs_scalar": scalar / runtime,
         "manifest": {"git_sha": "abc", "machine": "ci"},
     }
 
 
 def selector_payload(
-    regret=0.0, seconds=1.5, cycles=2.0e5, suite_regret=0.01
+    regret=0.0, seconds=1.5, cycles=3.0e5, suite_regret=0.01
 ):
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "bench": "selector_frontier",
         "quick": False,
-        "datasets": {
-            "epinion": {"selected": {"cycles": cycles}},
-            "pokec": {"selected": {"cycles": cycles / 2}},
+        "metrics": {
+            "selector_max_regret": regret,
+            "selector_suite_regret": suite_regret,
+            "selector_selection_seconds": seconds,
+            "selector_chosen_cycles_total": cycles,
         },
-        "totals": {"selection_seconds": seconds},
-        "max_regret": regret,
-        "max_suite_regret": suite_regret,
-        "within_tolerance": True,
         "manifest": {"git_sha": "abc", "machine": "ci"},
     }
 
@@ -103,16 +98,6 @@ class TestBenchMetrics:
         assert metrics["loop_seconds"] == 0.3
         assert metrics["speedup_batched_vs_loop"] == pytest.approx(3.0)
         assert metrics["batched_updates_per_second"] == 3e6
-
-    def test_gorder_partitioned_optional(self):
-        payload = gorder_payload()
-        payload["partitioned"] = {"workers_n_seconds": 0.07}
-        metrics = bench_metrics(payload)
-        assert metrics["partitioned_workers_n_seconds"] == 0.07
-        assert (
-            "partitioned_workers_n_seconds"
-            not in bench_metrics(gorder_payload())
-        )
 
     def test_cache_metrics(self):
         metrics = bench_metrics(cache_payload())
@@ -176,22 +161,24 @@ class TestBenchMetrics:
         )
 
     def test_every_selector_metric_has_a_direction(self):
-        from repro.perf.trends import METRIC_DIRECTIONS
-
         for name in bench_metrics(selector_payload()):
-            assert name in METRIC_DIRECTIONS
+            assert metric_direction(name) == "lower"
 
     def test_algos_missing_field_named(self):
         payload = algos_payload()
-        del payload["totals"]["runtime_seconds"]
+        del payload["metrics"]
         with pytest.raises(TrendError, match="missing"):
             bench_metrics(payload)
 
     def test_every_algos_metric_has_a_direction(self):
-        from repro.perf.trends import METRIC_DIRECTIONS
-
-        for name in bench_metrics(algos_payload()):
-            assert name in METRIC_DIRECTIONS
+        assert {
+            name: metric_direction(name)
+            for name in bench_metrics(algos_payload())
+        } == {
+            "scalar_seconds_total": "lower",
+            "runtime_seconds_total": "lower",
+            "speedup_runtime_vs_scalar": "higher",
+        }
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(TrendError, match="unknown bench suite"):
@@ -199,8 +186,8 @@ class TestBenchMetrics:
 
     def test_missing_field_named(self):
         payload = gorder_payload()
-        del payload["kernels"]["loop"]
-        with pytest.raises(TrendError, match="missing"):
+        payload["metrics"]["loop_seconds"] = "slow"
+        with pytest.raises(TrendError, match="missing a numeric"):
             bench_metrics(payload)
 
 
@@ -215,8 +202,8 @@ class TestHistoryRecord:
 
     def test_wrong_schema_version_rejected(self):
         payload = gorder_payload()
-        payload["schema_version"] = 2
-        with pytest.raises(TrendError, match="schema_version"):
+        payload["schema_version"] = 1
+        with pytest.raises(TrendError, match="schema_version 1"):
             history_record(payload)
 
 
@@ -294,7 +281,7 @@ class TestTrendReport:
 
     def test_higher_is_better_direction(self):
         slow = gorder_payload()
-        slow["speedup_batched_vs_loop"] = 1.1  # was 3.0
+        slow["metrics"]["speedup_batched_vs_loop"] = 1.1  # was 3.0
         report = trend_report(
             [history_record(gorder_payload())] * 2
             + [history_record(slow)]
@@ -377,6 +364,7 @@ class TestCommittedBenchFiles:
         [
             "BENCH_gorder.json",
             "BENCH_cache.json",
+            "BENCH_algos.json",
             "BENCH_selector.json",
         ],
     )
@@ -392,3 +380,55 @@ class TestCommittedBenchFiles:
         report = check_trends(path)
         assert report.ok  # single entry: baseline, not regression
         assert report.rows
+
+
+#: The history line ``trends --ingest BENCH_gorder.json`` wrote for the
+#: schema-v1 snapshot committed before the payload became version 2.
+V1_HISTORY_LINE = {
+    "schema_version": 1, "kind": "bench", "bench": "gorder_kernel",
+    "quick": False, "recorded_unix": 1792218260.308683,
+    "git_sha": "53c026ff3fc5c21d52d1429cb22e162fbc2d8e18",
+    "machine": "x86_64",
+    "platform": "Linux-6.18.44-fc-v139-x86_64-with-glibc2.36",
+    "python": "3.11.7", "profile": None,
+    "metrics": {
+        "loop_seconds": 17.497513214002538,
+        "batched_seconds": 2.286915353997756,
+        "speedup_batched_vs_loop": 7.651141605838249,
+        "batched_updates_per_second": 9910752.472923508,
+        "partitioned_workers_n_seconds": 3.0359543779995875,
+    },
+}
+
+
+class TestSchemaV1:
+    def test_v1_history_line_baselines_v2_metric(self, tmp_path):
+        path = tmp_path / "hist.jsonl"
+        path.write_text(json.dumps(V1_HISTORY_LINE) + "\n")
+        append_history(
+            gorder_payload(
+                batched=2.0, loop=16.0, machine="x86_64", quick=False
+            ),
+            path,
+        )
+        rows = {row.metric: row for row in check_trends(path).rows}
+        speedup = rows["speedup_batched_vs_loop"]
+        assert speedup.samples == 1
+        assert speedup.baseline == pytest.approx(7.651141605838249)
+        assert speedup.latest == pytest.approx(8.0)
+        # The deleted partitioned block's metric ends its series.
+        assert "partitioned_workers_n_seconds" not in rows
+
+    def test_ingest_v1_payload_exits_1(self, tmp_path, capsys):
+        payload = gorder_payload()
+        payload["schema_version"] = 1
+        source = tmp_path / "BENCH_gorder.json"
+        source.write_text(json.dumps(payload))
+        code = main([
+            "trends", "--history", str(tmp_path / "hist.jsonl"),
+            "--ingest", str(source),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "schema_version 1" in err
+        assert "ingests version 2" in err

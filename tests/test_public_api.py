@@ -67,7 +67,10 @@ class TestExports:
 
 #: Names deleted from the public packages, with the package that
 #: exported them.  ``repro-gorder evaluate`` is the NQ probe's
-#: amortisation table now, and nothing used the graph validator.
+#: amortisation table now, and nothing used the graph validator.  The
+#: four bench suites are entries of ``perf.SUITES``, run by
+#: ``perf.run_bench`` and printed by ``perf.render_bench``; a metric's
+#: trend direction follows its name.
 REMOVED = [
     (ordering, "OrderingEvaluation"),
     (ordering, "evaluate_ordering"),
@@ -75,6 +78,21 @@ REMOVED = [
     (ordering, "probe_arrangement"),
     (graph, "validate_graph"),
     (graph, "ValidationReport"),
+    *(
+        (perf, name)
+        for name in (
+            "RUNTIME_ALGORITHMS",
+            "GorderBenchConfig", "CacheBenchConfig", "AlgosBenchConfig",
+            "FrontierBenchConfig",
+            "quick_config", "quick_cache_config", "quick_algos_config",
+            "quick_frontier_config",
+            "run_gorder_bench", "run_cache_bench", "run_algos_bench",
+            "run_frontier_bench",
+            "render_gorder_bench", "render_cache_bench",
+            "render_algos_bench", "render_frontier_bench",
+        )
+    ),
+    (perf.trends, "METRIC_DIRECTIONS"),
 ]
 
 
